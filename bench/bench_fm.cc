@@ -1,13 +1,16 @@
 // E6: Fourier-Motzkin elimination cost. The paper claims a polynomial
 // bound via LP theory but observes that "in practice, Fourier-Motzkin
 // elimination is simple and adequate"; this benchmark quantifies that on
-// random systems and on the analyzer's own dual systems, and ablates the
-// LP-based redundancy pruning.
+// random systems and on the analyzer's own dual systems, ablates the
+// LP-based redundancy pruning, and times the pruning kernel on the largest
+// systems the corpus hands it.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <string>
 
+#include "fm_fixture.h"
 #include "termilog/termilog.h"
 
 using namespace termilog;
@@ -123,6 +126,20 @@ void BM_DualElimination(benchmark::State& state) {
   }
 }
 
+// One LpPruneRedundant pass over a corpus-harvested system
+// (tests/data/fm_prune_inputs.txt); registered per system in main.
+void BM_LpPruneHarvested(benchmark::State& state, const NamedSystem* input) {
+  size_t survivors = 0;
+  for (auto _ : state) {
+    ConstraintSystem sys = input->system;
+    FourierMotzkin::LpPruneRedundant(&sys);
+    survivors = sys.size();
+    benchmark::DoNotOptimize(survivors);
+  }
+  state.counters["rows_in"] = static_cast<double>(input->system.size());
+  state.counters["rows_out"] = static_cast<double>(survivors);
+}
+
 BENCHMARK(BM_ProjectRandom)
     ->Args({3, 6})
     ->Args({4, 8})
@@ -160,6 +177,12 @@ void PrintGrowthTable() {
 
 int main(int argc, char** argv) {
   PrintGrowthTable();
+  static const std::vector<NamedSystem> harvested = LoadFmPruneInputs();
+  for (const NamedSystem& input : harvested) {
+    benchmark::RegisterBenchmark(("BM_LpPruneHarvested/" + input.name).c_str(),
+                                 BM_LpPruneHarvested, &input)
+        ->Unit(benchmark::kMillisecond);
+  }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

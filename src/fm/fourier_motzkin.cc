@@ -1,6 +1,7 @@
 #include "fm/fourier_motzkin.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "lp/simplex.h"
@@ -225,30 +226,69 @@ void FourierMotzkin::LpPruneRedundant(ConstraintSystem* system,
                                       const ResourceGovernor* governor) {
   TERMILOG_TRACE("fm.lp_prune", "fm");
   std::vector<Constraint>& rows = system->mutable_rows();
-  std::vector<bool> all_free(system->num_vars(), true);
+  const int n = system->num_vars();
   // Rows are tested from the end (matching the historical erase order, so
   // the surviving set and its order are unchanged) but removal is deferred:
   // pruned rows are only flagged here and dropped in one stable compaction
   // pass below, instead of an O(rows) vector::erase per pruned row.
   std::vector<bool> alive(rows.size(), true);
   size_t pruned = 0;
+  // Whether the alive rows have a point, once known. Pruning drops only
+  // rows the others entail, which never changes the point set, so one
+  // answer holds for the whole pass.
+  std::optional<bool> feasible;
+  auto alive_rows = [&](size_t skip) {
+    std::vector<const Constraint*> out;
+    out.reserve(rows.size());
+    for (size_t j = 0; j < rows.size(); ++j) {
+      if (j != skip && alive[j]) out.push_back(&rows[j]);
+    }
+    return out;
+  };
+  // kOptimal, kInfeasible, or kPivotLimit (undecided) for `subset`.
+  auto find_feasible = [&](const std::vector<const Constraint*>& subset) {
+    ConstraintSystem copy(n);
+    for (const Constraint* r : subset) copy.Add(*r);
+    return SimplexSolver::FindFeasible(copy, std::vector<bool>(n, true),
+                                       governor)
+        .status;
+  };
+  // Whether the alive rows have a point: the origin is a cheap witness (a
+  // row holds there iff its constant does), then one LP. Nullopt when the
+  // LP is cut short.
+  auto system_feasible = [&]() -> std::optional<bool> {
+    std::vector<const Constraint*> all = alive_rows(rows.size());  // no skip
+    if (std::all_of(all.begin(), all.end(), [](const Constraint* r) {
+          return r->ConstantRowHolds();
+        })) {
+      return true;
+    }
+    LpStatus status = find_feasible(all);
+    if (status == LpStatus::kPivotLimit) return std::nullopt;
+    return status == LpStatus::kOptimal;
+  };
   for (size_t i = rows.size(); i-- > 0;) {
     // A system left unpruned is still correct, so an exhausted budget just
     // stops the optimization.
     if (governor != nullptr && governor->exhausted()) break;
     const Constraint& row = rows[i];
     if (row.rel == Relation::kEq) continue;
-    ConstraintSystem rest(system->num_vars());
-    for (size_t j = 0; j < rows.size(); ++j) {
-      if (j != i && alive[j]) rest.Add(rows[j]);
-    }
-    // Redundant iff min(coeffs.x) over `rest` satisfies min + constant >= 0.
-    LpResult lp = SimplexSolver::Minimize(rest, row.coeffs, all_free, governor);
-    bool redundant = false;
-    if (lp.status == LpStatus::kInfeasible) {
-      redundant = true;  // empty system entails anything
-    } else if (lp.status == LpStatus::kOptimal) {
-      redundant = (lp.objective + row.constant).sign() >= 0;
+    std::vector<const Constraint*> rest = alive_rows(i);
+    Entailment entailment = SimplexSolver::Entails(n, rest, row, governor);
+    bool redundant = entailment == Entailment::kEntailed;
+    if (entailment == Entailment::kEntailedIffEmpty) {
+      // Redundant only if `rest` has no point. No rows, or one non-constant
+      // row, always has a point; so does every subset of a feasible system.
+      // An infeasible system says nothing about `rest`, and an undecided
+      // answer keeps the row.
+      bool rest_has_point =
+          rest.empty() || (rest.size() == 1 && !rest[0]->IsConstantRow());
+      if (!rest_has_point) {
+        if (!feasible.has_value()) feasible = system_feasible();
+        rest_has_point = feasible.value_or(true) ||
+                         find_feasible(rest) != LpStatus::kInfeasible;
+      }
+      redundant = !rest_has_point;
     }
     if (redundant) {
       TERMILOG_COUNTER("fm.rows_pruned", 1);

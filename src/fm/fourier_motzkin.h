@@ -17,8 +17,11 @@ struct FmOptions {
   /// Abort with kResourceExhausted if an elimination step would exceed this
   /// many rows.
   size_t row_limit = 50000;
-  /// Run LP-based redundancy pruning when the row count after an
-  /// elimination step exceeds lp_prune_threshold.
+  /// Run LpPruneRedundant when the row count after an elimination step
+  /// exceeds lp_prune_threshold. Both knobs are part of the canonical cache
+  /// keys (src/engine/canonical.cc), so changing either misses every
+  /// persisted entry; the pruning algorithm itself is not, because it
+  /// decides the same exact facts whichever LP form it solves.
   bool lp_prune = true;
   size_t lp_prune_threshold = 48;
   /// Shared analysis budget (not owned; may be null). Every elimination
@@ -50,10 +53,14 @@ class FourierMotzkin {
                                           const FmOptions& options =
                                               FmOptions());
 
-  /// Removes rows entailed by the remaining rows (exact LP check, all
-  /// variables treated as free). Keeps equality rows intact. Pruning is an
-  /// optimization, so a governed solver that runs out of budget simply
-  /// leaves the remaining rows unpruned.
+  /// Removes rows entailed by the remaining rows, testing from the last row
+  /// to the first and keeping the survivors in order. Equality rows are
+  /// kept. Each test is SimplexSolver::Entails, the Farkas dual over the
+  /// n variables; a row whose dual is infeasible is redundant only when the
+  /// other rows have no point, which is settled once per pass (cheap
+  /// witnesses first, then one feasibility LP; docs/arithmetic.md,
+  /// section 4). Pruning is an optimization, so a governed solver that runs
+  /// out of budget simply leaves the remaining rows unpruned.
   static void LpPruneRedundant(ConstraintSystem* system,
                                const ResourceGovernor* governor = nullptr);
 };

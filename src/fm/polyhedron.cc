@@ -44,21 +44,22 @@ bool Polyhedron::IsEmpty() const {
 
 bool Polyhedron::Entails(const Constraint& row) const {
   if (IsEmpty()) return true;
-  std::vector<bool> all_free(system_.num_vars(), true);
-  if (row.rel == Relation::kGe) {
-    LpResult lp = SimplexSolver::Minimize(system_, row.coeffs, all_free);
-    if (lp.status == LpStatus::kInfeasible) return true;
-    if (lp.status != LpStatus::kOptimal) return false;
-    return (lp.objective + row.constant).sign() >= 0;
-  }
-  // Equality: entailed iff min == max == -constant.
-  LpResult lo = SimplexSolver::Minimize(system_, row.coeffs, all_free);
-  if (lo.status == LpStatus::kInfeasible) return true;
-  if (lo.status != LpStatus::kOptimal) return false;
-  if ((lo.objective + row.constant).sign() != 0) return false;
-  LpResult hi = SimplexSolver::Maximize(system_, row.coeffs, all_free);
-  if (hi.status != LpStatus::kOptimal) return false;
-  return (hi.objective + row.constant).sign() == 0;
+  std::vector<const Constraint*> rows;
+  rows.reserve(system_.size());
+  for (const Constraint& r : system_.rows()) rows.push_back(&r);
+  // The system has a point, so only a Farkas certificate proves the row.
+  auto entailed = [&](const Constraint& ge) {
+    return SimplexSolver::Entails(num_vars(), rows, ge) ==
+           Entailment::kEntailed;
+  };
+  Constraint ge = row;
+  ge.rel = Relation::kGe;
+  if (!entailed(ge)) return false;
+  if (row.rel == Relation::kGe) return true;
+  // An equality is the two opposite inequalities.
+  for (Rational& c : ge.coeffs) c.Negate();
+  ge.constant.Negate();
+  return entailed(ge);
 }
 
 bool Polyhedron::Contains(const Polyhedron& other) const {

@@ -51,7 +51,10 @@ class Polyhedron {
   /// system of rows into a rowless bottom on round trip.
   bool known_empty() const { return known_empty_; }
 
-  /// True iff every point of the polyhedron satisfies `row`.
+  /// True iff every point of the polyhedron satisfies `row`. The empty
+  /// polyhedron (cached IsEmpty()) entails everything; otherwise the answer
+  /// is SimplexSolver::Entails, once for a kGe row and once per direction
+  /// for a kEq row.
   bool Entails(const Constraint& row) const;
 
   /// True iff `other` is a subset of this polyhedron.

@@ -54,10 +54,7 @@ class Tableau {
 
   // Minimizes `objective` (dense over current columns) starting from the
   // current basis. Returns kOptimal or kUnbounded (or kPivotLimit).
-  // `forbidden` columns may never enter the basis (used to lock artificials
-  // out during phase 2).
-  LpStatus Optimize(const std::vector<Rational>& objective,
-                    const std::vector<bool>& forbidden, int* pivots,
+  LpStatus Optimize(const std::vector<Rational>& objective, int* pivots,
                     const ResourceGovernor* governor) {
     // Maintain the reduced-cost row incrementally: start from the plain
     // objective and eliminate basic columns.
@@ -75,7 +72,6 @@ class Tableau {
       // Bland: entering column = smallest index with negative reduced cost.
       int entering = -1;
       for (int c = 0; c < num_cols_; ++c) {
-        if (!forbidden.empty() && forbidden[c]) continue;
         if (cost[c].sign() < 0) {
           entering = c;
           break;
@@ -245,7 +241,7 @@ LpResult SolveMin(const ConstraintSystem& system,
   for (int c = first_artificial; c < tableau.num_cols(); ++c) {
     phase1_obj[c] = Rational(1);
   }
-  LpStatus status = tableau.Optimize(phase1_obj, {}, &pivots, governor);
+  LpStatus status = tableau.Optimize(phase1_obj, &pivots, governor);
   LpResult result;
   if (status != LpStatus::kOptimal) {
     // Phase 1 is bounded below by zero, so kUnbounded cannot happen.
@@ -266,7 +262,7 @@ LpResult SolveMin(const ConstraintSystem& system,
       if (neg_col[i] >= 0) phase2_obj[neg_col[i]] = -objective[i];
     }
   }
-  status = tableau.Optimize(phase2_obj, {}, &pivots, governor);
+  status = tableau.Optimize(phase2_obj, &pivots, governor);
   result.status = status;
   if (status != LpStatus::kOptimal) return result;
 
@@ -306,6 +302,65 @@ LpResult SimplexSolver::FindFeasible(const ConstraintSystem& system,
                                      const std::vector<bool>& is_free,
                                      const ResourceGovernor* governor) {
   return SolveMin(system, {}, is_free, governor);
+}
+
+Entailment SimplexSolver::Entails(int num_vars,
+                                  const std::vector<const Constraint*>& rows,
+                                  const Constraint& target,
+                                  const ResourceGovernor* governor) {
+  TERMILOG_CHECK(target.rel == Relation::kGe &&
+                 target.num_vars() == num_vars);
+  // Sign screen: if no row can supply coefficient k with the sign the
+  // target needs (a kGe row only with its own sign, a kEq row with either),
+  // dual row k has no solution and the LP would report kInfeasible.
+  for (int k = 0; k < num_vars; ++k) {
+    const int need = target.coeffs[k].sign();
+    if (need == 0) continue;
+    if (std::none_of(rows.begin(), rows.end(), [&](const Constraint* r) {
+          const int has = r->coeffs[k].sign();
+          return has == need || (has != 0 && r->rel == Relation::kEq);
+        })) {
+      return Entailment::kEntailedIffEmpty;
+    }
+  }
+  // Column j is the multiplier lambda_j of rows[j]; row k says the
+  // multipliers reproduce target coefficient k:
+  // sum_j lambda_j a_jk - c_k = 0.
+  ConstraintSystem dual(static_cast<int>(rows.size()));
+  for (int k = 0; k < num_vars; ++k) {
+    Constraint row;
+    row.rel = Relation::kEq;
+    row.coeffs.reserve(rows.size());
+    for (const Constraint* r : rows) row.coeffs.push_back(r->coeffs[k]);
+    row.constant = -target.coeffs[k];
+    dual.Add(std::move(row));
+  }
+  std::vector<Rational> cost;
+  std::vector<bool> is_free;
+  cost.reserve(rows.size());
+  is_free.reserve(rows.size());
+  for (const Constraint* r : rows) {
+    cost.push_back(r->constant);
+    is_free.push_back(r->rel == Relation::kEq);
+  }
+  LpResult lp = Minimize(dual, cost, is_free, governor);
+  switch (lp.status) {
+    case LpStatus::kOptimal:
+      // The optimum is -(min c . x over R) by strong duality, so this is
+      // exactly the primal test min c . x + d >= 0.
+      return lp.objective <= target.constant ? Entailment::kEntailed
+                                             : Entailment::kNotEntailed;
+    case LpStatus::kUnbounded:
+      // A ray mu (>= 0 on kGe rows) with sum mu_j a_j = 0 and
+      // sum mu_j b_j < 0 combines R into 0 >= a negative constant: R has no
+      // point.
+      return Entailment::kEntailed;
+    case LpStatus::kInfeasible:
+      return Entailment::kEntailedIffEmpty;
+    case LpStatus::kPivotLimit:
+      break;
+  }
+  return Entailment::kUnknown;
 }
 
 }  // namespace termilog

@@ -26,6 +26,17 @@ struct LpResult {
   std::vector<Rational> point;
 };
 
+/// What SimplexSolver::Entails decides about "rows R entail the target row
+/// c . x + d >= 0" (docs/arithmetic.md, section 4).
+enum class Entailment {
+  kEntailed,         // a Farkas certificate exists, or R has no point
+  kNotEntailed,      // some point of R violates the target
+  kEntailedIffEmpty, // c is no combination of R's rows: the target is
+                     // entailed exactly when R has no point, which only a
+                     // feasibility check can tell
+  kUnknown,          // pivot cap or governor tripped: unanswered
+};
+
 /// Exact two-phase primal simplex over rationals with Bland's anti-cycling
 /// rule. This is the workhorse behind Section 4 of the paper: the final
 /// termination condition is a pure feasibility problem, and the polyhedral
@@ -62,6 +73,22 @@ class SimplexSolver {
   static LpResult FindFeasible(const ConstraintSystem& system,
                                const std::vector<bool>& is_free = {},
                                const ResourceGovernor* governor = nullptr);
+
+  /// The library's one entailment test: do `rows` (over `num_vars` free
+  /// variables) entail the kGe row `target`, c . x + d >= 0? Solved in
+  /// Farkas-dual form,
+  ///   min sum_j lambda_j b_j   s.t.  sum_j lambda_j a_j = c,
+  /// with lambda_j >= 0 on kGe rows and free on kEq rows: an LP with one
+  /// equality row per variable and one column per row, so its tableau is
+  /// n x m where the primal "min c . x over R" would be m x (2n + 2m).
+  /// Dual optimum <= d is a certificate; an unbounded dual proves R empty.
+  /// A sign screen answers kEntailedIffEmpty without an LP when some
+  /// target coefficient has a sign no row can supply. `governor` is charged
+  /// one tick per dual pivot.
+  static Entailment Entails(int num_vars,
+                            const std::vector<const Constraint*>& rows,
+                            const Constraint& target,
+                            const ResourceGovernor* governor = nullptr);
 };
 
 }  // namespace termilog

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "fm_fixture.h"
 #include "lp/simplex.h"
 
 namespace termilog {
@@ -140,9 +144,10 @@ TEST(FourierMotzkinTest, LpPruneKeepsBindingRows) {
 }
 
 // Reference implementation of LpPruneRedundant as it was historically
-// written: per-row vector::erase, iterating from the end. The production
-// version defers removal to one stable compaction pass; the surviving rows
-// and their order must be identical.
+// written: one primal LP, min coeffs . x over the other rows, per row, with
+// per-row vector::erase, iterating from the end. The production version
+// decides each row through the Farkas dual and defers removal to one stable
+// compaction pass; the surviving rows and their order must be identical.
 void ReferenceLpPrune(ConstraintSystem* system) {
   std::vector<bool> all_free(system->num_vars(), true);
   for (size_t i = system->rows().size(); i-- > 0;) {
@@ -165,44 +170,247 @@ void ReferenceLpPrune(ConstraintSystem* system) {
   }
 }
 
-TEST(FourierMotzkinTest, LpPruneMatchesEraseReferenceAndKeepsOrder) {
-  // Deterministic pseudo-random systems with deliberately redundant rows
-  // (weakened copies and positive combinations of earlier rows).
-  uint64_t state = 12345;
-  auto next = [&state]() {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return state;
-  };
-  for (int round = 0; round < 8; ++round) {
-    ConstraintSystem sys(3);
-    for (int r = 0; r < 5; ++r) {
-      Constraint row;
-      row.rel = Relation::kGe;
-      for (int v = 0; v < 3; ++v) {
-        row.coeffs.emplace_back(static_cast<int64_t>(next() % 7) - 3);
-      }
-      row.constant = Rational(static_cast<int64_t>(next() % 9) - 2);
-      sys.Add(std::move(row));
-    }
-    // Weakened duplicate of row 0 and the sum of rows 1 and 2: redundant.
-    Constraint weak = sys.rows()[0];
-    weak.constant += Rational(static_cast<int64_t>(next() % 4) + 1);
-    sys.Add(std::move(weak));
-    Constraint combo = sys.rows()[1];
-    for (int v = 0; v < 3; ++v) combo.coeffs[v] += sys.rows()[2].coeffs[v];
-    combo.constant += sys.rows()[2].constant;
-    sys.Add(std::move(combo));
+void ExpectPruneMatchesReference(const ConstraintSystem& input,
+                                 const std::string& label) {
+  ConstraintSystem expected = input;
+  ReferenceLpPrune(&expected);
+  ConstraintSystem actual = input;
+  FourierMotzkin::LpPruneRedundant(&actual);
+  ASSERT_EQ(actual.size(), expected.size()) << label << "\n"
+                                            << input.ToString();
+  for (size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_TRUE(actual.rows()[i] == expected.rows()[i])
+        << label << " row " << i << "\n"
+        << input.ToString();
+  }
+}
 
-    ConstraintSystem expected = sys;
-    ReferenceLpPrune(&expected);
-    FourierMotzkin::LpPruneRedundant(&sys);
-    ASSERT_EQ(sys.size(), expected.size()) << "round " << round;
-    for (size_t i = 0; i < sys.size(); ++i) {
-      EXPECT_TRUE(sys.rows()[i] == expected.rows()[i])
-          << "round " << round << " row " << i;
+class XorShift {
+ public:
+  explicit XorShift(uint64_t seed) : state_(seed) {}
+  uint64_t Next() {
+    state_ ^= state_ << 13;
+    state_ ^= state_ >> 7;
+    state_ ^= state_ << 17;
+    return state_;
+  }
+  int64_t Range(int64_t lo, int64_t hi) {
+    return lo + static_cast<int64_t>(Next() % (hi - lo + 1));
+  }
+
+ private:
+  uint64_t state_;
+};
+
+// `num_rows` random rows, about `eq_percent` of them equalities. With an
+// `anchor` point every row holds there (a feasible system); without one the
+// constants are random. Systems of three or more rows then get two rows the
+// others entail: a weakened copy of row 0 and the sum of rows 1 and 2.
+ConstraintSystem RandomSystem(XorShift* rng, int num_vars, int num_rows,
+                              int eq_percent,
+                              const std::vector<int64_t>* anchor = nullptr) {
+  ConstraintSystem sys(num_vars);
+  for (int r = 0; r < num_rows; ++r) {
+    Constraint row;
+    row.rel = eq_percent > 0 && rng->Range(0, 99) < eq_percent
+                  ? Relation::kEq
+                  : Relation::kGe;
+    int64_t at_anchor = 0;
+    for (int v = 0; v < num_vars; ++v) {
+      int64_t c = rng->Range(-3, 3);
+      row.coeffs.emplace_back(c);
+      if (anchor != nullptr) at_anchor += c * (*anchor)[v];
     }
+    if (anchor == nullptr) {
+      row.constant = Rational(rng->Range(-2, 6));
+    } else {
+      int64_t slack = row.rel == Relation::kEq ? 0 : rng->Range(0, 3);
+      row.constant = Rational(slack - at_anchor);
+    }
+    sys.Add(std::move(row));
+  }
+  if (num_rows < 3) return sys;
+  Constraint weak = sys.rows()[0];
+  weak.rel = Relation::kGe;
+  weak.constant += Rational(rng->Range(1, 4));
+  sys.Add(std::move(weak));
+  Constraint combo = sys.rows()[1];
+  combo.rel = Relation::kGe;
+  for (int v = 0; v < num_vars; ++v) {
+    combo.coeffs[v] += sys.rows()[2].coeffs[v];
+  }
+  combo.constant += sys.rows()[2].constant;
+  sys.Add(std::move(combo));
+  return sys;
+}
+
+std::vector<int64_t> RandomPoint(XorShift* rng, int num_vars) {
+  std::vector<int64_t> point;
+  for (int v = 0; v < num_vars; ++v) point.push_back(rng->Range(-2, 2));
+  return point;
+}
+
+TEST(FourierMotzkinTest, LpPruneMatchesEraseReferenceAndKeepsOrder) {
+  // Deterministic pseudo-random systems with deliberately redundant rows.
+  XorShift rng(12345);
+  for (int round = 0; round < 8; ++round) {
+    ExpectPruneMatchesReference(RandomSystem(&rng, 3, 5, 0),
+                                "round " + std::to_string(round));
+  }
+}
+
+TEST(FourierMotzkinTest, LpPruneMatchesReferenceWithEqualityRows) {
+  // kEq rows enter the dual as free multipliers. Anchored systems stay
+  // feasible despite the equalities; unanchored ones mostly do not.
+  XorShift rng(777);
+  for (int round = 0; round < 24; ++round) {
+    int num_vars = static_cast<int>(rng.Range(2, 5));
+    int num_rows = static_cast<int>(rng.Range(3, 12));
+    std::vector<int64_t> anchor = RandomPoint(&rng, num_vars);
+    ConstraintSystem sys = RandomSystem(&rng, num_vars, num_rows, 25,
+                                        round % 3 == 2 ? nullptr : &anchor);
+    ExpectPruneMatchesReference(sys, "round " + std::to_string(round));
+  }
+}
+
+TEST(FourierMotzkinTest, LpPruneMatchesReferenceOnInfeasibleSystems) {
+  // An empty system entails every row, so rows are pruned while the rest
+  // stays empty; the ones the emptiness hinges on survive.
+  ConstraintSystem pair(2);
+  pair.Add(Ge({1, 0}, -1));   // x0 >= 1
+  pair.Add(Ge({0, 1}, 0));    // x1 >= 0
+  pair.Add(Ge({-1, 0}, 0));   // x0 <= 0
+  pair.Add(Ge({1, 1}, 0));
+  ExpectPruneMatchesReference(pair, "contradictory bounds");
+
+  ConstraintSystem violated(2);  // a violated constant row (unsimplified)
+  violated.Add(Ge({1, 0}, 0));
+  violated.Add(Ge({0, 0}, -1));
+  violated.Add(Ge({0, 1}, 2));
+  ExpectPruneMatchesReference(violated, "violated constant row");
+
+  ConstraintSystem eq_clash(2);  // x0 = x1 and x0 = x1 + 1
+  eq_clash.Add(Eq({1, -1}, 0));
+  eq_clash.Add(Ge({1, 0}, 0));
+  eq_clash.Add(Eq({1, -1}, -1));
+  eq_clash.Add(Ge({0, -1}, 3));
+  ExpectPruneMatchesReference(eq_clash, "clashing equalities");
+
+  // Random feasible systems made empty by a row and its strict negation,
+  // inserted at a random position.
+  XorShift rng(4242);
+  for (int round = 0; round < 16; ++round) {
+    int num_vars = static_cast<int>(rng.Range(1, 5));
+    std::vector<int64_t> anchor = RandomPoint(&rng, num_vars);
+    ConstraintSystem sys = RandomSystem(
+        &rng, num_vars, static_cast<int>(rng.Range(2, 10)), 10, &anchor);
+    Constraint row = sys.rows()[rng.Range(0, sys.size() - 1)];
+    row.rel = Relation::kGe;
+    for (Rational& c : row.coeffs) c.Negate();
+    row.constant = -row.constant - Rational(1);
+    std::vector<Constraint>& rows = sys.mutable_rows();
+    rows.insert(rows.begin() + rng.Range(0, rows.size()), std::move(row));
+    ExpectPruneMatchesReference(sys, "round " + std::to_string(round));
+  }
+}
+
+TEST(FourierMotzkinTest, LpPruneMatchesReferenceOnUnboundedRows) {
+  // A row whose primal minimum over the others is unbounded (here x1 >= 0
+  // and x2 >= 0) has an infeasible dual, so keeping it needs the rest to
+  // have a point: the origin witnesses one in the first system, only an LP
+  // in the second.
+  ConstraintSystem orthant(3);
+  orthant.Add(Ge({1, 0, 0}, 0));
+  orthant.Add(Ge({0, 1, 0}, 0));
+  orthant.Add(Ge({0, 0, 1}, 0));
+  orthant.Add(Ge({1, -1, 0}, 2));
+  orthant.Add(Ge({1, 1, 1}, 0));  // entailed
+  ExpectPruneMatchesReference(orthant, "orthant at the origin");
+
+  ConstraintSystem shifted(3);
+  shifted.Add(Ge({1, 0, 0}, -1));
+  shifted.Add(Ge({0, 1, 0}, -1));
+  shifted.Add(Ge({0, 0, 1}, -1));
+  shifted.Add(Ge({1, -1, 0}, 2));
+  shifted.Add(Ge({1, 1, 1}, -2));  // entailed: the sum is >= 3
+  ExpectPruneMatchesReference(shifted, "orthant away from the origin");
+
+  XorShift rng(99);
+  for (int round = 0; round < 16; ++round) {
+    int num_vars = static_cast<int>(rng.Range(2, 5));
+    std::vector<int64_t> anchor = RandomPoint(&rng, num_vars);
+    ConstraintSystem sys(num_vars);
+    for (int v = 0; v < num_vars; ++v) {  // lower bounds only: unbounded
+      Constraint bound;
+      bound.coeffs.resize(num_vars);
+      bound.coeffs[v] = Rational(1);
+      bound.constant = Rational(-anchor[v] + rng.Range(0, 2));
+      sys.Add(std::move(bound));
+    }
+    sys.Append(RandomSystem(&rng, num_vars, static_cast<int>(rng.Range(1, 6)),
+                            0, &anchor));
+    ExpectPruneMatchesReference(sys, "round " + std::to_string(round));
+  }
+}
+
+TEST(FourierMotzkinTest, LpPruneMatchesReferenceOnOneAndTwoRowSystems) {
+  // Every one-row system and every ordered pair over a small row alphabet,
+  // constant rows (held and violated) and equalities included: the shapes
+  // where the rest is empty or a single row.
+  std::vector<Constraint> alphabet;
+  for (Relation rel : {Relation::kGe, Relation::kEq}) {
+    for (std::vector<int64_t> coeffs :
+         {std::vector<int64_t>{0, 0}, {1, 0}, {-1, 0}, {1, -1}, {2, 1}}) {
+      for (int64_t constant : {-1, 0, 2}) {
+        Constraint row = Ge(coeffs, constant);
+        row.rel = rel;
+        alphabet.push_back(std::move(row));
+      }
+    }
+  }
+  for (size_t a = 0; a < alphabet.size(); ++a) {
+    ConstraintSystem one(2);
+    one.Add(alphabet[a]);
+    ExpectPruneMatchesReference(one, alphabet[a].ToString());
+    for (size_t b = 0; b < alphabet.size(); ++b) {
+      ConstraintSystem two(2);
+      two.Add(alphabet[a]);
+      two.Add(alphabet[b]);
+      ExpectPruneMatchesReference(
+          two, alphabet[a].ToString() + " ; " + alphabet[b].ToString());
+    }
+  }
+}
+
+TEST(FourierMotzkinTest, LpPruneMatchesReferenceOnRandomSystemsUpTo5x40) {
+  XorShift rng(2026);
+  for (int num_vars = 1; num_vars <= 5; ++num_vars) {
+    for (int num_rows : {4, 10, 20, 40}) {
+      std::vector<int64_t> anchor = RandomPoint(&rng, num_vars);
+      for (int eq_percent : {0, 5}) {
+        std::string label = std::to_string(num_vars) + "x" +
+                            std::to_string(num_rows) + " eq" +
+                            std::to_string(eq_percent);
+        ExpectPruneMatchesReference(
+            RandomSystem(&rng, num_vars, num_rows, eq_percent, &anchor),
+            label + " anchored");
+        ExpectPruneMatchesReference(
+            RandomSystem(&rng, num_vars, num_rows, eq_percent), label);
+      }
+    }
+  }
+}
+
+TEST(FourierMotzkinTest, LpPruneMatchesReferenceOnHarvestedCorpusSystems) {
+  // The largest FM-intermediate prune inputs of nnf, gcd_subtract and
+  // deriv (tests/data/fm_prune_inputs.txt).
+  std::vector<NamedSystem> inputs = LoadFmPruneInputs();
+  ASSERT_EQ(inputs.size(), 3u);
+  for (const NamedSystem& input : inputs) {
+    ConstraintSystem pruned = input.system;
+    FourierMotzkin::LpPruneRedundant(&pruned);
+    EXPECT_LT(pruned.size(), input.system.size()) << input.name;
+    ExpectPruneMatchesReference(input.system, input.name);
   }
 }
 

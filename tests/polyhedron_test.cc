@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "lp/simplex.h"
+
 namespace termilog {
 namespace {
 
@@ -45,6 +49,105 @@ TEST(PolyhedronTest, EntailsInequality) {
   EXPECT_TRUE(p.Entails(Eq({2, -2}, 0)));        // 2x0 = 2x1
   EXPECT_FALSE(p.Entails(Ge({1, 0}, -1)));       // x0 >= 1
   EXPECT_FALSE(p.Entails(Eq({1, 0}, 0)));        // x0 = 0
+}
+
+// Entails as it was decided before the Farkas-dual form: the primal minimum
+// of coeffs . x over the system (and, for an equality, the maximum too).
+bool ReferenceEntails(const Polyhedron& p, const Constraint& row) {
+  if (p.IsEmpty()) return true;
+  std::vector<bool> all_free(p.num_vars(), true);
+  LpResult lo = SimplexSolver::Minimize(p.constraints(), row.coeffs, all_free);
+  if (lo.status == LpStatus::kInfeasible) return true;
+  if (lo.status != LpStatus::kOptimal) return false;
+  if (row.rel == Relation::kGe) {
+    return (lo.objective + row.constant).sign() >= 0;
+  }
+  if ((lo.objective + row.constant).sign() != 0) return false;
+  LpResult hi = SimplexSolver::Maximize(p.constraints(), row.coeffs, all_free);
+  if (hi.status != LpStatus::kOptimal) return false;
+  return (hi.objective + row.constant).sign() == 0;
+}
+
+TEST(PolyhedronTest, EntailsMatchesPrimalMinMaxReference) {
+  // Random polyhedra (empty, bounded and unbounded) against random kGe and
+  // kEq targets, plus targets built to be entailed: relaxed nonnegative
+  // combinations of two rows, and sums of two rows that both hold with
+  // equality.
+  uint64_t state = 31337;
+  auto range = [&state](int64_t lo, int64_t hi) {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return lo + static_cast<int64_t>(state % (hi - lo + 1));
+  };
+  auto random_row = [&](int n, Relation rel) {
+    std::vector<int64_t> coeffs;
+    for (int v = 0; v < n; ++v) coeffs.push_back(range(-2, 2));
+    Constraint row = Ge(coeffs, range(-3, 3));
+    row.rel = rel;
+    return row;
+  };
+  int counts[2][2] = {};  // [target is kEq][entailed]
+  for (int round = 0; round < 60; ++round) {
+    const int n = static_cast<int>(range(1, 4));
+    Polyhedron p = round % 2 == 0 ? Polyhedron::NonNegativeOrthant(n)
+                                  : Polyhedron::Universe(n);
+    const int num_rows = static_cast<int>(range(0, 6));
+    for (int r = 0; r < num_rows; ++r) {
+      p.AddConstraint(
+          random_row(n, range(0, 4) == 0 ? Relation::kEq : Relation::kGe));
+    }
+    if (round % 5 == 4 && n >= 2) {  // an implicit equality x0 = x1
+      std::vector<int64_t> diff(n, 0);
+      diff[0] = 1;
+      diff[1] = -1;
+      p.AddConstraint(Ge(diff, 0));
+      diff[0] = -1;
+      diff[1] = 1;
+      p.AddConstraint(Ge(diff, 0));
+    }
+    std::vector<Constraint> targets;
+    for (int t = 0; t < 4; ++t) {
+      targets.push_back(random_row(n, Relation::kGe));
+      targets.push_back(random_row(n, Relation::kEq));
+    }
+    const std::vector<Constraint>& rows = p.constraints().rows();
+    for (size_t a = 0; a < rows.size(); ++a) {
+      const Constraint& b = rows[(a + 1) % rows.size()];
+      Rational wa(range(0, 2)), wb(range(0, 2));
+      Constraint combo;
+      combo.rel = Relation::kGe;
+      for (int v = 0; v < n; ++v) {
+        combo.coeffs.push_back(rows[a].coeffs[v] * wa + b.coeffs[v] * wb);
+      }
+      combo.constant =
+          rows[a].constant * wa + b.constant * wb + Rational(range(0, 2));
+      targets.push_back(combo);
+      if (rows[a].rel == Relation::kEq && b.rel == Relation::kEq) {
+        combo.rel = Relation::kEq;
+        combo.constant = rows[a].constant * wa + b.constant * wb;
+        targets.push_back(std::move(combo));
+      }
+    }
+    if (round % 5 == 4 && n >= 2) {
+      std::vector<int64_t> diff(n, 0);
+      diff[0] = 2;
+      diff[1] = -2;
+      targets.push_back(Eq(diff, 0));
+    }
+    for (const Constraint& target : targets) {
+      bool expected = ReferenceEntails(p, target);
+      EXPECT_EQ(p.Entails(target), expected)
+          << "round " << round << " target " << target.ToString() << "\n"
+          << p.ToString();
+      ++counts[target.rel == Relation::kEq][expected];
+    }
+  }
+  // Both answers are well represented, for both relations.
+  for (const auto& by_answer : counts) {
+    EXPECT_GT(by_answer[0], 20);
+    EXPECT_GT(by_answer[1], 20);
+  }
 }
 
 TEST(PolyhedronTest, ContainsPoint) {
