@@ -34,9 +34,10 @@
 // syntax, driven through FailpointRegistry::EnableFromSpec — the same
 // parser the env var feeds). Asserted per round: no request errors (a
 // forced trip must degrade along the governor ladder, never fail the
-// run), and SccCache::SelfCheck passes (no abandoned single-flight
-// slots, no retained RESOURCE_LIMIT outcome). A final clean round must
-// prove every request — a cached poisoned verdict would surface here.
+// run), and BatchEngine::SelfCheck passes for both caches (no abandoned
+// single-flight slots, no retained starved or errored outcome). A final
+// clean round must prove every request — a cached poisoned verdict would
+// surface here.
 // Needs a TERMILOG_FAILPOINTS=ON build (the default).
 //
 // v3 chaos adds "store_rounds": persistent-store fault replay
@@ -658,7 +659,7 @@ int RunChaos(uint64_t seed) {
         ++not_proved;
       }
     }
-    Status cache_check = engine.cache().SelfCheck();
+    Status cache_check = engine.SelfCheck();
     bool round_ok = errors == 0 && cache_check.ok();
     failed = failed || !round_ok;
 
@@ -683,7 +684,7 @@ int RunChaos(uint64_t seed) {
   for (const BatchItemResult& item : clean) {
     if (item.status.ok() && item.report.proved) ++clean_proved;
   }
-  Status final_check = engine.cache().SelfCheck();
+  Status final_check = engine.SelfCheck();
   bool clean_ok = clean_proved == static_cast<int64_t>(clean.size()) &&
                   final_check.ok();
   failed = failed || !clean_ok;

@@ -145,7 +145,7 @@
 //
 // Exit codes: 0 = proved, 2 = not proved, 3 = resource-limited (a budget
 // tripped; the report printed is valid but partial), 4 = --check-expect
-// found verdict mismatches, 5 = the SCC cache failed its integrity
+// found verdict mismatches, 5 = a content cache failed its integrity
 // self-check (after a --store warm start or at shutdown; the store is
 // suspect, see docs/persistence.md), 1 = usage/parse error. When
 // --check-expect verified at least one declared verdict and all matched,
@@ -346,8 +346,8 @@ struct BatchPlan {
 
 // Opens the --store file (replaying its log with the recovery rules in
 // docs/persistence.md), reports what recovery did on stderr, and attaches
-// it to the engine, which warm-starts the cache and audits it with
-// SccCache::SelfCheck. Returns 0 on success, EXIT_FAILURE when the
+// it to the engine, which warm-starts both caches and audits them with
+// BatchEngine::SelfCheck. Returns 0 on success, EXIT_FAILURE when the
 // filesystem refuses the path, kExitSelfCheck when the warm-started cache
 // fails its audit (the store is suspect; nothing was analyzed).
 int AttachStoreOrFail(BatchEngine& engine, const std::string& store_path,
@@ -387,7 +387,7 @@ int AttachStoreOrFail(BatchEngine& engine, const std::string& store_path,
 }
 
 // Shutdown path for a store-attached engine: drain the write-behind
-// queue, fsync, re-audit the cache. A flush failure is a warning (a lost
+// queue, fsync, re-audit both caches. A flush failure is a warning (a lost
 // write degrades to a future cache miss, the printed verdicts stand); a
 // failed self-check overrides `code` with kExitSelfCheck because the
 // verdict/provenance bookkeeping itself is no longer trustworthy.
@@ -424,17 +424,10 @@ int FinishStore(BatchEngine& engine, int code,
                static_cast<long long>(stats.append_failures),
                static_cast<long long>(engine.store()->size()),
                static_cast<long long>(
-                   engine.store()->inference_entries().size()));
-  Status audit = engine.cache().SelfCheck();
+                   engine.store()->entries<CachedInferenceOutcome>().size()));
+  Status audit = engine.SelfCheck();
   if (!audit.ok()) {
     std::fprintf(stderr, "termilog_cli: cache self-check failed: %s\n",
-                 audit.ToString().c_str());
-    return kExitSelfCheck;
-  }
-  audit = engine.inference_cache().SelfCheck();
-  if (!audit.ok()) {
-    std::fprintf(stderr,
-                 "termilog_cli: inference cache self-check failed: %s\n",
                  audit.ToString().c_str());
     return kExitSelfCheck;
   }

@@ -45,12 +45,14 @@
 #      processing-thread handoff are the concurrency surface)
 #
 # --inference runs the inference-cache harness (docs/engine.md): the
-# inference-labelled regressions in the tier-1 tree, a warm-store replay
-# whose second run must serve nonzero persisted inference hits with
-# byte-identical output, a jobs=1 vs jobs=8 cold byte comparison (the
-# DAG-scheduled parallel inference must be output-invisible), and
-# ASan+TSan passes over the same tests (the snapshot/apply handoff and
-# the pending-inference countdown are the new concurrency surface).
+# inference regressions and the ContentCache contract suite (both
+# instantiations) in the tier-1 tree, a warm-store replay whose second run
+# must serve nonzero persisted hits of both record kinds (SCC and
+# inference, appended through the one store path) with byte-identical
+# output, a jobs=1 vs jobs=8 cold byte comparison (the DAG-scheduled
+# parallel inference must be output-invisible), and ASan+TSan passes over
+# the same tests (the snapshot/apply handoff, the pending-inference
+# countdown and the caches' single-flight are the concurrency surface).
 #
 # --crash runs the kill -9 durability drill (docs/persistence.md):
 #   a. a 2000-request generated batch runs uninterrupted (no store) to
@@ -252,8 +254,10 @@ fi
 
 if [[ "${1:-}" == "--inference" ]]; then
   # --- a. inference regressions in the tier-1 tree -----------------------
+  # ContentCache matches the typed contract suite's SCC instantiation too.
+  INFERENCE_TESTS='Inference|CanonicalInferenceKey|ContentCache'
   run ctest --test-dir build --output-on-failure -j "$JOBS" \
-      -R 'Inference|CanonicalInferenceKey'
+      -R "$INFERENCE_TESTS"
 
   workdir="$(mktemp -d)"
   trap 'rm -rf "$workdir"' EXIT
@@ -282,12 +286,14 @@ if [[ "${1:-}" == "--inference" ]]; then
       --store "$store" >"$workdir/out.warm.jsonl" 2>"$workdir/err.warm.txt"
   run cmp "$workdir/out.cold.jsonl" "$workdir/out.warm.jsonl"
   run cmp "$workdir/out.j1.jsonl" "$workdir/out.warm.jsonl"
-  if ! grep -q '"inference_persisted_hits":[1-9]' "$workdir/err.warm.txt"; then
-    echo "check.sh: inference harness failed: warm restart served zero" \
-         "persisted inference hits" >&2
-    cat "$workdir/err.warm.txt" >&2
-    exit 1
-  fi
+  for kind in persisted_hits inference_persisted_hits; do
+    if ! grep -q "\"$kind\":[1-9]" "$workdir/err.warm.txt"; then
+      echo "check.sh: inference harness failed: warm restart served zero" \
+           "$kind" >&2
+      cat "$workdir/err.warm.txt" >&2
+      exit 1
+    fi
+  done
 
   # --- d. ASan and TSan over the inference regressions -------------------
   for flavor in address thread; do
@@ -296,7 +302,7 @@ if [[ "${1:-}" == "--inference" ]]; then
     run cmake -B "$tree" -S . -DTERMILOG_SANITIZE="$flavor" -DTERMILOG_OBS=ON
     run cmake --build "$tree" -j "$JOBS" --target termilog_engine_tests
     run ctest --test-dir "$tree" --output-on-failure -j "$JOBS" \
-        -R 'Inference|CanonicalInferenceKey'
+        -R "$INFERENCE_TESTS"
   done
 
   echo "check.sh: inference harness OK (jobs sweep byte-identical," \

@@ -196,10 +196,11 @@ Status BatchEngine::AttachStore(
     std::unique_ptr<persist::PersistentStore> store) {
   TERMILOG_CHECK_MSG(store != nullptr, "AttachStore wants a store");
   TERMILOG_CHECK_MSG(store_ == nullptr, "a store is already attached");
-  for (const auto& [key, outcome] : store->entries()) {
+  for (const auto& [key, outcome] : store->entries<CachedSccOutcome>()) {
     cache_.Preload(key, outcome);
   }
-  for (const auto& [key, outcome] : store->inference_entries()) {
+  for (const auto& [key, outcome] :
+       store->entries<CachedInferenceOutcome>()) {
     inference_cache_.Preload(key, outcome);
   }
   // Automatic post-warm-start audit (docs/persistence.md): a store whose
@@ -207,23 +208,16 @@ Status BatchEngine::AttachStore(
   // served from. Preload screens each record, so in practice this only
   // fires on an engine bug — but the check is cheap and the alternative
   // is silently wrong verdicts.
-  Status audit = cache_.SelfCheck();
+  Status audit = SelfCheck();
   if (!audit.ok()) return audit;
-  audit = inference_cache_.SelfCheck();
-  if (!audit.ok()) return audit;
-  stats_.persisted_loaded = cache_.stats().persisted_loaded;
-  stats_.inference_persisted_loaded =
-      inference_cache_.stats().persisted_loaded;
+  CopyCacheStats();
   store_ = std::move(store);
   writer_ = std::make_unique<persist::StoreWriter>(store_.get());
-  cache_.SetNewEntryListener(
-      [this](const std::string& key, const CachedSccOutcome& outcome) {
-        writer_->Enqueue(key, outcome);
-      });
-  inference_cache_.SetNewEntryListener(
-      [this](const std::string& key, const CachedInferenceOutcome& outcome) {
-        writer_->EnqueueInference(key, outcome);
-      });
+  auto persist = [this](const std::string& key, const auto& outcome) {
+    writer_->Enqueue(key, outcome);
+  };
+  cache_.SetNewEntryListener(persist);
+  inference_cache_.SetNewEntryListener(persist);
   return Status::Ok();
 }
 
@@ -612,27 +606,39 @@ std::vector<BatchItemResult> BatchEngine::Run(
   for (std::thread& worker : workers) worker.join();
 
   stats_.requests += static_cast<int64_t>(n);
-  SccCache::Stats cache_stats = cache_.stats();
-  stats_.cache_hits = cache_stats.hits + cache_stats.single_flight_waits;
-  stats_.cache_misses = cache_stats.misses;
-  stats_.single_flight_waits = cache_stats.single_flight_waits;
-  stats_.unique_sccs = cache_.size();
-  stats_.persisted_loaded = cache_stats.persisted_loaded;
-  stats_.persisted_hits = cache_stats.persisted_hits;
-  InferenceCache::Stats inference_stats = inference_cache_.stats();
-  stats_.inference_cache_hits =
-      inference_stats.hits + inference_stats.single_flight_waits;
-  stats_.inference_cache_misses = inference_stats.misses;
-  stats_.inference_single_flight_waits = inference_stats.single_flight_waits;
-  stats_.unique_inference_sccs = inference_cache_.size();
-  stats_.inference_persisted_loaded = inference_stats.persisted_loaded;
-  stats_.inference_persisted_hits = inference_stats.persisted_hits;
+  CopyCacheStats();
   stats_.wall_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                        std::chrono::steady_clock::now() - run_start)
                        .count();
   stats_.total_wall_ms += stats_.wall_ms;
   obs::EndSpan(batch_span);
   return results;
+}
+
+Status BatchEngine::SelfCheck() const {
+  Status audit = cache_.SelfCheck();
+  if (!audit.ok()) return audit;
+  return inference_cache_.SelfCheck();
+}
+
+void BatchEngine::CopyCacheStats() {
+  // A single-flight waiter was served without computing, so it counts as
+  // a hit in EngineStats.
+  const CacheStats scc = cache_.stats();
+  stats_.cache_hits = scc.hits + scc.single_flight_waits;
+  stats_.cache_misses = scc.misses;
+  stats_.single_flight_waits = scc.single_flight_waits;
+  stats_.unique_sccs = cache_.size();
+  stats_.persisted_loaded = scc.persisted_loaded;
+  stats_.persisted_hits = scc.persisted_hits;
+  const CacheStats inference = inference_cache_.stats();
+  stats_.inference_cache_hits =
+      inference.hits + inference.single_flight_waits;
+  stats_.inference_cache_misses = inference.misses;
+  stats_.inference_single_flight_waits = inference.single_flight_waits;
+  stats_.unique_inference_sccs = inference_cache_.size();
+  stats_.inference_persisted_loaded = inference.persisted_loaded;
+  stats_.inference_persisted_hits = inference.persisted_hits;
 }
 
 }  // namespace termilog

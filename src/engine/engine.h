@@ -8,8 +8,8 @@
 #include <vector>
 
 #include "core/analyzer.h"
-#include "engine/inference_cache.h"
-#include "engine/scc_cache.h"
+#include "engine/cached_outcomes.h"
+#include "engine/content_cache.h"
 #include "program/ast.h"
 #include "util/status.h"
 
@@ -136,12 +136,13 @@ class BatchEngine {
   BatchEngine& operator=(const BatchEngine&) = delete;
 
   /// Attaches a durable store (docs/persistence.md): every recovered
-  /// entry warm-starts the cache (each already passed the store's
-  /// per-record CRC and decode validation; Preload re-screens it), the
-  /// cache is audited with SccCache::SelfCheck, and a write-behind
-  /// thread persists newly computed outcomes without blocking workers.
-  /// A SelfCheck failure is returned (the CLI maps it to exit code 5)
-  /// and the store stays detached. Call before the first Run.
+  /// entry warm-starts the cache of its kind (each already passed the
+  /// store's per-record CRC and decode validation; Preload re-screens
+  /// it), both caches are audited with SelfCheck, and a write-behind
+  /// thread persists newly computed outcomes of both kinds without
+  /// blocking workers. A SelfCheck failure is returned (the CLI maps it
+  /// to exit code 5) and the store stays detached. Call before the first
+  /// Run.
   Status AttachStore(std::unique_ptr<persist::PersistentStore> store);
 
   /// Blocks until every queued write-behind entry is on disk and the
@@ -161,15 +162,20 @@ class BatchEngine {
       const std::vector<BatchRequest>& requests,
       const std::function<void(const BatchItemResult&)>& on_result = nullptr);
 
+  /// Audits both caches with ContentCache::SelfCheck and returns the
+  /// first violation. Meaningful between runs, with no task in flight.
+  Status SelfCheck() const;
+
   const EngineOptions& options() const { return options_; }
   const EngineStats& stats() const { return stats_; }
-  SccCache& cache() { return cache_; }
-  InferenceCache& inference_cache() { return inference_cache_; }
 
  private:
+  // Copies both caches' counters into the flat EngineStats fields.
+  void CopyCacheStats();
+
   EngineOptions options_;
-  SccCache cache_;
-  InferenceCache inference_cache_;
+  ContentCache<CachedSccOutcome> cache_;
+  ContentCache<CachedInferenceOutcome> inference_cache_;
   EngineStats stats_;
   // Declaration order matters for shutdown: the writer drains into the
   // store on destruction, so it must die first (members are destroyed in

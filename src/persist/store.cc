@@ -229,8 +229,8 @@ Result<std::pair<std::string, CachedSccOutcome>> DecodeRecord(
   return std::make_pair(std::move(key), std::move(outcome));
 }
 
-std::string EncodeInferenceRecord(const std::string& key,
-                                  const CachedInferenceOutcome& outcome) {
+std::string EncodeRecord(const std::string& key,
+                         const CachedInferenceOutcome& outcome) {
   std::string out;
   out.push_back(static_cast<char>(kRecordTypeInference));
   PutString(&out, key);
@@ -336,10 +336,22 @@ PersistentStore::~PersistentStore() {
   }
 }
 
+template <typename Outcome>
+Status PersistentStore::Replay(Result<std::pair<std::string, Outcome>> record,
+                               int64_t frame_size) {
+  if (!record.ok()) return record.status();
+  TrackLiveLocked(record->first, frame_size);
+  std::get<LiveSet<Outcome>>(live_)[record->first] = std::move(record->second);
+  return Status::Ok();
+}
+
 Result<std::unique_ptr<PersistentStore>> PersistentStore::Open(
     const std::string& path) {
   namespace fs = std::filesystem;
-  StoreStats stats;
+  // Replay fills the handle's members directly; the file is attached once
+  // recovery has settled where appends resume.
+  std::unique_ptr<PersistentStore> store(new PersistentStore(path, nullptr));
+  StoreStats& stats = store->stats_;
   std::string bytes;
   {
     std::ifstream in(path, std::ios::binary);
@@ -382,11 +394,6 @@ Result<std::unique_ptr<PersistentStore>> PersistentStore::Open(
     }
   }
 
-  std::map<std::string, CachedSccOutcome> entries;
-  std::map<std::string, CachedInferenceOutcome> inference_entries;
-  std::map<std::string, int64_t> frame_bytes;
-  int64_t record_bytes_total = 0;
-  int64_t record_bytes_live = 0;
   size_t valid_end = kHeaderSize;
   if (!fresh) {
     size_t pos = kHeaderSize;
@@ -419,7 +426,7 @@ Result<std::unique_ptr<PersistentStore>> PersistentStore::Open(
       // difference is what AutoCompactIfNeeded weighs.
       const int64_t frame_size =
           static_cast<int64_t>(kFrameHeaderSize) + static_cast<int64_t>(len);
-      record_bytes_total += frame_size;
+      store->record_bytes_total_ += frame_size;
       if (Crc32(payload) != payload_crc) {
         ++stats.records_quarantined;
         stats.notes.push_back(StrCat("record at offset ",
@@ -433,49 +440,22 @@ Result<std::unique_ptr<PersistentStore>> PersistentStore::Open(
       // lands in DecodeRecord's "unknown record type" rejection and is
       // quarantined per-record — the forward-compatibility contract that
       // let the inference record type ship without a version bump.
-      std::string record_key;
-      Status decode_status = Status::Ok();
-      if (!payload.empty() &&
-          static_cast<uint8_t>(payload[0]) == kRecordTypeInference) {
-        Result<std::pair<std::string, CachedInferenceOutcome>> record =
-            DecodeInferenceRecord(payload);
-        if (record.ok()) {
-          record_key = record->first;
-          inference_entries[record->first] = std::move(record->second);
-        } else {
-          decode_status = record.status();
-        }
-      } else {
-        Result<std::pair<std::string, CachedSccOutcome>> record =
-            DecodeRecord(payload);
-        if (record.ok()) {
-          record_key = record->first;
-          entries[record->first] = std::move(record->second);
-        } else {
-          decode_status = record.status();
-        }
-      }
-      if (!decode_status.ok()) {
+      Status replayed =
+          !payload.empty() &&
+                  static_cast<uint8_t>(payload[0]) == kRecordTypeInference
+              ? store->Replay(DecodeInferenceRecord(payload), frame_size)
+              : store->Replay(DecodeRecord(payload), frame_size);
+      if (!replayed.ok()) {
         ++stats.records_quarantined;
         stats.notes.push_back(StrCat("record at offset ",
                                      pos - kFrameHeaderSize - len, ": ",
-                                     decode_status.message(),
-                                     "; quarantined"));
-        valid_end = pos;
-        continue;
+                                     replayed.message(), "; quarantined"));
       }
-      auto [it, inserted] = frame_bytes.try_emplace(record_key, frame_size);
-      if (!inserted) {
-        record_bytes_live -= it->second;
-        it->second = frame_size;
-      }
-      record_bytes_live += frame_size;
       valid_end = pos;
     }
     stats.tail_bytes_truncated =
         static_cast<int64_t>(bytes.size() - valid_end);
-    stats.records_loaded =
-        static_cast<int64_t>(entries.size() + inference_entries.size());
+    stats.records_loaded = store->size();
   }
 
   std::FILE* file = nullptr;
@@ -506,25 +486,13 @@ Result<std::unique_ptr<PersistentStore>> PersistentStore::Open(
     }
   }
 
-  std::unique_ptr<PersistentStore> store(
-      new PersistentStore(path, file));
-  store->entries_ = std::move(entries);
-  store->inference_entries_ = std::move(inference_entries);
-  store->frame_bytes_ = std::move(frame_bytes);
-  store->record_bytes_total_ = record_bytes_total;
-  store->record_bytes_live_ = record_bytes_live;
-  store->stats_ = std::move(stats);
+  store->file_ = file;
   return store;
 }
 
+template <typename Outcome>
 Status PersistentStore::Append(const std::string& key,
-                               const CachedSccOutcome& outcome) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return AppendLocked(key, outcome);
-}
-
-Status PersistentStore::AppendInference(const std::string& key,
-                                        const CachedInferenceOutcome& outcome) {
+                               const Outcome& outcome) {
   std::lock_guard<std::mutex> lock(mu_);
   if (broken_ || file_ == nullptr) {
     ++stats_.append_failures;
@@ -533,37 +501,12 @@ Status PersistentStore::AppendInference(const std::string& key,
   if (key.empty()) {
     return Status::InvalidArgument("store: empty key");
   }
-  if (outcome.resource_limited || !outcome.error.ok()) {
+  if (!CacheTraits<Outcome>::Retainable(outcome)) {
     return Status::InvalidArgument(
-        "store: resource-limited or errored inference outcomes are not "
-        "persistable");
+        StrCat("store: ", CacheTraits<Outcome>::kLabel,
+               " outcome is starved or errored; not persistable"));
   }
-  Status appended = AppendPayloadLocked(key, EncodeInferenceRecord(key, outcome));
-  if (appended.ok()) inference_entries_[key] = outcome;
-  return appended;
-}
-
-Status PersistentStore::AppendLocked(const std::string& key,
-                                     const CachedSccOutcome& outcome) {
-  if (broken_ || file_ == nullptr) {
-    ++stats_.append_failures;
-    return Status::Internal("store: append handle is broken");
-  }
-  if (key.empty()) {
-    return Status::InvalidArgument("store: empty key");
-  }
-  if (outcome.status == SccStatus::kResourceLimit) {
-    return Status::InvalidArgument(
-        "store: kResourceLimit outcomes are not persistable");
-  }
-  Status appended = AppendPayloadLocked(key, EncodeRecord(key, outcome));
-  if (appended.ok()) entries_[key] = outcome;
-  return appended;
-}
-
-Status PersistentStore::AppendPayloadLocked(const std::string& key,
-                                            std::string_view payload) {
-  std::string frame = FrameBytes(payload);
+  std::string frame = FrameBytes(EncodeRecord(key, outcome));
   if (TERMILOG_FAILPOINT_HIT("persist.append")) {
     // Crash-mid-write replay: half a frame reaches the disk image and
     // the handle dies, exactly what a kill -9 between two fwrites leaves
@@ -583,8 +526,14 @@ Status PersistentStore::AppendPayloadLocked(const std::string& key,
   ++stats_.appends;
   record_bytes_total_ += static_cast<int64_t>(frame.size());
   TrackLiveLocked(key, static_cast<int64_t>(frame.size()));
+  std::get<LiveSet<Outcome>>(live_)[key] = outcome;
   return Status::Ok();
 }
+
+template Status PersistentStore::Append(const std::string&,
+                                        const CachedSccOutcome&);
+template Status PersistentStore::Append(const std::string&,
+                                        const CachedInferenceOutcome&);
 
 void PersistentStore::TrackLiveLocked(const std::string& key,
                                       int64_t frame_size) {
@@ -617,16 +566,14 @@ Status PersistentStore::Compact() {
   }
   std::string header = HeaderBytes();
   bool ok = std::fwrite(header.data(), 1, header.size(), out) == header.size();
-  for (auto it = entries_.begin(); ok && it != entries_.end(); ++it) {
-    std::string frame = FrameBytes(EncodeRecord(it->first, it->second));
-    ok = std::fwrite(frame.data(), 1, frame.size(), out) == frame.size();
-  }
-  for (auto it = inference_entries_.begin();
-       ok && it != inference_entries_.end(); ++it) {
-    std::string frame =
-        FrameBytes(EncodeInferenceRecord(it->first, it->second));
-    ok = std::fwrite(frame.data(), 1, frame.size(), out) == frame.size();
-  }
+  auto write_live_set = [&ok, out](const auto& live) {
+    for (auto it = live.begin(); ok && it != live.end(); ++it) {
+      std::string frame = FrameBytes(EncodeRecord(it->first, it->second));
+      ok = std::fwrite(frame.data(), 1, frame.size(), out) == frame.size();
+    }
+  };
+  write_live_set(entries<CachedSccOutcome>());
+  write_live_set(entries<CachedInferenceOutcome>());
   ok = ok && std::fflush(out) == 0 && ::fsync(fileno(out)) == 0;
   std::fclose(out);
   if (!ok) {
@@ -692,7 +639,8 @@ StoreStats PersistentStore::stats() const {
 
 int64_t PersistentStore::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int64_t>(entries_.size() + inference_entries_.size());
+  return static_cast<int64_t>(entries<CachedSccOutcome>().size() +
+                              entries<CachedInferenceOutcome>().size());
 }
 
 }  // namespace persist

@@ -8,11 +8,11 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
-#include "engine/inference_cache.h"
-#include "engine/scc_cache.h"
+#include "engine/cached_outcomes.h"
 #include "util/status.h"
 
 namespace termilog {
@@ -29,9 +29,21 @@ constexpr uint32_t kStoreFormatVersion = 1;
 uint32_t Crc32(std::string_view bytes);
 
 /// Serializes one (key, outcome) pair into a record payload (the bytes a
-/// frame's CRC covers). Deterministic: equal inputs yield equal bytes.
+/// frame's CRC covers): record type 1 for an SCC outcome, type 2 for an
+/// inference outcome. Deterministic: equal inputs yield equal bytes.
+///
+/// Inference records share the log with SCC-outcome records,
+/// distinguished by the payload's leading record-type byte; no
+/// format-version bump was needed because binaries predating type 2
+/// simply quarantine such records per-record (a cache miss, not an
+/// error). Polyhedra are encoded as their exact constraint rows plus the
+/// hard-bottom flag — never re-minimized or re-parsed through ParseSpec,
+/// which would add nonnegativity rows and break the byte-identity
+/// contract between warm and cold runs.
 std::string EncodeRecord(const std::string& key,
                          const CachedSccOutcome& outcome);
+std::string EncodeRecord(const std::string& key,
+                         const CachedInferenceOutcome& outcome);
 
 /// Decodes a record payload, validating everything the store will serve:
 /// bounds on every length field, no trailing bytes, a known status value,
@@ -41,18 +53,6 @@ std::string EncodeRecord(const std::string& key,
 /// the record and the entry degrades to a cache miss.
 Result<std::pair<std::string, CachedSccOutcome>> DecodeRecord(
     std::string_view payload);
-
-/// Serializes one inference record (key + per-predicate polyhedra) into a
-/// record payload. Inference records share the log with SCC-outcome
-/// records, distinguished by the payload's leading record-type byte; no
-/// format-version bump was needed because binaries predating the type
-/// simply quarantine such records per-record (a cache miss, not an error).
-/// Polyhedra are encoded as their exact constraint rows plus the
-/// hard-bottom flag — never re-minimized or re-parsed through ParseSpec,
-/// which would add nonnegativity rows and break the byte-identity
-/// contract between warm and cold runs.
-std::string EncodeInferenceRecord(const std::string& key,
-                                  const CachedInferenceOutcome& outcome);
 
 /// Decodes an inference-record payload with the same validation posture
 /// as DecodeRecord (everything bounds-checked, kInvalidArgument on any
@@ -117,29 +117,27 @@ class PersistentStore {
   PersistentStore(const PersistentStore&) = delete;
   PersistentStore& operator=(const PersistentStore&) = delete;
 
-  /// The recovered live set (last write per key). Stable until Append.
-  const std::map<std::string, CachedSccOutcome>& entries() const {
-    return entries_;
+  template <typename Outcome>
+  using LiveSet = std::map<std::string, Outcome>;
+
+  /// The live set (last write per key) of one record kind, Outcome being
+  /// CachedSccOutcome or CachedInferenceOutcome. The two kinds share one
+  /// log but address disjoint key spaces (SCC keys open with "scc:",
+  /// inference keys with "inference-scc:"). Stable until Append.
+  template <typename Outcome>
+  const LiveSet<Outcome>& entries() const {
+    return std::get<LiveSet<Outcome>>(live_);
   }
 
-  /// The recovered inference live set (last write per key). The two kinds
-  /// of record share one log but address disjoint key spaces (SCC keys
-  /// open with "scc:", inference keys with "inference-scc:").
-  const std::map<std::string, CachedInferenceOutcome>& inference_entries()
-      const {
-    return inference_entries_;
-  }
-
-  /// Appends one record. Failpoint "persist.append" simulates a crash
-  /// mid-write: half the frame reaches the file and the handle goes
-  /// broken (later appends are counted as failures, not retried), so
-  /// tests can replay a kill -9 between the bytes of a frame.
-  Status Append(const std::string& key, const CachedSccOutcome& outcome);
-
-  /// Appends one inference record; same contract (and failpoint) as
-  /// Append.
-  Status AppendInference(const std::string& key,
-                         const CachedInferenceOutcome& outcome);
+  /// Appends one record of either kind. An empty key, and an outcome the
+  /// caches would not retain (CacheTraits<Outcome>::Retainable), are
+  /// refused: a starved outcome must not survive a restart. Failpoint
+  /// "persist.append" simulates a crash mid-write: half the frame reaches
+  /// the file and the handle goes broken (later appends are counted as
+  /// failures, not retried), so tests can replay a kill -9 between the
+  /// bytes of a frame.
+  template <typename Outcome>
+  Status Append(const std::string& key, const Outcome& outcome);
 
   /// Durability point: flushes stdio buffers and fsyncs the file.
   Status Flush();
@@ -164,18 +162,17 @@ class PersistentStore {
 
   StoreStats stats() const;
   const std::string& path() const { return path_; }
-  /// Live entry count over both record kinds
-  /// (== entries().size() + inference_entries().size()).
+  /// Live entry count over both record kinds.
   int64_t size() const;
 
  private:
   PersistentStore(std::string path, std::FILE* file);
 
-  Status AppendLocked(const std::string& key,
-                      const CachedSccOutcome& outcome);
-  // Shared tail of both append paths: frames `payload`, runs the
-  // "persist.append" failpoint, writes, and does the byte bookkeeping.
-  Status AppendPayloadLocked(const std::string& key, std::string_view payload);
+  // Open's replay of one decoded record into the live set of its kind; a
+  // decode failure passes through for the caller to quarantine.
+  template <typename Outcome>
+  Status Replay(Result<std::pair<std::string, Outcome>> record,
+                int64_t frame_size);
   // Dead-bytes bookkeeping: credits `frame_size` to `key`'s live frame
   // (debiting the frame it shadows, if any).
   void TrackLiveLocked(const std::string& key, int64_t frame_size);
@@ -184,8 +181,8 @@ class PersistentStore {
   mutable std::mutex mu_;
   std::FILE* file_ = nullptr;  // append handle; null once broken
   bool broken_ = false;
-  std::map<std::string, CachedSccOutcome> entries_;
-  std::map<std::string, CachedInferenceOutcome> inference_entries_;
+  std::tuple<LiveSet<CachedSccOutcome>, LiveSet<CachedInferenceOutcome>>
+      live_;
   // Per-key frame size of the live record, and the running totals behind
   // dead_record_bytes(): every intact frame scanned or appended counts
   // toward `record_bytes_total_`; only the latest frame per key counts

@@ -20,30 +20,14 @@ StoreWriter::~StoreWriter() {
   thread_.join();
 }
 
-bool StoreWriter::Enqueue(std::string key, CachedSccOutcome outcome) {
-  QueueItem item;
-  item.key = std::move(key);
-  item.scc = std::move(outcome);
-  return EnqueueItem(std::move(item));
-}
-
-bool StoreWriter::EnqueueInference(std::string key,
-                                   CachedInferenceOutcome outcome) {
-  QueueItem item;
-  item.inference = true;
-  item.key = std::move(key);
-  item.inf = std::move(outcome);
-  return EnqueueItem(std::move(item));
-}
-
-bool StoreWriter::EnqueueItem(QueueItem item) {
+bool StoreWriter::Enqueue(std::string key, Outcome outcome) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (shutdown_ || queue_.size() >= capacity_) {
       ++dropped_;
       return false;
     }
-    queue_.push_back(std::move(item));
+    queue_.push_back({std::move(key), std::move(outcome)});
   }
   work_cv_.notify_one();
   return true;
@@ -81,9 +65,11 @@ void StoreWriter::Loop() {
     queue_.pop_front();
     busy_ = true;
     lock.unlock();
-    Status appended = item.inference
-                          ? store_->AppendInference(item.key, item.inf)
-                          : store_->Append(item.key, item.scc);
+    Status appended = std::visit(
+        [this, &item](const auto& outcome) {
+          return store_->Append(item.key, outcome);
+        },
+        item.outcome);
     lock.lock();
     busy_ = false;
     if (appended.ok()) {

@@ -8,6 +8,7 @@
 #include <string>
 #include <thread>
 #include <utility>
+#include <variant>
 
 #include "persist/store.h"
 
@@ -32,14 +33,14 @@ class StoreWriter {
   StoreWriter(const StoreWriter&) = delete;
   StoreWriter& operator=(const StoreWriter&) = delete;
 
-  /// Queues one SCC outcome for appending; never blocks. Returns false
-  /// (and counts a drop) when the queue is full or the writer is shutting
-  /// down.
-  bool Enqueue(std::string key, CachedSccOutcome outcome);
+  /// An outcome of either record kind.
+  using Outcome = std::variant<CachedSccOutcome, CachedInferenceOutcome>;
 
-  /// Queues one inference outcome; same contract as Enqueue. Both kinds
-  /// share the queue (and its capacity), preserving arrival order.
-  bool EnqueueInference(std::string key, CachedInferenceOutcome outcome);
+  /// Queues one outcome for PersistentStore::Append; never blocks. Both
+  /// kinds share the queue (and its capacity), preserving arrival order.
+  /// Returns false (and counts a drop) when the queue is full or the
+  /// writer is shutting down.
+  bool Enqueue(std::string key, Outcome outcome);
 
   /// Blocks until the queue is empty and the store has been flushed.
   /// Returns the first append/flush error seen over the writer's
@@ -52,16 +53,12 @@ class StoreWriter {
   int64_t written() const;
 
  private:
-  // One queued append of either record kind.
   struct QueueItem {
-    bool inference = false;
     std::string key;
-    CachedSccOutcome scc;
-    CachedInferenceOutcome inf;
+    Outcome outcome;
   };
 
   void Loop();
-  bool EnqueueItem(QueueItem item);
 
   PersistentStore* const store_;
   const size_t capacity_;

@@ -27,10 +27,11 @@
 #include "core/explain.h"
 #include "core/rule_system.h"
 #include "corpus/corpus.h"
+#include "engine/cached_outcomes.h"
 #include "engine/canonical.h"
+#include "engine/content_cache.h"
 #include "engine/engine.h"
 #include "engine/report_json.h"
-#include "engine/scc_cache.h"
 #include "engine/serve.h"
 #include "fm/fourier_motzkin.h"
 #include "fm/polyhedron.h"

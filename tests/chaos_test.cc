@@ -5,8 +5,8 @@
 //   - no request errors: a forced trip degrades along the governor ladder
 //     (docs/robustness.md) to a valid, possibly RESOURCE_LIMIT, verdict;
 //   - a resource-limited report names its first trip;
-//   - SccCache::SelfCheck passes (no abandoned single-flight slot, no
-//     retained RESOURCE_LIMIT outcome);
+//   - BatchEngine::SelfCheck passes for both caches (no abandoned
+//     single-flight slot, no retained starved or errored outcome);
 // and once injection stops, a clean run on the *same engine* must match
 // the generator's declared verdicts exactly — the cache-poisoning check.
 //
@@ -78,7 +78,7 @@ TEST(ChaosTest, InjectedFaultsDegradeAndNeverPoisonTheCache) {
         EXPECT_FALSE(item.report.first_resource_trip.empty()) << item.name;
       }
     }
-    Status cache_check = engine.cache().SelfCheck();
+    Status cache_check = engine.SelfCheck();
     EXPECT_TRUE(cache_check.ok()) << cache_check.ToString();
   }
 
@@ -91,7 +91,7 @@ TEST(ChaosTest, InjectedFaultsDegradeAndNeverPoisonTheCache) {
     EXPECT_TRUE(item.report.proved) << item.name;
     EXPECT_FALSE(item.report.resource_limited) << item.name;
   }
-  Status final_check = engine.cache().SelfCheck();
+  Status final_check = engine.SelfCheck();
   EXPECT_TRUE(final_check.ok()) << final_check.ToString();
 }
 
@@ -112,8 +112,8 @@ TEST(ChaosTest, ForcedSccTripsAreNeverCached) {
     }
   }
   // Nothing of those starved verdicts may have been retained.
-  EXPECT_EQ(engine.cache().size(), 0);
-  Status cache_check = engine.cache().SelfCheck();
+  EXPECT_EQ(engine.stats().unique_sccs, 0);
+  Status cache_check = engine.SelfCheck();
   EXPECT_TRUE(cache_check.ok()) << cache_check.ToString();
 
   // And with the failpoint gone the same engine proves all of them.
@@ -140,7 +140,7 @@ TEST(ChaosTest, DegradedInferenceMayStillProve) {
       EXPECT_FALSE(item.report.first_resource_trip.empty()) << item.name;
     }
   }
-  Status cache_check = engine.cache().SelfCheck();
+  Status cache_check = engine.SelfCheck();
   EXPECT_TRUE(cache_check.ok()) << cache_check.ToString();
 
   // Degraded-inference outcomes are keyed on the degraded constraint set,
@@ -170,7 +170,7 @@ TEST(ChaosTest, BoundedFailpointRecoversMidBatch) {
   }
   EXPECT_GT(limited, 0);
   EXPECT_GT(proved, 0);
-  Status cache_check = engine.cache().SelfCheck();
+  Status cache_check = engine.SelfCheck();
   EXPECT_TRUE(cache_check.ok()) << cache_check.ToString();
 }
 #endif  // TERMILOG_FAILPOINTS_ENABLED

@@ -1,22 +1,21 @@
 // Tests for the parallel batch-analysis engine (src/engine/): the
-// content-addressed SCC cache, the canonical key derivation, single-flight
-// deduplication, and — the load-bearing guarantee — byte-identical batch
-// output for every --jobs value over the full corpus.
+// canonical key derivation, the SCC outcome round trip, and — the
+// load-bearing guarantee — byte-identical batch output for every --jobs
+// value over the full corpus. The content cache itself is tested in
+// content_cache_test.cc.
 
 #include "engine/engine.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "corpus/corpus.h"
+#include "engine/cached_outcomes.h"
 #include "engine/canonical.h"
 #include "engine/report_json.h"
-#include "engine/scc_cache.h"
 #include "program/modes.h"
 #include "program/parser.h"
 #include "rational/bigint.h"
@@ -252,75 +251,6 @@ TEST(CanonicalKeyTest, DifferentAdornmentsChangeKey) {
   SccCacheKey bbf =
       CanonicalSccKey(fx.program, fx.scc, fx.modes, fx.db, options);
   EXPECT_NE(bff.text, bbf.text);
-}
-
-// --- cache ---------------------------------------------------------------
-
-TEST(SccCacheTest, HitOnSecondLookup) {
-  SccCache cache;
-  int computed = 0;
-  auto compute = [&] {
-    ++computed;
-    CachedSccOutcome outcome;
-    outcome.status = SccStatus::kProved;
-    return outcome;
-  };
-  bool from_cache = true;
-  cache.GetOrCompute("key", compute, &from_cache);
-  EXPECT_FALSE(from_cache);
-  CachedSccOutcome again = cache.GetOrCompute("key", compute, &from_cache);
-  EXPECT_TRUE(from_cache);
-  EXPECT_EQ(computed, 1);
-  EXPECT_EQ(again.status, SccStatus::kProved);
-  EXPECT_EQ(cache.stats().hits, 1);
-  EXPECT_EQ(cache.stats().misses, 1);
-  EXPECT_EQ(cache.size(), 1);
-}
-
-TEST(SccCacheTest, ResourceLimitedOutcomesAreNotRetained) {
-  SccCache cache;
-  int computed = 0;
-  auto compute = [&] {
-    ++computed;
-    CachedSccOutcome outcome;
-    outcome.status = SccStatus::kResourceLimit;
-    return outcome;
-  };
-  cache.GetOrCompute("key", compute);
-  EXPECT_EQ(cache.size(), 0);
-  cache.GetOrCompute("key", compute);
-  EXPECT_EQ(computed, 2);
-  EXPECT_EQ(cache.stats().misses, 2);
-}
-
-TEST(SccCacheTest, SingleFlightUnderContention) {
-  SccCache cache;
-  std::atomic<int> computed{0};
-  auto compute = [&] {
-    computed.fetch_add(1);
-    // Hold the in-flight window open long enough that the other threads
-    // arrive while the computation is still running.
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    CachedSccOutcome outcome;
-    outcome.status = SccStatus::kProved;
-    return outcome;
-  };
-  constexpr int kThreads = 8;
-  std::vector<std::thread> threads;
-  std::vector<CachedSccOutcome> outcomes(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back(
-        [&, t] { outcomes[t] = cache.GetOrCompute("contended", compute); });
-  }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(computed.load(), 1);
-  for (const CachedSccOutcome& outcome : outcomes) {
-    EXPECT_EQ(outcome.status, SccStatus::kProved);
-  }
-  SccCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.misses, 1);
-  EXPECT_EQ(stats.hits + stats.single_flight_waits, kThreads - 1);
-  EXPECT_EQ(stats.lookups, kThreads);
 }
 
 // --- rehydration ---------------------------------------------------------

@@ -1,17 +1,14 @@
-// Tests for the content-addressed inference cache (src/engine/): the
-// canonical inference key, single-flight deduplication, the dehydrate /
-// apply round trip, and the engine-level guarantee that DAG-scheduled
-// parallel inference keeps batch output byte-identical across --jobs
-// values, cold and warm.
+// Tests for the inference cache (src/engine/): the canonical inference
+// key, the errored-outcome case, the dehydrate / apply round trip, and the
+// engine-level guarantee that DAG-scheduled parallel inference keeps batch
+// output byte-identical across --jobs values, cold and warm. The cache
+// contract shared with the SCC cache is tested in content_cache_test.cc.
 
-#include "engine/inference_cache.h"
+#include "engine/cached_outcomes.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "constraints/inference.h"
@@ -163,58 +160,10 @@ TEST(CanonicalInferenceKeyTest, SccOnlyOptionsDoNotChangeKey) {
 
 // --- cache ---------------------------------------------------------------
 
-CachedInferenceOutcome ProvedOutcome() {
-  CachedInferenceOutcome outcome;
-  CachedInferenceOutcome::Entry entry;
-  entry.name = "append";
-  entry.arity = 3;
-  entry.polyhedron = Polyhedron::NonNegativeOrthant(3);
-  outcome.entries.push_back(std::move(entry));
-  return outcome;
-}
-
-TEST(InferenceCacheTest, HitOnSecondLookup) {
-  InferenceCache cache;
-  int computed = 0;
-  auto compute = [&] {
-    ++computed;
-    return ProvedOutcome();
-  };
-  bool from_cache = true;
-  cache.GetOrCompute("key", compute, &from_cache);
-  EXPECT_FALSE(from_cache);
-  CachedInferenceOutcome again = cache.GetOrCompute("key", compute, &from_cache);
-  EXPECT_TRUE(from_cache);
-  EXPECT_EQ(computed, 1);
-  ASSERT_EQ(again.entries.size(), 1u);
-  EXPECT_EQ(again.entries[0].name, "append");
-  EXPECT_EQ(cache.stats().hits, 1);
-  EXPECT_EQ(cache.stats().misses, 1);
-  EXPECT_EQ(cache.size(), 1);
-  EXPECT_TRUE(cache.SelfCheck().ok());
-}
-
-TEST(InferenceCacheTest, ResourceLimitedOutcomesAreNotRetained) {
-  InferenceCache cache;
-  int computed = 0;
-  auto compute = [&] {
-    ++computed;
-    CachedInferenceOutcome outcome;
-    outcome.resource_limited = true;
-    outcome.trip_message = "work budget exceeded";
-    return outcome;
-  };
-  CachedInferenceOutcome first = cache.GetOrCompute("key", compute);
-  EXPECT_TRUE(first.resource_limited);
-  EXPECT_EQ(cache.size(), 0);
-  cache.GetOrCompute("key", compute);
-  EXPECT_EQ(computed, 2);
-  EXPECT_EQ(cache.stats().misses, 2);
-  EXPECT_TRUE(cache.SelfCheck().ok());
-}
-
+// The contract shared with the SCC cache is in content_cache_test.cc; an
+// errored fixpoint is the inference-only way to be non-retainable.
 TEST(InferenceCacheTest, ErroredOutcomesAreNotRetained) {
-  InferenceCache cache;
+  ContentCache<CachedInferenceOutcome> cache;
   int computed = 0;
   auto compute = [&] {
     ++computed;
@@ -227,61 +176,6 @@ TEST(InferenceCacheTest, ErroredOutcomesAreNotRetained) {
   EXPECT_EQ(cache.size(), 0);
   cache.GetOrCompute("key", compute);
   EXPECT_EQ(computed, 2);
-  EXPECT_TRUE(cache.SelfCheck().ok());
-}
-
-TEST(InferenceCacheTest, SingleFlightUnderContention) {
-  InferenceCache cache;
-  std::atomic<int> computed{0};
-  auto compute = [&] {
-    computed.fetch_add(1);
-    // Hold the in-flight window open long enough for the other threads to
-    // arrive while the computation is still running.
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    return ProvedOutcome();
-  };
-  constexpr int kThreads = 8;
-  std::vector<std::thread> threads;
-  std::vector<CachedInferenceOutcome> outcomes(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back(
-        [&, t] { outcomes[t] = cache.GetOrCompute("contended", compute); });
-  }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(computed.load(), 1);
-  for (const CachedInferenceOutcome& outcome : outcomes) {
-    ASSERT_EQ(outcome.entries.size(), 1u);
-    EXPECT_EQ(outcome.entries[0].arity, 3);
-  }
-  InferenceCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.misses, 1);
-  EXPECT_EQ(stats.hits + stats.single_flight_waits, kThreads - 1);
-  EXPECT_EQ(stats.lookups, kThreads);
-  EXPECT_TRUE(cache.SelfCheck().ok());
-}
-
-TEST(InferenceCacheTest, PreloadScreensAndServesPersistedHits) {
-  InferenceCache cache;
-  EXPECT_FALSE(cache.Preload("", ProvedOutcome()));
-  CachedInferenceOutcome limited;
-  limited.resource_limited = true;
-  EXPECT_FALSE(cache.Preload("k", std::move(limited)));
-  CachedInferenceOutcome errored;
-  errored.error = Status::Internal("boom");
-  EXPECT_FALSE(cache.Preload("k", std::move(errored)));
-
-  EXPECT_TRUE(cache.Preload("k", ProvedOutcome()));
-  EXPECT_FALSE(cache.Preload("k", ProvedOutcome()));  // duplicate
-  EXPECT_EQ(cache.stats().persisted_loaded, 1);
-
-  int computed = 0;
-  cache.GetOrCompute("k", [&] {
-    ++computed;
-    return ProvedOutcome();
-  });
-  EXPECT_EQ(computed, 0);
-  EXPECT_EQ(cache.stats().hits, 1);
-  EXPECT_EQ(cache.stats().persisted_hits, 1);
   EXPECT_TRUE(cache.SelfCheck().ok());
 }
 
@@ -352,7 +246,7 @@ TEST(InferenceEngineTest, WarmRunServesInferenceFromCache) {
   engine.Run(requests);
   EXPECT_EQ(engine.stats().inference_cache_misses, cold_misses);
   EXPECT_GE(engine.stats().inference_cache_hits, cold_misses);
-  EXPECT_TRUE(engine.inference_cache().SelfCheck().ok());
+  EXPECT_TRUE(engine.SelfCheck().ok());
 }
 
 // Disabling the cache must be output-invisible (every task recomputes).
@@ -397,7 +291,7 @@ TEST(InferenceEngineTest, WarmRepeatsAtHighJobsDoNotDoubleScheduleNodes) {
       EXPECT_EQ(baseline[i], warm[i]) << requests[i].name;
     }
   }
-  EXPECT_TRUE(engine.inference_cache().SelfCheck().ok());
+  EXPECT_TRUE(engine.SelfCheck().ok());
 }
 
 // run_inference=false must skip the whole inference DAG: no tasks, no

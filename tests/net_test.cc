@@ -507,7 +507,7 @@ TEST(NetServerTest, GracefulDrainLeavesAttachedStoreFlushedAndClean) {
   // The CLI's shutdown sequence: drain, flush, self-check.
   EXPECT_TRUE(server.Stop().ok());
   EXPECT_TRUE(server.engine().FlushStore().ok());
-  EXPECT_TRUE(server.engine().cache().SelfCheck().ok());
+  EXPECT_TRUE(server.engine().SelfCheck().ok());
   ASSERT_GT(server.engine().store()->size(), 0);
 
   // What survived on disk must replay with zero quarantined records.

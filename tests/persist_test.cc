@@ -76,6 +76,16 @@ bool OutcomesEqual(const CachedSccOutcome& a, const CachedSccOutcome& b) {
   return persist::EncodeRecord("k", a) == persist::EncodeRecord("k", b);
 }
 
+// The store's live sets, by record kind.
+const PersistentStore::LiveSet<CachedSccOutcome>& SccEntries(
+    const PersistentStore& store) {
+  return store.entries<CachedSccOutcome>();
+}
+const PersistentStore::LiveSet<CachedInferenceOutcome>& InferenceEntries(
+    const PersistentStore& store) {
+  return store.entries<CachedInferenceOutcome>();
+}
+
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream buffer;
@@ -142,8 +152,8 @@ TEST(PersistStoreTest, AppendThenReopenRecoversEverything) {
   EXPECT_EQ((*store)->stats().records_quarantined, 0);
   EXPECT_EQ((*store)->stats().tail_bytes_truncated, 0);
   for (int i = 0; i < 4; ++i) {
-    auto it = (*store)->entries().find("key" + std::to_string(i));
-    ASSERT_NE(it, (*store)->entries().end());
+    auto it = SccEntries(**store).find("key" + std::to_string(i));
+    ASSERT_NE(it, SccEntries(**store).end());
     EXPECT_TRUE(OutcomesEqual(it->second, SampleOutcome(i)));
   }
   RemoveStoreFiles(path);
@@ -161,7 +171,7 @@ TEST(PersistStoreTest, DuplicateKeysResolveLastWriteWins) {
   auto store = PersistentStore::Open(path);
   ASSERT_TRUE(store.ok());
   EXPECT_EQ((*store)->size(), 1);
-  EXPECT_TRUE(OutcomesEqual((*store)->entries().at("k"), SampleOutcome(1)));
+  EXPECT_TRUE(OutcomesEqual(SccEntries(**store).at("k"), SampleOutcome(1)));
   RemoveStoreFiles(path);
 }
 
@@ -182,7 +192,7 @@ TEST(PersistStoreTest, TruncationAtEveryOffsetRecoversAPrefix) {
     ASSERT_TRUE(store.ok()) << "cut=" << cut;
     persist::StoreStats stats = (*store)->stats();
     // Every recovered record must be one we wrote, byte for byte.
-    for (const auto& [key, outcome] : (*store)->entries()) {
+    for (const auto& [key, outcome] : SccEntries(**store)) {
       auto it = expected.find(key);
       ASSERT_NE(it, expected.end()) << "cut=" << cut;
       EXPECT_TRUE(OutcomesEqual(outcome, it->second)) << "cut=" << cut;
@@ -223,7 +233,7 @@ TEST(PersistStoreTest, BitFlipAtEveryOffsetNeverYieldsWrongData) {
     auto store = PersistentStore::Open(path);
     ASSERT_TRUE(store.ok()) << "offset=" << offset;
     persist::StoreStats stats = (*store)->stats();
-    for (const auto& [key, outcome] : (*store)->entries()) {
+    for (const auto& [key, outcome] : SccEntries(**store)) {
       auto it = expected.find(key);
       ASSERT_NE(it, expected.end()) << "offset=" << offset;
       EXPECT_TRUE(OutcomesEqual(outcome, it->second)) << "offset=" << offset;
@@ -284,7 +294,7 @@ TEST(PersistStoreTest, CompactDropsShadowedRecordsAndKeepsLiveSet) {
   EXPECT_EQ((*store)->size(), 3);
   for (int i = 0; i < 3; ++i) {
     // Last write wins: the round-2 values survive compaction.
-    EXPECT_TRUE(OutcomesEqual((*store)->entries().at("key" + std::to_string(i)),
+    EXPECT_TRUE(OutcomesEqual(SccEntries(**store).at("key" + std::to_string(i)),
                               SampleOutcome(i + 2)));
   }
   RemoveStoreFiles(path);
@@ -329,7 +339,7 @@ TEST(PersistStoreTest, AutoCompactTriggersOnDeadFractionOnly) {
   ASSERT_TRUE(ran.ok());
   EXPECT_FALSE(*ran);
   // The survivor is the last write.
-  EXPECT_TRUE(OutcomesEqual((*store)->entries().at("key"), SampleOutcome(1)));
+  EXPECT_TRUE(OutcomesEqual(SccEntries(**store).at("key"), SampleOutcome(1)));
 
   // Non-positive ratio disables the policy outright.
   ASSERT_TRUE((*store)->Append("key", SampleOutcome(2)).ok());
@@ -373,7 +383,7 @@ TEST(PersistStoreTest, TornWriteFailpointIsRecoveredOnReopen) {
   EXPECT_EQ((*reopened)->size(), 1);
   EXPECT_GT((*reopened)->stats().tail_bytes_truncated, 0);
   EXPECT_TRUE(
-      OutcomesEqual((*reopened)->entries().at("good"), SampleOutcome(0)));
+      OutcomesEqual(SccEntries(**reopened).at("good"), SampleOutcome(0)));
   RemoveStoreFiles(path);
 }
 
@@ -422,14 +432,13 @@ CachedInferenceOutcome SampleInference(int i) {
 
 bool InferenceEqual(const CachedInferenceOutcome& a,
                     const CachedInferenceOutcome& b) {
-  return persist::EncodeInferenceRecord("k", a) ==
-         persist::EncodeInferenceRecord("k", b);
+  return persist::EncodeRecord("k", a) == persist::EncodeRecord("k", b);
 }
 
 TEST(PersistInferenceTest, EncodeDecodeRoundtrip) {
   for (int i = 0; i < 5; ++i) {
     CachedInferenceOutcome outcome = SampleInference(i);
-    std::string payload = persist::EncodeInferenceRecord("the key", outcome);
+    std::string payload = persist::EncodeRecord("the key", outcome);
     auto decoded = persist::DecodeInferenceRecord(payload);
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     EXPECT_EQ(decoded->first, "the key");
@@ -445,6 +454,37 @@ TEST(PersistInferenceTest, EncodeDecodeRoundtrip) {
   }
 }
 
+std::string Hex(std::string_view bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (char ch : bytes) {
+    out.push_back(kDigits[static_cast<unsigned char>(ch) >> 4]);
+    out.push_back(kDigits[static_cast<unsigned char>(ch) & 0xF]);
+  }
+  return out;
+}
+
+// Pins the format-version-1 payload bytes of both record kinds. The round
+// trips above would not notice an encoder change that the decoder
+// mirrors, yet such a change quarantines every record an older store
+// holds. The literals were captured from the version-1 encoders; a
+// deliberate format change bumps kStoreFormatVersion and these together.
+TEST(PersistStoreTest, RecordPayloadBytesArePinned) {
+  EXPECT_EQ(persist::kStoreFormatVersion, 1u);
+  EXPECT_EQ(Hex(persist::EncodeRecord("scc:golden", SampleOutcome(1))),
+            "010a0000007363633a676f6c64656e02001000000074686574615b705d5b315d"
+            "203e3d203102000000080000006e6f7465206f6e650100000031010000000500"
+            "00007072656431020000000300000003000000312f320100000032040000002d"
+            "332f370100000005000000707265643102000000050000006f74686572010000"
+            "000100000031");
+  EXPECT_EQ(Hex(persist::EncodeRecord("inference-scc:golden",
+                                      SampleInference(2))),
+            "0214000000696e666572656e63652d7363633a676f6c64656e03000000040000"
+            "00696e663202000000000200000001020000000100000031020000002d310300"
+            "0000322f33000200000003000000312f320100000033020000002d3703000000"
+            "746f7001000000000000000003000000626f74030000000100000000");
+}
+
 TEST(PersistInferenceTest, StoreRejectsNonRetainableAppends) {
   std::string path = TempStorePath("persist_inf_reject.store");
   RemoveStoreFiles(path);
@@ -452,18 +492,17 @@ TEST(PersistInferenceTest, StoreRejectsNonRetainableAppends) {
   ASSERT_TRUE(store.ok());
   CachedInferenceOutcome starved = SampleInference(0);
   starved.resource_limited = true;
-  EXPECT_FALSE((*store)->AppendInference("k", starved).ok());
+  EXPECT_FALSE((*store)->Append("k", starved).ok());
   CachedInferenceOutcome errored = SampleInference(0);
   errored.error = Status::Internal("fixpoint failed");
-  EXPECT_FALSE((*store)->AppendInference("k", errored).ok());
-  EXPECT_FALSE((*store)->AppendInference("", SampleInference(0)).ok());
+  EXPECT_FALSE((*store)->Append("k", errored).ok());
+  EXPECT_FALSE((*store)->Append("", SampleInference(0)).ok());
   EXPECT_EQ((*store)->size(), 0);
   RemoveStoreFiles(path);
 }
 
 TEST(PersistInferenceTest, DecodeRejectsTrailingBytes) {
-  std::string payload =
-      persist::EncodeInferenceRecord("k", SampleInference(1));
+  std::string payload = persist::EncodeRecord("k", SampleInference(1));
   payload.push_back('\0');
   EXPECT_FALSE(persist::DecodeInferenceRecord(payload).ok());
 }
@@ -471,36 +510,42 @@ TEST(PersistInferenceTest, DecodeRejectsTrailingBytes) {
 TEST(PersistInferenceTest, MixedRecordKindsRecoverIntoDisjointMaps) {
   std::string path = TempStorePath("persist_mixed.store");
   RemoveStoreFiles(path);
+  int64_t dead_written = 0, total_written = 0;
   {
     auto store = PersistentStore::Open(path);
     ASSERT_TRUE(store.ok());
     ASSERT_TRUE((*store)->Append("scc:a", SampleOutcome(0)).ok());
-    ASSERT_TRUE(
-        (*store)->AppendInference("inference-scc:a", SampleInference(0)).ok());
+    ASSERT_TRUE((*store)->Append("inference-scc:a", SampleInference(0)).ok());
     ASSERT_TRUE((*store)->Append("scc:b", SampleOutcome(1)).ok());
-    ASSERT_TRUE(
-        (*store)->AppendInference("inference-scc:b", SampleInference(1)).ok());
+    ASSERT_TRUE((*store)->Append("inference-scc:b", SampleInference(1)).ok());
     // Last write wins within the inference key space too.
-    ASSERT_TRUE(
-        (*store)->AppendInference("inference-scc:a", SampleInference(2)).ok());
+    ASSERT_TRUE((*store)->Append("inference-scc:a", SampleInference(2)).ok());
+    dead_written = (*store)->dead_record_bytes();
+    total_written = (*store)->total_record_bytes();
+    EXPECT_GT(dead_written, 0);
   }
   auto store = PersistentStore::Open(path);
   ASSERT_TRUE(store.ok());
+  // Replay on open rebuilds the same dead/live byte accounting the
+  // appending handle kept, over both record kinds.
+  EXPECT_EQ((*store)->dead_record_bytes(), dead_written);
+  EXPECT_EQ((*store)->total_record_bytes(), total_written);
   EXPECT_EQ((*store)->size(), 4);
-  EXPECT_EQ((*store)->entries().size(), 2u);
-  EXPECT_EQ((*store)->inference_entries().size(), 2u);
+  EXPECT_EQ(SccEntries(**store).size(), 2u);
+  EXPECT_EQ(InferenceEntries(**store).size(), 2u);
   EXPECT_EQ((*store)->stats().records_quarantined, 0);
-  EXPECT_TRUE(InferenceEqual((*store)->inference_entries().at("inference-scc:a"),
+  EXPECT_TRUE(InferenceEqual(InferenceEntries(**store).at("inference-scc:a"),
                              SampleInference(2)));
-  EXPECT_TRUE(InferenceEqual((*store)->inference_entries().at("inference-scc:b"),
+  EXPECT_TRUE(InferenceEqual(InferenceEntries(**store).at("inference-scc:b"),
                              SampleInference(1)));
   // Compaction keeps both kinds.
   ASSERT_TRUE((*store)->Compact().ok());
   store->reset();
   auto compacted = PersistentStore::Open(path);
   ASSERT_TRUE(compacted.ok());
-  EXPECT_EQ((*compacted)->entries().size(), 2u);
-  EXPECT_EQ((*compacted)->inference_entries().size(), 2u);
+  EXPECT_EQ(SccEntries(**compacted).size(), 2u);
+  EXPECT_EQ(InferenceEntries(**compacted).size(), 2u);
+  EXPECT_EQ((*compacted)->dead_record_bytes(), 0);
   RemoveStoreFiles(path);
 }
 
@@ -512,19 +557,19 @@ TEST(PersistInferenceTest, TornInferenceWriteIsRecoveredOnReopen) {
     ASSERT_TRUE(store.ok());
     ASSERT_TRUE((*store)->Append("scc:good", SampleOutcome(0)).ok());
     ASSERT_TRUE(
-        (*store)->AppendInference("inference-scc:good", SampleInference(0)).ok());
+        (*store)->Append("inference-scc:good", SampleInference(0)).ok());
     FailpointRegistry::Global().EnableFromSpec("persist.append");
     EXPECT_FALSE(
-        (*store)->AppendInference("inference-scc:torn", SampleInference(1)).ok());
+        (*store)->Append("inference-scc:torn", SampleInference(1)).ok());
     FailpointRegistry::Global().Clear();
   }
   auto reopened = PersistentStore::Open(path);
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ((*reopened)->size(), 2);
   EXPECT_GT((*reopened)->stats().tail_bytes_truncated, 0);
-  EXPECT_EQ((*reopened)->inference_entries().count("inference-scc:torn"), 0u);
+  EXPECT_EQ(InferenceEntries(**reopened).count("inference-scc:torn"), 0u);
   EXPECT_TRUE(InferenceEqual(
-      (*reopened)->inference_entries().at("inference-scc:good"),
+      InferenceEntries(**reopened).at("inference-scc:good"),
       SampleInference(0)));
   RemoveStoreFiles(path);
 }
@@ -555,16 +600,16 @@ TEST(PersistInferenceTest, UnknownRecordTypeIsQuarantinedPerRecord) {
   std::string future_payload = "\x07" + std::string("bytes from v2");
   std::string tail =
       frame(future_payload) +
-      frame(persist::EncodeInferenceRecord("inference-scc:x", SampleInference(3)));
+      frame(persist::EncodeRecord("inference-scc:x", SampleInference(3)));
   WriteFile(path, full + tail);
 
   auto store = PersistentStore::Open(path);
   ASSERT_TRUE(store.ok());
   EXPECT_EQ((*store)->stats().records_quarantined, 1);
   EXPECT_FALSE((*store)->stats().file_quarantined);
-  EXPECT_EQ((*store)->entries().size(), 1u);
-  ASSERT_EQ((*store)->inference_entries().size(), 1u);
-  EXPECT_TRUE(InferenceEqual((*store)->inference_entries().at("inference-scc:x"),
+  EXPECT_EQ(SccEntries(**store).size(), 1u);
+  ASSERT_EQ(InferenceEntries(**store).size(), 1u);
+  EXPECT_TRUE(InferenceEqual(InferenceEntries(**store).at("inference-scc:x"),
                              SampleInference(3)));
   RemoveStoreFiles(path);
 }
@@ -578,12 +623,12 @@ TEST(StoreWriterTest, InferenceEnqueueIsWrittenBehind) {
   {
     StoreWriter writer(store, /*queue_capacity=*/64);
     writer.Enqueue("scc:k", SampleOutcome(0));
-    writer.EnqueueInference("inference-scc:k", SampleInference(0));
+    writer.Enqueue("inference-scc:k", SampleInference(0));
     ASSERT_TRUE(writer.Drain().ok());
     EXPECT_EQ(writer.written(), 2);
   }
-  EXPECT_EQ(store->entries().size(), 1u);
-  EXPECT_EQ(store->inference_entries().size(), 1u);
+  EXPECT_EQ(SccEntries(*store).size(), 1u);
+  EXPECT_EQ(InferenceEntries(*store).size(), 1u);
   RemoveStoreFiles(path);
 }
 
@@ -649,8 +694,7 @@ TEST(PersistEngineTest, WarmStartIsByteIdenticalWithPersistedHits) {
           ReportToJsonLine(item.name, "", item.status, item.report));
     }
     ASSERT_TRUE(engine.FlushStore().ok());
-    ASSERT_TRUE(engine.cache().SelfCheck().ok());
-    ASSERT_TRUE(engine.inference_cache().SelfCheck().ok());
+    ASSERT_TRUE(engine.SelfCheck().ok());
     *stats = engine.stats();
   };
 

@@ -87,7 +87,7 @@ TEST(StressTest, EngineVerdictsMatchGeneratorDeclarations) {
   }
   EXPECT_EQ(mismatches, 0) << "out of " << results.size() << " requests";
 
-  Status cache_check = engine.cache().SelfCheck();
+  Status cache_check = engine.SelfCheck();
   EXPECT_TRUE(cache_check.ok()) << cache_check.ToString();
 }
 
