@@ -10,7 +10,7 @@
 //   rows     — per client level: saturation requests/s and p50/p95/p99/
 //              max send-to-response latency, plus "batch_match": the
 //              response lines, as a multiset, must be byte-identical to
-//              what ProcessServeChunk (the --batch path) produces for the
+//              what ServeRequest (the --batch path) produces for the
 //              same manifest on a fresh engine. The transport may
 //              interleave clients but must never change a byte.
 //   overload — queue_limit=2 with the processor held until every line is
@@ -29,12 +29,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -88,24 +90,30 @@ std::vector<std::string> ManifestLines(const gen::GeneratedWorkload& workload) {
   return lines;
 }
 
-// What --batch would answer: the same manifest through ProcessServeChunk
-// on a fresh engine, sorted (the transport only promises per-connection
-// order, so identity is a multiset claim).
+// What --batch would answer: the same manifest through ServeRequest on a
+// fresh engine, sorted (the transport only promises per-connection order,
+// so identity is a multiset claim).
 std::vector<std::string> SortedReference(const std::vector<std::string>& lines) {
   std::string text;
   for (const std::string& line : lines) text += line + "\n";
   std::vector<gen::ManifestEntry> entries =
       gen::ParseManifestJsonl(text).value();
-  std::vector<ServeItem> items;
-  for (size_t i = 0; i < entries.size(); ++i) {
-    items.push_back(ServeItem{static_cast<int64_t>(i), entries[i]});
-  }
-  BatchEngine engine(EngineOptions{kServerJobs, /*use_cache=*/true});
+  std::mutex mu;
+  std::condition_variable answered;
   std::vector<std::string> reference;
-  ProcessServeChunk(engine, std::move(items), AnalysisOptions(),
-                    [&](int64_t, std::string line) {
-                      reference.push_back(std::move(line));
-                    });
+  {
+    BatchEngine engine(EngineOptions{kServerJobs, /*use_cache=*/true});
+    for (gen::ManifestEntry& entry : entries) {
+      ServeRequest(engine, std::move(entry), AnalysisOptions(),
+                   [&](std::string line, ServeAnswer) {
+                     std::lock_guard<std::mutex> lock(mu);
+                     reference.push_back(std::move(line));
+                     answered.notify_all();
+                   });
+    }
+    std::unique_lock<std::mutex> lock(mu);
+    answered.wait(lock, [&] { return reference.size() == entries.size(); });
+  }
   std::sort(reference.begin(), reference.end());
   return reference;
 }

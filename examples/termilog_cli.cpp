@@ -40,17 +40,17 @@
 // verifies every verdict against the generator's declaration (exit 4 on
 // mismatch) — the stress harness in scripts/check.sh --stress.
 //
-// Serve mode (--serve, docs/persistence.md) is a long-running request
-// loop over the same JSONL framing as --batch: one manifest-entry object
-// per input line (FIFO path or '-' for stdin), one report JSON line per
+// Serve mode (--serve, docs/serve.md) is a long-running request loop
+// over the same JSONL framing as --batch: one manifest-entry object per
+// input line (FIFO path or '-' for stdin), one report JSON line per
 // request on stdout, in request order, until EOF. A bounded waiting room
-// (--queue-limit) sheds overload with a deterministic RESOURCE_EXHAUSTED
-// response instead of queueing without bound, and per-request deadlines
-// (--deadline-ms or a line's own "limits") are enforced by the
-// ResourceGovernor. Combine with --store so every client shares one
-// durable cache. A line with "kind":"conditions" answers with a
-// termination-condition sweep report (below); an unknown "kind" answers
-// with the structured per-request error shape.
+// (--queue-limit: admitted requests not yet answered) sheds overload with
+// a deterministic RESOURCE_EXHAUSTED response instead of queueing without
+// bound, and per-request deadlines (--deadline-ms or a line's own
+// "limits") are enforced by the ResourceGovernor. Combine with --store so
+// every client shares one durable cache. A line with "kind":"conditions"
+// answers with a termination-condition sweep report (below); an unknown
+// "kind" answers with the structured per-request error shape.
 //
 // Listen mode (--listen, docs/serve.md) is serve mode behind real
 // sockets: a Unix-domain and/or TCP listener (the flag repeats) drives a
@@ -59,8 +59,9 @@
 // read/write buffers (over-long lines answered with a structured error,
 // slow readers backpressured), idle timeouts (--idle-timeout-ms), and the
 // shared --queue-limit waiting room shedding overload deterministically.
-// SIGTERM/SIGINT drain gracefully: stop accepting, answer everything
-// admitted, flush the --store, exit 0.
+// --serve's FIFO or stdin is one more connection of the same loop.
+// SIGTERM/SIGINT drain gracefully in both modes: stop accepting, answer
+// everything admitted, flush the --store, exit 0.
 //
 // Connect mode (--connect, docs/serve.md) is the built-in load client:
 // it replays a JSONL manifest (--batch FILE, or a positional file)
@@ -100,15 +101,16 @@
 //   --conditions           termination-condition sweep instead of a
 //                          single-mode analysis (see above)
 //   --compact PATH         compact the persistent store at PATH and exit
-//   --queue-limit N        serve-mode waiting room size before overload
-//                          shedding (default 64)
+//   --queue-limit N        serve/listen waiting room: admitted requests
+//                          not yet answered before overload shedding
+//                          (default 64)
 //   --listen ADDR          socket server mode; ADDR is unix:PATH or
 //                          tcp:HOST:PORT (repeatable for both at once)
 //   --connect ADDR         load-client mode against a --listen server
 //   --clients N            connect-mode concurrent connections (default 1)
 //   --window N             connect-mode pipelined requests per connection
 //                          (default 8)
-//   --idle-timeout-ms N    listen-mode: close a connection idle this long
+//   --idle-timeout-ms N    serve/listen: close a connection idle this long
 //                          (no bytes, no request in flight; default off)
 //   --max-line-bytes N     serve/listen request line cap (default 1 MiB);
 //                          longer lines answer with a structured error
@@ -152,13 +154,16 @@
 // the exit is 0 regardless of the verdict mix: the assertion being made
 // is "engine agrees with the manifest", not "everything proved".
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iostream>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -197,6 +202,15 @@ bool ParseInt64Flag(const char* text, int64_t* out) {
   long long value = std::strtoll(text, &end, 10);
   if (end == text || *end != '\0' || value < 0) return false;
   *out = value;
+  return true;
+}
+
+// For flags stored as int: a value above INT_MAX is rejected, never
+// narrowed.
+bool ParseIntFlag(const char* text, int* out) {
+  int64_t value = 0;
+  if (!ParseInt64Flag(text, &value) || value > INT_MAX) return false;
+  *out = static_cast<int>(value);
   return true;
 }
 
@@ -841,47 +855,15 @@ int RunCompact(const std::string& path) {
   return EXIT_SUCCESS;
 }
 
-// Long-running request loop (--serve, docs/persistence.md): JSONL
-// requests from a FIFO (or stdin with "-"), one report line per request
-// on stdout in request order, until EOF. Overload beyond --queue-limit is
-// shed deterministically; --store gives every client one durable cache.
-int RunServe(const std::string& serve_path, const AnalysisOptions& options,
-             int jobs, bool use_cache, int64_t queue_limit,
-             int64_t max_line_bytes, const std::string& store_path,
-             double auto_compact) {
-  EngineOptions engine_options;
-  engine_options.jobs = jobs;
-  engine_options.use_cache = use_cache;
-  BatchEngine engine(engine_options);
-  int attach = AttachStoreOrFail(engine, store_path, auto_compact);
-  if (attach != 0) return attach;
-
-  ServeOptions serve_options;
-  serve_options.base = options;
-  serve_options.queue_limit = static_cast<int>(queue_limit);
-  serve_options.max_line_bytes = static_cast<size_t>(max_line_bytes);
-
-  ServeStats stats;
-  if (serve_path == "-") {
-    stats = Serve(engine, std::cin, std::cout, serve_options);
-  } else {
-    std::ifstream in(serve_path);
-    if (!in) return Fail("cannot open --serve input (FIFO or file)");
-    stats = Serve(engine, in, std::cout, serve_options);
-  }
-  std::fprintf(stderr, "%s\n", stats.ToJson().c_str());
-  std::fprintf(stderr, "%s\n",
-               EngineStatsToJson(engine.stats(), jobs).c_str());
-  return FinishStore(engine, EXIT_SUCCESS, auto_compact);
-}
-
-// Socket server mode (--listen, docs/serve.md): the same request
-// handling as --serve behind a poll event loop serving many concurrent
-// connections, draining gracefully on SIGTERM/SIGINT (exit 0 with the
-// store flushed).
-int RunListen(const std::vector<std::string>& listen_specs,
+// Serve mode, one NetServer for both transports (docs/serve.md): the
+// --listen sockets and the --serve FIFO|- peer (requests from the FIFO or
+// stdin, responses on stdout in request order). SIGTERM/SIGINT drain
+// gracefully, and so does the peer's end of input: answer everything
+// admitted, print the stats, flush the --store, exit 0.
+int RunServer(const std::string& serve_path,
+              const std::vector<std::string>& listen_specs,
               const AnalysisOptions& options, int jobs, bool use_cache,
-              int64_t queue_limit, int64_t max_line_bytes,
+              int queue_limit, int64_t max_line_bytes,
               int64_t idle_timeout_ms, const std::string& store_path,
               double auto_compact) {
   EngineOptions engine_options;
@@ -893,7 +875,7 @@ int RunListen(const std::vector<std::string>& listen_specs,
 
   net::NetServerOptions net_options;
   net_options.serve.base = options;
-  net_options.serve.queue_limit = static_cast<int>(queue_limit);
+  net_options.serve.queue_limit = queue_limit;
   net_options.serve.max_line_bytes = static_cast<size_t>(max_line_bytes);
   net_options.idle_timeout_ms = idle_timeout_ms;
 
@@ -910,12 +892,21 @@ int RunListen(const std::vector<std::string>& listen_specs,
     std::fprintf(stderr, "termilog_cli: listening on %s\n",
                  bound.ToString().c_str());
   }
+  // A blocking open, so a FIFO waits for its writer.
+  int serve_fd = -1;
+  if (!serve_path.empty()) {
+    serve_fd =
+        serve_path == "-" ? STDIN_FILENO : ::open(serve_path.c_str(), O_RDONLY);
+    if (serve_fd < 0) return Fail("cannot open --serve input (FIFO or file)");
+    Status added = server.AddPeer(serve_fd, STDOUT_FILENO);
+    if (!added.ok()) return Fail(added.ToString().c_str());
+  }
   Status handlers = server.InstallSignalHandlers();
   if (!handlers.ok()) return Fail(handlers.ToString().c_str());
   Status ran = server.Run();
+  if (serve_fd > STDIN_FILENO) ::close(serve_fd);
   if (!ran.ok()) {
-    std::fprintf(stderr, "termilog_cli: --listen: %s\n",
-                 ran.ToString().c_str());
+    std::fprintf(stderr, "termilog_cli: serve: %s\n", ran.ToString().c_str());
   }
   std::fprintf(stderr, "%s\n", server.stats().ToJson().c_str());
   std::fprintf(stderr, "%s\n",
@@ -928,8 +919,7 @@ int RunListen(const std::vector<std::string>& listen_specs,
 // --listen server. Responses go to stdout (per-connection request order;
 // interleaving across clients unordered), latency/throughput to stderr.
 int RunConnect(const std::string& connect_spec,
-               const std::string& manifest_path, int64_t clients,
-               int64_t window) {
+               const std::string& manifest_path, int clients, int window) {
   Result<net::NetAddress> address = net::ParseNetAddress(connect_spec);
   if (!address.ok()) return Fail(address.status().ToString().c_str());
   std::ifstream in(manifest_path);
@@ -939,8 +929,8 @@ int RunConnect(const std::string& connect_spec,
   while (std::getline(in, line)) lines.push_back(line);
 
   net::LoadClientOptions client_options;
-  client_options.clients = static_cast<int>(clients);
-  client_options.window = static_cast<int>(window);
+  client_options.clients = clients;
+  client_options.window = window;
   std::vector<std::string> responses;
   client_options.responses = &responses;
   Result<net::LoadClientStats> ran =
@@ -979,10 +969,10 @@ int main(int argc, char** argv) {
   bool show_constraints = false, run_baselines = false, reorder = false;
   bool explain = false, json = false, use_cache = true;
   bool check_expect = false, conditions = false;
-  int64_t jobs = 1;
-  int64_t queue_limit = 64;
-  int64_t clients = 1;
-  int64_t window = 8;
+  int jobs = 1;
+  int queue_limit = 64;
+  int clients = 1;
+  int window = 8;
   int64_t idle_timeout_ms = 0;
   int64_t max_line_bytes = 1 << 20;
   double store_auto_compact = 0.0;
@@ -999,7 +989,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-cache") {
       use_cache = false;
     } else if (arg == "--jobs" && i + 1 < argc) {
-      if (!ParseInt64Flag(argv[++i], &jobs) || jobs < 1) {
+      if (!ParseIntFlag(argv[++i], &jobs) || jobs < 1) {
         return Fail("--jobs wants a positive integer");
       }
     } else if (arg == "--batch" && i + 1 < argc) {
@@ -1013,7 +1003,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--compact" && i + 1 < argc) {
       compact_path = argv[++i];
     } else if (arg == "--queue-limit" && i + 1 < argc) {
-      if (!ParseInt64Flag(argv[++i], &queue_limit) || queue_limit < 1) {
+      if (!ParseIntFlag(argv[++i], &queue_limit) || queue_limit < 1) {
         return Fail("--queue-limit wants a positive integer");
       }
     } else if (arg == "--listen" && i + 1 < argc) {
@@ -1021,11 +1011,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--connect" && i + 1 < argc) {
       connect_spec = argv[++i];
     } else if (arg == "--clients" && i + 1 < argc) {
-      if (!ParseInt64Flag(argv[++i], &clients) || clients < 1) {
+      if (!ParseIntFlag(argv[++i], &clients) || clients < 1) {
         return Fail("--clients wants a positive integer");
       }
     } else if (arg == "--window" && i + 1 < argc) {
-      if (!ParseInt64Flag(argv[++i], &window) || window < 1) {
+      if (!ParseIntFlag(argv[++i], &window) || window < 1) {
         return Fail("--window wants a positive integer");
       }
     } else if (arg == "--idle-timeout-ms" && i + 1 < argc) {
@@ -1126,16 +1116,10 @@ int main(int argc, char** argv) {
     return RunCompact(compact_path);
   }
 
-  if (!serve_path.empty()) {
-    return RunServe(serve_path, options, static_cast<int>(jobs), use_cache,
-                    queue_limit, max_line_bytes, store_path,
-                    store_auto_compact);
-  }
-
-  if (!listen_specs.empty()) {
-    return RunListen(listen_specs, options, static_cast<int>(jobs),
-                     use_cache, queue_limit, max_line_bytes,
-                     idle_timeout_ms, store_path, store_auto_compact);
+  if (!serve_path.empty() || !listen_specs.empty()) {
+    return RunServer(serve_path, listen_specs, options, jobs, use_cache,
+                     queue_limit, max_line_bytes, idle_timeout_ms, store_path,
+                     store_auto_compact);
   }
 
   if (!connect_spec.empty()) {
@@ -1152,12 +1136,12 @@ int main(int argc, char** argv) {
 
   if (conditions) {
     return RunConditions(batch_path, corpus_name, positional, options,
-                         static_cast<int>(jobs), use_cache, check_expect,
+                         jobs, use_cache, check_expect,
                          store_path, store_auto_compact, json);
   }
 
   if (!batch_path.empty()) {
-    return RunBatch(batch_path, options, static_cast<int>(jobs), use_cache,
+    return RunBatch(batch_path, options, jobs, use_cache,
                     check_expect, store_path, store_auto_compact);
   }
 
@@ -1207,7 +1191,7 @@ int main(int argc, char** argv) {
       // per bound-free pattern) through the batch engine, so --jobs
       // parallelizes across modes and shared SCCs are solved once.
       EngineOptions engine_options;
-      engine_options.jobs = static_cast<int>(jobs);
+      engine_options.jobs = jobs;
       engine_options.use_cache = use_cache;
       BatchEngine engine(engine_options);
       std::vector<BatchRequest> requests;
@@ -1257,9 +1241,7 @@ int main(int argc, char** argv) {
       }
       if (json) {
         std::fprintf(stderr, "%s\n",
-                     EngineStatsToJson(engine.stats(),
-                                       static_cast<int>(jobs))
-                         .c_str());
+                     EngineStatsToJson(engine.stats(), jobs).c_str());
       }
       return VerdictExit(all_proved, any_limited, first_trip);
     }

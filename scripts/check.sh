@@ -1,15 +1,19 @@
 #!/usr/bin/env bash
 # Repo check driver (docs/robustness.md):
 #   1. tier-1 verify: configure + build + full ctest in build/ (includes
-#      the stress-labelled smoke at its default 200-request size)
+#      the stress-labelled smoke at its default 200-request size), plus a
+#      CLI check that an integer flag above INT_MAX is rejected (exit 1)
+#      rather than narrowed
 #   2. UBSan pass of the unit and engine suites in build-ubsan/ (the
 #      arithmetic kernel lives in the unit suite; docs/arithmetic.md)
-#   3. ASan+UBSan pass of the engine and obs suites in build-asan/ (the
-#      engine suite includes the seeded-failpoint chaos regression)
-#   4. TSan pass of the engine and obs suites in build-tsan/
+#   3. ASan+UBSan pass of the engine, obs and condinf suites in
+#      build-asan/ (the engine suite includes the seeded-failpoint chaos
+#      regression)
+#   4. TSan pass of the engine, obs and condinf suites in build-tsan/
 # The sanitizer trees are configured with TERMILOG_OBS=ON explicitly so the
 # tracing/metrics subsystem is exercised under both sanitizers (the obs
-# suite spawns threads; the engine suite runs the worker pool).
+# suite spawns threads; the engine suite runs the worker pool; condinf
+# sweeps submit each round from a worker's completion callback).
 #
 # --stress additionally runs the full-size generated-workload harness
 # (docs/generator.md):
@@ -30,9 +34,10 @@
 #      declared minimal-mode set must be reproduced exactly
 #   d. an ASan+UBSan pass over the condinf suite
 #
-# --serve runs the socket-transport harness (docs/serve.md):
+# --serve runs the transport harness (docs/serve.md):
 #   a. the net-labelled suite (multi-client ordering, deterministic shed,
-#      idle timeout, torn frames, graceful drain) in the tier-1 tree
+#      idle timeout, torn frames, graceful drain, the stdio peer's
+#      ServeTest cases) in the tier-1 tree
 #   b. a 2000-request socket round trip: termilog_cli --listen serves a
 #      generated manifest to --connect with 4 concurrent clients; the
 #      response stream, compared per request (sorted, since only
@@ -41,8 +46,16 @@
 #   c. the socket-mode kill -9 drill: a --listen server with --store is
 #      SIGKILLed mid-load, a restarted server replays the manifest from
 #      the survivor store (nonzero persisted hits), byte-identical again
-#   d. ASan and TSan passes over the net suite (the event loop and the
-#      processing-thread handoff are the concurrency surface)
+#   d. a stdio round trip: --serve - (the stdio peer of the same NetServer)
+#      over the same manifest, with --queue-limit above the request count,
+#      must be byte-identical to --batch
+#   e. a FIFO drill: --serve FIFO --store is sent SIGTERM while its writer
+#      is still open; it must drain to exit 0, print the stats line, emit
+#      a prefix of the --batch stream, and leave a store that reopens with
+#      0 quarantined records
+#   f. ASan and TSan passes over the net suite (the event loop, the
+#      processing thread and the engine callbacks are the concurrency
+#      surface)
 #
 # --inference runs the inference-cache harness (docs/engine.md): the
 # inference regressions and the ContentCache contract suite (both
@@ -62,7 +75,8 @@
 #   c. the batch reruns with the survivor store; its stdout must be
 #      byte-identical to the uninterrupted run's, with nonzero
 #      persisted-cache hits (recovered work, not recomputed luck)
-#   d. an ASan+UBSan pass over the persist/serve-inclusive engine suite
+#   d. an ASan+UBSan pass over the persist and serve tests of the engine
+#      and net suites
 #
 # Usage: scripts/check.sh [--tier1-only | --stress | --crash | --conditions |
 #                          --serve | --inference]
@@ -80,6 +94,14 @@ run() {
 run cmake -B build -S . -DTERMILOG_OBS=ON
 run cmake --build build -j "$JOBS"
 run ctest --test-dir build --output-on-failure -j "$JOBS"
+# An int flag above INT_MAX is a usage error, not a wrapped value.
+rc=0
+./build/examples/termilog_cli --jobs 4294967298 --corpus perm \
+    >/dev/null 2>&1 || rc=$?
+if [[ "$rc" -ne 1 ]]; then
+  echo "check.sh: --jobs 4294967298 exited $rc, want 1" >&2
+  exit 1
+fi
 
 if [[ "${1:-}" == "--tier1-only" ]]; then
   echo "check.sh: tier-1 OK (sanitizer passes skipped)" >&2
@@ -238,7 +260,47 @@ if [[ "${1:-}" == "--serve" ]]; then
     exit 1
   fi
 
-  # --- d. ASan and TSan over the net suite -------------------------------
+  # --- d. stdio round trip: the --serve peer matches --batch -------------
+  run ./build/examples/termilog_cli --serve - --jobs 4 --queue-limit 4000 \
+      <"$manifest" >"$workdir/out.stdio.jsonl" 2>/dev/null
+  run cmp "$workdir/out.ref.jsonl" "$workdir/out.stdio.jsonl"
+
+  # --- e. FIFO drill: SIGTERM drains --serve to exit 0 ------------------
+  fifo="$workdir/serve.fifo"
+  fifo_store="$workdir/fifo.store"
+  mkfifo "$fifo"
+  ./build/examples/termilog_cli --serve "$fifo" --jobs 4 --queue-limit 4000 \
+      --store "$fifo_store" >"$workdir/out.fifo.jsonl" \
+      2>"$workdir/fifo.err.txt" &
+  server=$!
+  # The writer stays open, so only the signal can end the server.
+  exec 3>"$fifo"
+  head -n 400 "$manifest" >&3
+  for _ in $(seq 1 200); do
+    [[ "$(wc -l <"$workdir/out.fifo.jsonl")" -ge 50 ]] && break
+    sleep 0.05
+  done
+  kill -TERM "$server"
+  run wait "$server"
+  exec 3>&-
+  if ! grep -q '"served":[1-9]' "$workdir/fifo.err.txt"; then
+    echo "check.sh: FIFO drill failed: no stats line after SIGTERM" >&2
+    cat "$workdir/fifo.err.txt" >&2
+    exit 1
+  fi
+  answered=$(wc -l <"$workdir/out.fifo.jsonl")
+  echo "== SIGTERM drained --serve FIFO after $answered responses" >&2
+  head -n "$answered" "$workdir/out.ref.jsonl" >"$workdir/out.ref.prefix"
+  run cmp "$workdir/out.ref.prefix" "$workdir/out.fifo.jsonl"
+  run ./build/examples/termilog_cli --compact "$fifo_store" \
+      2>"$workdir/fifo.compact.txt"
+  if ! grep -q '"records_quarantined":0' "$workdir/fifo.compact.txt"; then
+    echo "check.sh: FIFO drill failed: the store did not reopen clean" >&2
+    cat "$workdir/fifo.compact.txt" >&2
+    exit 1
+  fi
+
+  # --- f. ASan and TSan over the net suite -------------------------------
   for flavor in address thread; do
     tree="build-asan"
     [[ "$flavor" == "thread" ]] && tree="build-tsan"
@@ -247,8 +309,8 @@ if [[ "${1:-}" == "--serve" ]]; then
     run ctest --test-dir "$tree" --output-on-failure -j "$JOBS" -L net
   done
 
-  echo "check.sh: serve harness OK (socket round trip byte-identical," \
-       "drain exits 0, kill -9 replay recovered)" >&2
+  echo "check.sh: serve harness OK (socket and stdio round trips" \
+       "byte-identical, drains exit 0, kill -9 replay recovered)" >&2
   exit 0
 fi
 
@@ -364,9 +426,12 @@ if [[ "${1:-}" == "--crash" ]]; then
     exit 1
   fi
 
-  # --- d. ASan over the persist/serve-inclusive engine suite ------------
+  # --- d. ASan over the persist and serve tests -------------------------
+  # ServeTest lives in the net binary (the stdio peer); the filter also
+  # picks NetServerTest there.
   run cmake -B build-asan -S . -DTERMILOG_SANITIZE=address -DTERMILOG_OBS=ON
-  run cmake --build build-asan -j "$JOBS" --target termilog_engine_tests
+  run cmake --build build-asan -j "$JOBS" \
+      --target termilog_engine_tests termilog_net_tests
   run ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
       -R 'Persist|Serve|StoreWriter'
 
@@ -384,14 +449,15 @@ run cmake --build build-ubsan -j "$JOBS" \
 run ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -L 'unit|engine'
 
 # --- 3+4. sanitizer passes over the concurrency-heavy suites -----------
-# -L takes a regex: select every test labelled engine or obs.
+# -L takes a regex: select every test labelled engine, obs or condinf.
 for flavor in address thread; do
   tree="build-asan"
   [[ "$flavor" == "thread" ]] && tree="build-tsan"
   run cmake -B "$tree" -S . -DTERMILOG_SANITIZE="$flavor" -DTERMILOG_OBS=ON
   run cmake --build "$tree" -j "$JOBS" \
-      --target termilog_engine_tests termilog_obs_tests
-  run ctest --test-dir "$tree" --output-on-failure -j "$JOBS" -L 'engine|obs'
+      --target termilog_engine_tests termilog_obs_tests termilog_condinf_tests
+  run ctest --test-dir "$tree" --output-on-failure -j "$JOBS" \
+      -L 'engine|obs|condinf'
 done
 
 echo "check.sh: tier-1 + UBSan + ASan + TSan passes OK" >&2

@@ -13,10 +13,14 @@
 #include "condinf/condinf.h"
 
 #include <algorithm>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
 #include <set>
 #include <utility>
 
 #include "engine/report_json.h"
+#include "obs/obs.h"
 #include "util/check.h"
 #include "util/string_util.h"
 
@@ -299,38 +303,79 @@ ConditionsReport ConditionsSweep::Finish() {
   return report;
 }
 
+namespace {
+
+// One sweep in flight. A round's results gather here in request order;
+// the callback that delivers the round's last result absorbs the round
+// and submits the next one.
+struct SweepRun {
+  BatchEngine& engine;
+  ConditionsSweep sweep;
+  std::function<void(ConditionsReport)> on_done;
+  // Request spans of every round nest under the submitter's span.
+  obs::SpanId parent_span = obs::Tracer::Current();
+  std::mutex mu;
+  std::vector<BatchItemResult> results;
+  size_t left = 0;
+};
+
+void SubmitRound(const std::shared_ptr<SweepRun>& run) {
+  std::vector<BatchRequest> round = run->sweep.NextRound();
+  if (round.empty()) {
+    run->on_done(run->sweep.Finish());
+    return;
+  }
+  // No callback of this sweep is outstanding between rounds, so the
+  // round state is reset without the lock; Submit orders it before them.
+  run->results.assign(round.size(), BatchItemResult());
+  run->left = round.size();
+  obs::ScopedParent parent(run->parent_span);
+  for (size_t i = 0; i < round.size(); ++i) {
+    run->engine.Submit(round[i], [run, i](BatchItemResult item) {
+      {
+        std::lock_guard<std::mutex> lock(run->mu);
+        run->results[i] = std::move(item);
+        if (--run->left > 0) return;
+      }
+      run->sweep.Absorb(run->results);
+      SubmitRound(run);
+    });
+  }
+}
+
+}  // namespace
+
+void SubmitConditionsSweep(BatchEngine& engine, ConditionsSweep sweep,
+                           std::function<void(ConditionsReport)> on_done) {
+  SubmitRound(std::make_shared<SweepRun>(engine, std::move(sweep),
+                                         std::move(on_done)));
+}
+
 std::vector<ConditionsReport> RunConditionsSweeps(
     BatchEngine& engine, std::vector<ConditionsSweep>& sweeps) {
-  while (true) {
-    std::vector<BatchRequest> round;
-    std::vector<size_t> counts(sweeps.size(), 0);
-    for (size_t s = 0; s < sweeps.size(); ++s) {
-      std::vector<BatchRequest> requests = sweeps[s].NextRound();
-      counts[s] = requests.size();
-      for (BatchRequest& request : requests) {
-        round.push_back(std::move(request));
-      }
-    }
-    if (round.empty()) break;
-    std::vector<BatchItemResult> results = engine.Run(round);
-    size_t offset = 0;
-    for (size_t s = 0; s < sweeps.size(); ++s) {
-      if (counts[s] == 0) continue;
-      std::vector<BatchItemResult> slice(
-          std::make_move_iterator(results.begin() +
-                                  static_cast<ptrdiff_t>(offset)),
-          std::make_move_iterator(results.begin() +
-                                  static_cast<ptrdiff_t>(offset + counts[s])));
-      offset += counts[s];
-      sweeps[s].Absorb(slice);
-    }
+  // Shared with the callbacks, so none can touch freed state after the
+  // wait below returns.
+  struct Gather {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::vector<ConditionsReport> reports;
+    size_t left = 0;
+  };
+  auto gather = std::make_shared<Gather>();
+  gather->reports.resize(sweeps.size());
+  gather->left = sweeps.size();
+  for (size_t s = 0; s < sweeps.size(); ++s) {
+    SubmitConditionsSweep(engine, std::move(sweeps[s]),
+                          [gather, s](ConditionsReport report) {
+                            std::lock_guard<std::mutex> lock(gather->mu);
+                            gather->reports[s] = std::move(report);
+                            --gather->left;
+                            gather->cv.notify_all();
+                          });
   }
-  std::vector<ConditionsReport> reports;
-  reports.reserve(sweeps.size());
-  for (ConditionsSweep& sweep : sweeps) {
-    reports.push_back(sweep.Finish());
-  }
-  return reports;
+  std::unique_lock<std::mutex> lock(gather->mu);
+  gather->cv.wait(lock, [&] { return gather->left == 0; });
+  return std::move(gather->reports);
 }
 
 std::string ConditionsReportToJsonLine(const ConditionsReport& report) {

@@ -2,6 +2,7 @@
 #define TERMILOG_CONDINF_CONDINF_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <utility>
@@ -99,8 +100,8 @@ struct ConditionsReport {
 /// variants the frontier cannot decide yet (deterministic order),
 /// Absorb() feeds their engine results back, and the state machine prunes
 /// by upward closure and downward failure propagation until every
-/// predicate's frontier is closed. Drive it with RunConditionsSweeps,
-/// which batches rounds from many sweeps into shared engine Runs.
+/// predicate's frontier is closed. Drive it with SubmitConditionsSweep or
+/// RunConditionsSweeps, which submit each round to a shared engine.
 ///
 /// Per predicate the rounds are: (1) top and bottom probes — a failed top
 /// closes the whole lattice (nothing proves), a proved bottom closes it
@@ -152,14 +153,23 @@ class ConditionsSweep {
   std::vector<PredSweep> preds_;
 };
 
-/// Drives every sweep to completion over one engine, in lockstep rounds:
-/// each round concatenates all active sweeps' NextRound() requests (sweep
-/// order) into a single BatchEngine::Run, so mode variants parallelize
+/// Drives `sweep` to completion over `engine` without blocking: each
+/// round's mode variants are submitted with BatchEngine::Submit, and the
+/// callback that delivers a round's last result absorbs the round and
+/// submits the next. `on_done` receives the final report once, on an
+/// engine worker (on the calling thread when the sweep needs no round);
+/// like any engine callback it must not block on the engine.
+void SubmitConditionsSweep(BatchEngine& engine, ConditionsSweep sweep,
+                           std::function<void(ConditionsReport)> on_done);
+
+/// Drives every sweep to completion over one engine and returns their
+/// reports in sweep order; the sweeps are moved from. Sweeps advance
+/// independently (SubmitConditionsSweep), so mode variants parallelize
 /// across predicates, programs, and sweeps while the shared SCC cache
 /// deduplicates structurally identical work. The candidate list of every
-/// round is a pure function of earlier rounds' deterministic reports, so
-/// the returned reports — and their JSON rendering — are byte-identical
-/// for every --jobs value.
+/// round is a pure function of that sweep's earlier deterministic
+/// reports, so the returned reports — and their JSON rendering — are
+/// byte-identical for every --jobs value.
 std::vector<ConditionsReport> RunConditionsSweeps(
     BatchEngine& engine, std::vector<ConditionsSweep>& sweeps);
 

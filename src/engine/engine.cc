@@ -45,6 +45,8 @@ int64_t ThreadCpuMicros() {
          static_cast<int64_t>(ts.tv_nsec) / 1000;
 }
 
+}  // namespace
+
 // Queue feeding the worker pool, with two priority classes. Child tasks
 // (the inference and SCC tasks a request's preparation spawned) are
 // drained before preparation tasks, so the task chains of admitted
@@ -54,7 +56,7 @@ int64_t ThreadCpuMicros() {
 // landed at the very end of the run, inflating admission-to-completion
 // latency to the batch's wall time. Close() lets workers drain the
 // remaining tasks and then exit.
-class TaskQueue {
+class BatchEngine::TaskQueue {
  public:
   void Push(std::function<void()> task) { PushClass(&preps_, std::move(task)); }
 
@@ -102,11 +104,15 @@ class TaskQueue {
 };
 
 // Mutable per-request state shared between the prep task, the inference
-// tasks, the SCC tasks, and the merge.
-struct RequestState {
-  const BatchRequest* request = nullptr;
+// tasks and the SCC tasks. Every task holds a reference, so the state
+// lives until the last of them returns.
+struct BatchEngine::RequestState {
+  // The request's own copy, made by Submit with the program through
+  // PrivateCopy (stable once prep finishes), so the caller's BatchRequest
+  // may die at once.
+  BatchRequest request;
+  std::function<void(BatchItemResult)> on_done;
   std::unique_ptr<TerminationAnalyzer> analyzer;
-  Program program;  // private copy; stable once prep finishes
 
   // Placeholder until the prep task runs (Result forbids an OK status
   // without a value).
@@ -140,33 +146,31 @@ struct RequestState {
   /// distribution measures per-request service cost, not batch position
   /// or core oversubscription.
   std::atomic<int64_t> busy_us{0};
+  // Set by the prep task; read by Complete, which runs after every task
+  // of the request (the queue mutex and the pending countdowns order it).
   std::chrono::steady_clock::time_point started;
-  // Set by finish_request (single writer: the worker that completes the
-  // request), read by the merge loop after done[i] — the done_mu handoff
-  // orders the accesses.
-  std::chrono::steady_clock::time_point finished;
-  // Per-request trace span: begun by the prep task, ended by the merge
-  // loop on the main thread; inference and SCC tasks attach to it
+  // Per-request trace span: begun by the prep task under the submitter's
+  // span, ended by Complete; inference and SCC tasks attach to it
   // explicitly.
+  obs::SpanId parent_span = 0;
   obs::SpanId span = 0;
-};
 
-void AccumulateSpend(RequestState* state, const GovernorSpend& spend) {
-  // Mirror the spend into the metrics registry so metrics totals reconcile
-  // with EngineStats::total_work (every per-task governor passes through
-  // here exactly once).
-  TERMILOG_COUNTER("governor.work", spend.work);
-  TERMILOG_HISTOGRAM("governor.limb_high_water",
-                     spend.bigint_limb_high_water);
-  state->work.fetch_add(spend.work, std::memory_order_relaxed);
-  int64_t seen = state->limb_high_water.load(std::memory_order_relaxed);
-  while (spend.bigint_limb_high_water > seen &&
-         !state->limb_high_water.compare_exchange_weak(
-             seen, spend.bigint_limb_high_water, std::memory_order_relaxed)) {
+  void AddSpend(const GovernorSpend& spend) {
+    // Mirror the spend into the metrics registry so metrics totals
+    // reconcile with EngineStats::total_work (every per-task governor
+    // passes through here exactly once).
+    TERMILOG_COUNTER("governor.work", spend.work);
+    TERMILOG_HISTOGRAM("governor.limb_high_water",
+                       spend.bigint_limb_high_water);
+    work.fetch_add(spend.work, std::memory_order_relaxed);
+    int64_t seen = limb_high_water.load(std::memory_order_relaxed);
+    while (spend.bigint_limb_high_water > seen &&
+           !limb_high_water.compare_exchange_weak(
+               seen, spend.bigint_limb_high_water,
+               std::memory_order_relaxed)) {
+    }
   }
-}
-
-}  // namespace
+};
 
 std::string EngineStats::ToString() const {
   return StrCat("requests=", requests, " scc_tasks=", scc_tasks,
@@ -188,9 +192,36 @@ std::string EngineStats::ToString() const {
 
 BatchEngine::BatchEngine(EngineOptions options) : options_(options) {
   if (options_.jobs < 1) options_.jobs = 1;
+  queue_ = std::make_unique<TaskQueue>();
+  workers_.reserve(static_cast<size_t>(options_.jobs));
+  try {
+    for (int w = 0; w < options_.jobs; ++w) {
+      workers_.emplace_back([this] {
+        while (std::optional<std::function<void()>> task = queue_->Pop()) {
+          (*task)();
+        }
+      });
+    }
+  } catch (...) {
+    // Thread creation failed (e.g. a --jobs beyond the system's limit):
+    // the workers already started must be joined before they are
+    // destroyed.
+    queue_->Close();
+    for (std::thread& worker : workers_) worker.join();
+    throw;
+  }
 }
 
-BatchEngine::~BatchEngine() = default;
+BatchEngine::~BatchEngine() {
+  // A finishing request's on_done may submit follow-up work (a sweep's
+  // next round), so the queue closes only once nothing is in flight.
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    idle_cv_.wait(lock, [this] { return in_flight_ == 0; });
+  }
+  queue_->Close();
+  for (std::thread& worker : workers_) worker.join();
+}
 
 Status BatchEngine::AttachStore(
     std::unique_ptr<persist::PersistentStore> store) {
@@ -210,7 +241,6 @@ Status BatchEngine::AttachStore(
   // is silently wrong verdicts.
   Status audit = SelfCheck();
   if (!audit.ok()) return audit;
-  CopyCacheStats();
   store_ = std::move(store);
   writer_ = std::make_unique<persist::StoreWriter>(store_.get());
   auto persist = [this](const std::string& key, const auto& outcome) {
@@ -226,6 +256,22 @@ Status BatchEngine::FlushStore() {
   return writer_->Drain();
 }
 
+void BatchEngine::Submit(const BatchRequest& request,
+                         std::function<void(BatchItemResult)> on_done) {
+  TERMILOG_COUNTER("engine.requests", 1);
+  auto state = std::make_shared<RequestState>();
+  state->request = {request.name, PrivateCopy(request.program), request.query,
+                    request.adornment, request.options};
+  state->on_done = std::move(on_done);
+  state->analyzer = std::make_unique<TerminationAnalyzer>(request.options);
+  state->parent_span = obs::Tracer::Current();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++in_flight_;
+  }
+  queue_->Push([this, state] { Prepare(state); });
+}
+
 std::vector<BatchItemResult> BatchEngine::Run(
     const std::vector<BatchRequest>& requests,
     const std::function<void(const BatchItemResult&)>& on_result) {
@@ -234,385 +280,371 @@ std::vector<BatchItemResult> BatchEngine::Run(
   obs::SpanId batch_span = obs::BeginSpan("batch.run", "engine");
   obs::SpanArg(batch_span, "requests", StrCat(n));
   obs::SpanArg(batch_span, "jobs", StrCat(options_.jobs));
-  TERMILOG_COUNTER("engine.requests", static_cast<int64_t>(n));
 
-  std::vector<std::unique_ptr<RequestState>> states;
-  states.reserve(n);
-  for (const BatchRequest& request : requests) {
-    auto state = std::make_unique<RequestState>();
-    state->request = &request;
-    state->analyzer = std::make_unique<TerminationAnalyzer>(request.options);
-    state->program = PrivateCopy(request.program);
-    states.push_back(std::move(state));
-  }
-
-  // Completion tracking: workers flip done[i] under done_mu; the main
-  // thread drains results strictly in request order.
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  std::vector<bool> done(n, false);
-  auto finish_request = [&](size_t i) {
-    states[i]->finished = std::chrono::steady_clock::now();
-    {
-      std::lock_guard<std::mutex> lock(done_mu);
-      done[i] = true;
-    }
-    done_cv.notify_all();
+  // Workers fill the slots in completion order; this thread delivers them
+  // in request order. The callbacks share ownership, so none can touch
+  // freed merge state after Run returns.
+  struct Merge {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::vector<std::optional<BatchItemResult>> slots;
   };
-
-  TaskQueue queue;
-
-  // Analyzes SCC task `j` of request `i` (a recursive SCC), through the
-  // content cache unless disabled or the SCC has an adornment conflict
-  // (conflict verdicts are trivial, and conflict-ness is a property of the
-  // request's mode dataflow, not of the SCC's content).
-  auto run_scc_task = [&](size_t i, size_t j) {
-    RequestState& state = *states[i];
-    const int64_t cpu_start = ThreadCpuMicros();
-    obs::ScopedParent trace_parent(state.span);
-    TERMILOG_TRACE("scc.task", "engine");
-    TERMILOG_COUNTER("engine.scc_tasks", 1);
-    const SccTask& task = state.prepared->sccs[j];
-    // All SCC work runs over the report skeleton's analyzed_program (the
-    // post-transformation program whose PredIds the SccTasks reference),
-    // exactly as the serial TerminationAnalyzer::Analyze loop does.
-    const TerminationReport& skeleton = state.prepared->report;
-    const Program& program = skeleton.analyzed_program;
-    std::vector<PredId> preds = CanonicalSccOrder(program, task.preds);
-
-    auto compute = [&]() {
-      ResourceGovernor governor(state.request->options.limits);
-      SccReport fresh = state.analyzer->AnalyzeScc(
-          program, preds, skeleton.modes, skeleton.arg_sizes,
-          task.has_conflict, &governor);
-      GovernorSpend spend = governor.Spend();
-      AccumulateSpend(&state, spend);
-      if (fresh.status == SccStatus::kResourceLimit) {
-        // Deterministic spend note: work and limb counts are functions of
-        // the task's inputs; elapsed_ms is deliberately omitted so batch
-        // output stays byte-stable across jobs settings and reruns.
-        fresh.notes.push_back(StrCat("task spend: work=", spend.work,
-                                     " bigint_limbs=",
-                                     spend.bigint_limb_high_water));
-      }
-      return DehydrateSccReport(fresh, program);
-    };
-
-    CachedSccOutcome outcome;
-    if (options_.use_cache && !task.has_conflict) {
-      SccCacheKey key = CanonicalSccKey(program, preds, skeleton.modes,
-                                        skeleton.arg_sizes,
-                                        state.request->options);
-      bool served_from_cache = false;
-      outcome = cache_.GetOrCompute(key.text, compute, &served_from_cache);
-      if (served_from_cache) {
-        state.cache_hits.fetch_add(1, std::memory_order_relaxed);
-      }
-    } else {
-      outcome = compute();
-    }
-    state.scc_tasks.fetch_add(1, std::memory_order_relaxed);
-    state.slots[j] = RehydrateSccReport(outcome, program, std::move(preds));
-    state.busy_us.fetch_add(ThreadCpuMicros() - cpu_start,
-                            std::memory_order_relaxed);
-    if (state.pending_sccs.fetch_sub(1) == 1) finish_request(i);
-  };
-
-  // Fills the non-recursive slots and pushes one SCC task per recursive
-  // SCC — the tail of request admission, run by the prep task when there
-  // is no inference plan and by the last inference task otherwise. The
-  // db writes of every inference task are visible here: each task writes
-  // under db_mu before its seq_cst decrement of pending_inference, and
-  // the queue mutex orders the pushes against the SCC workers.
-  auto finalize_sccs = [&](size_t i) {
-    RequestState& state = *states[i];
-    PreparedAnalysis& prepared = *state.prepared;
-    state.slots.resize(prepared.sccs.size());
-    int recursive = 0;
-    for (size_t j = 0; j < prepared.sccs.size(); ++j) {
-      const SccTask& task = prepared.sccs[j];
-      if (task.recursive) {
-        ++recursive;
-        continue;
-      }
-      state.slots[j].preds = task.preds;
-      state.slots[j].status = SccStatus::kNonRecursive;
-    }
-    if (recursive == 0) {
-      finish_request(i);
-      return;
-    }
-    state.pending_sccs.store(recursive);
-    for (size_t j = 0; j < prepared.sccs.size(); ++j) {
-      if (!prepared.sccs[j].recursive) continue;
-      queue.PushChild([&run_scc_task, i, j] { run_scc_task(i, j); });
-    }
-  };
-
-  // Merges the inference phase into the skeleton report — exactly the
-  // serial Prepare semantics: the first hard error (in plan-node order)
-  // fails the request; budget trips degrade to per-node warning notes
-  // in plan-node order.
-  auto finalize_inference = [&](size_t i) {
-    RequestState& state = *states[i];
-    for (const Status& error : state.inference_errors) {
-      if (!error.ok()) {
-        state.prepared = error;
-        finish_request(i);
-        return;
-      }
-    }
-    TerminationReport& report = state.prepared->report;
-    for (const std::string& warning : state.inference_warnings) {
-      if (warning.empty()) continue;
-      report.notes.push_back(warning);
-      report.resource_limited = true;
-      if (report.first_resource_trip.empty()) {
-        report.first_resource_trip = warning;
-      }
-    }
-    state.prepared->inference.nodes.clear();
-    finalize_sccs(i);
-  };
-
-  // Runs inference-plan node `k` of request `i`: one [VG90] fixpoint over
-  // one SCC of the condensation, through the inference cache. Callee
-  // polyhedra are snapshotted under db_mu; the dependency edges guarantee
-  // every callee entry this SCC reads is final before the node is pushed,
-  // so the snapshot — and with it the cache key and the result — is
-  // deterministic regardless of worker interleaving. Declared as a
-  // std::function so completed nodes can push their newly ready
-  // dependents.
-  std::function<void(size_t, int)> run_inference_task;
-  run_inference_task = [&](size_t i, int k) {
-    RequestState& state = *states[i];
-    const int64_t cpu_start = ThreadCpuMicros();
-    obs::ScopedParent trace_parent(state.span);
-    TERMILOG_TRACE("inference.task", "engine");
-    TERMILOG_COUNTER("engine.inference_tasks", 1);
-    const InferencePlanNode& node = state.prepared->inference.nodes[k];
-    TerminationReport& report = state.prepared->report;
-    const Program& program = report.analyzed_program;
-    std::vector<PredId> preds = CanonicalSccOrder(program, node.preds);
-
-    ArgSizeDb snapshot;
-    {
-      std::lock_guard<std::mutex> lock(state.db_mu);
-      for (const PredId& callee : InferenceCalleePreds(program, preds)) {
-        if (report.arg_sizes.Has(callee)) {
-          snapshot.Set(callee, report.arg_sizes.Get(callee));
+  auto merge = std::make_shared<Merge>();
+  merge->slots.resize(n);
+  {
+    obs::ScopedParent parent(batch_span);
+    for (size_t i = 0; i < n; ++i) {
+      Submit(requests[i], [merge, i](BatchItemResult item) {
+        {
+          std::lock_guard<std::mutex> lock(merge->mu);
+          merge->slots[i] = std::move(item);
         }
-      }
-    }
-
-    auto compute = [&]() {
-      ResourceGovernor governor(state.request->options.limits);
-      InferenceOptions inference_options = state.request->options.inference;
-      inference_options.fm.governor = &governor;
-      Result<SccInferenceResult> result = ConstraintInference::RunScc(
-          program, preds, snapshot, inference_options);
-      AccumulateSpend(&state, governor.Spend());
-      if (!result.ok()) {
-        // Hard (non-budget) error: carried in the outcome so single-flight
-        // waiters fail identically; never retained by the cache.
-        CachedInferenceOutcome failed;
-        failed.error = result.status();
-        return failed;
-      }
-      return DehydrateInferenceResult(*result, program);
-    };
-
-    CachedInferenceOutcome outcome;
-    if (options_.use_cache) {
-      SccCacheKey key = CanonicalInferenceKey(program, preds, snapshot,
-                                              state.request->options);
-      bool served_from_cache = false;
-      outcome =
-          inference_cache_.GetOrCompute(key.text, compute, &served_from_cache);
-      if (served_from_cache) {
-        state.inference_hits.fetch_add(1, std::memory_order_relaxed);
-      }
-    } else {
-      outcome = compute();
-    }
-    state.inference_tasks.fetch_add(1, std::memory_order_relaxed);
-
-    std::vector<int> ready;
-    {
-      std::lock_guard<std::mutex> lock(state.db_mu);
-      if (!outcome.error.ok()) {
-        state.inference_errors[k] = outcome.error;
-      } else if (outcome.resource_limited) {
-        // Same warning text, composed from the same (plan-order) front
-        // predicate, as the serial ConstraintInference::Run path.
-        state.inference_warnings[k] =
-            StrCat("inference skipped for SCC of ",
-                   program.PredName(node.preds.front()),
-                   " (left unconstrained): ", outcome.trip_message);
-      } else {
-        ApplyInferenceOutcome(outcome, program, &report.arg_sizes);
-      }
-      for (int dependent : state.dependents[k]) {
-        if (--state.deps_left[dependent] == 0) ready.push_back(dependent);
-      }
-    }
-    for (int dependent : ready) {
-      queue.PushChild([&run_inference_task, i, dependent] {
-        run_inference_task(i, dependent);
+        merge->cv.notify_all();
       });
     }
-    state.busy_us.fetch_add(ThreadCpuMicros() - cpu_start,
-                            std::memory_order_relaxed);
-    if (state.pending_inference.fetch_sub(1) == 1) finalize_inference(i);
-  };
-
-  auto run_prep_task = [&](size_t i) {
-    RequestState& state = *states[i];
-    const BatchRequest& request = *state.request;
-    state.started = std::chrono::steady_clock::now();
-    const int64_t cpu_start = ThreadCpuMicros();
-    state.span = obs::BeginSpan("request", "engine", batch_span);
-    obs::SpanArg(state.span, "name", request.name);
-    obs::ScopedParent trace_parent(state.span);
-    ResourceGovernor governor(request.options.limits);
-    state.prepared = state.analyzer->PrepareStructure(
-        state.program, request.query, request.adornment, &governor);
-    AccumulateSpend(&state, governor.Spend());
-    // Billed before any child task can finish the request, so the merge
-    // loop's read (ordered by the done_mu handoff) always sees the prep
-    // share.
-    state.busy_us.fetch_add(ThreadCpuMicros() - cpu_start,
-                            std::memory_order_relaxed);
-    if (!state.prepared.ok()) {
-      finish_request(i);
-      return;
-    }
-
-    // Inference phase. The whole-run skip failpoint fires here — once per
-    // request, before any node runs — with the same degraded note as the
-    // serial path; otherwise the plan's source nodes are pushed and the
-    // rest schedule themselves as their dependencies complete.
-    bool run_inference = request.options.run_inference;
-    if (run_inference && TERMILOG_FAILPOINT_HIT("inference.run")) {
-      TerminationReport& report = state.prepared->report;
-      std::string message =
-          StrCat("constraint inference skipped (",
-                 FailpointRegistry::TripMessage("inference.run"),
-                 "); predicates left unconstrained");
-      report.notes.push_back(message);
-      report.resource_limited = true;
-      if (report.first_resource_trip.empty()) {
-        report.first_resource_trip = message;
-      }
-      run_inference = false;
-    }
-    const InferencePlan& plan = state.prepared->inference;
-    if (!run_inference || plan.nodes.empty()) {
-      finalize_sccs(i);
-      return;
-    }
-    const int num_nodes = static_cast<int>(plan.nodes.size());
-    state.deps_left.assign(num_nodes, 0);
-    state.dependents.assign(num_nodes, {});
-    state.inference_warnings.assign(num_nodes, "");
-    state.inference_errors.assign(num_nodes, Status::Ok());
-    for (int k = 0; k < num_nodes; ++k) {
-      state.deps_left[k] = static_cast<int>(plan.nodes[k].deps.size());
-      for (int dep : plan.nodes[k].deps) state.dependents[dep].push_back(k);
-    }
-    state.pending_inference.store(num_nodes);
-    // Initial readiness is read off the immutable plan, not deps_left: an
-    // already-pushed source node can complete (cache hit) and decrement a
-    // dependent's deps_left to zero while this loop is still running, and
-    // reading that zero here would push the dependent a second time.
-    for (int k = 0; k < num_nodes; ++k) {
-      if (!plan.nodes[k].deps.empty()) continue;
-      queue.PushChild(
-          [&run_inference_task, i, k] { run_inference_task(i, k); });
-    }
-  };
-
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<size_t>(options_.jobs));
-  for (int w = 0; w < options_.jobs; ++w) {
-    workers.emplace_back([&queue] {
-      while (std::optional<std::function<void()>> task = queue.Pop()) {
-        (*task)();
-      }
-    });
-  }
-  for (size_t i = 0; i < n; ++i) {
-    queue.Push([&run_prep_task, i] { run_prep_task(i); });
   }
 
-  // Merge: deterministic assembly in request order, streaming each result
-  // as soon as it (and everything before it) is complete.
   std::vector<BatchItemResult> results;
   results.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     {
-      std::unique_lock<std::mutex> lock(done_mu);
-      done_cv.wait(lock, [&done, i] { return done[i]; });
+      std::unique_lock<std::mutex> lock(merge->mu);
+      merge->cv.wait(lock, [&] { return merge->slots[i].has_value(); });
+      results.push_back(std::move(*merge->slots[i]));
     }
-    RequestState& state = *states[i];
-    BatchItemResult item;
-    item.name = state.request->name;
-    if (!state.prepared.ok()) {
-      item.status = state.prepared.status();
-    } else {
-      TerminationReport report = std::move(state.prepared->report);
-      report.proved = true;
-      for (SccReport& scc : state.slots) {
-        if (scc.status == SccStatus::kResourceLimit) {
-          report.resource_limited = true;
-          if (report.first_resource_trip.empty()) {
-            report.first_resource_trip =
-                scc.notes.empty() ? "resource budget tripped" : scc.notes.front();
-          }
-        }
-        if (scc.status != SccStatus::kProved &&
-            scc.status != SccStatus::kNonRecursive) {
-          report.proved = false;
-        }
-        report.sccs.push_back(std::move(scc));
+    if (on_result) on_result(results.back());
+  }
+
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stats_.wall_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                         std::chrono::steady_clock::now() - run_start)
+                         .count();
+    stats_.total_wall_ms += stats_.wall_ms;
+  }
+  obs::EndSpan(batch_span);
+  return results;
+}
+
+void BatchEngine::Prepare(const StatePtr& state_ptr) {
+  RequestState& state = *state_ptr;
+  state.started = std::chrono::steady_clock::now();
+  const int64_t cpu_start = ThreadCpuMicros();
+  const BatchRequest& request = state.request;
+  state.span = obs::BeginSpan("request", "engine", state.parent_span);
+  obs::SpanArg(state.span, "name", request.name);
+  obs::ScopedParent trace_parent(state.span);
+  ResourceGovernor governor(request.options.limits);
+  state.prepared = state.analyzer->PrepareStructure(
+      request.program, request.query, request.adornment, &governor);
+  state.AddSpend(governor.Spend());
+  // Billed before any child task can finish the request, so Complete
+  // always sees the prep share.
+  state.busy_us.fetch_add(ThreadCpuMicros() - cpu_start,
+                          std::memory_order_relaxed);
+  if (!state.prepared.ok()) {
+    Complete(state_ptr);
+    return;
+  }
+
+  // Inference phase. The whole-run skip failpoint fires here — once per
+  // request, before any node runs — with the same degraded note as the
+  // serial path; otherwise the plan's source nodes are pushed and the
+  // rest schedule themselves as their dependencies complete.
+  bool run_inference = request.options.run_inference;
+  if (run_inference && TERMILOG_FAILPOINT_HIT("inference.run")) {
+    TerminationReport& report = state.prepared->report;
+    std::string message =
+        StrCat("constraint inference skipped (",
+               FailpointRegistry::TripMessage("inference.run"),
+               "); predicates left unconstrained");
+    report.notes.push_back(message);
+    report.resource_limited = true;
+    if (report.first_resource_trip.empty()) {
+      report.first_resource_trip = message;
+    }
+    run_inference = false;
+  }
+  const InferencePlan& plan = state.prepared->inference;
+  if (!run_inference || plan.nodes.empty()) {
+    ScheduleSccs(state_ptr);
+    return;
+  }
+  const int num_nodes = static_cast<int>(plan.nodes.size());
+  state.deps_left.assign(num_nodes, 0);
+  state.dependents.assign(num_nodes, {});
+  state.inference_warnings.assign(num_nodes, "");
+  state.inference_errors.assign(num_nodes, Status::Ok());
+  for (int k = 0; k < num_nodes; ++k) {
+    state.deps_left[k] = static_cast<int>(plan.nodes[k].deps.size());
+    for (int dep : plan.nodes[k].deps) state.dependents[dep].push_back(k);
+  }
+  state.pending_inference.store(num_nodes);
+  // Initial readiness is read off the immutable plan, not deps_left: an
+  // already-pushed source node can complete (cache hit) and decrement a
+  // dependent's deps_left to zero while this loop is still running, and
+  // reading that zero here would push the dependent a second time.
+  for (int k = 0; k < num_nodes; ++k) {
+    if (!plan.nodes[k].deps.empty()) continue;
+    queue_->PushChild([this, state_ptr, k] { RunInferenceTask(state_ptr, k); });
+  }
+}
+
+// Runs inference-plan node `k` of the request: one [VG90] fixpoint over
+// one SCC of the condensation, through the inference cache. Callee
+// polyhedra are snapshotted under db_mu; the dependency edges guarantee
+// every callee entry this SCC reads is final before the node is pushed,
+// so the snapshot — and with it the cache key and the result — is
+// deterministic regardless of worker interleaving.
+void BatchEngine::RunInferenceTask(const StatePtr& state_ptr, int k) {
+  RequestState& state = *state_ptr;
+  const int64_t cpu_start = ThreadCpuMicros();
+  obs::ScopedParent trace_parent(state.span);
+  TERMILOG_TRACE("inference.task", "engine");
+  TERMILOG_COUNTER("engine.inference_tasks", 1);
+  const InferencePlanNode& node = state.prepared->inference.nodes[k];
+  TerminationReport& report = state.prepared->report;
+  const Program& program = report.analyzed_program;
+  std::vector<PredId> preds = CanonicalSccOrder(program, node.preds);
+
+  ArgSizeDb snapshot;
+  {
+    std::lock_guard<std::mutex> lock(state.db_mu);
+    for (const PredId& callee : InferenceCalleePreds(program, preds)) {
+      if (report.arg_sizes.Has(callee)) {
+        snapshot.Set(callee, report.arg_sizes.Get(callee));
       }
-      report.spend.work = state.work.load();
-      report.spend.bigint_limb_high_water = state.limb_high_water.load();
-      // Completion time, not merge time: an early request that finished
-      // fast should not bill the wait for its slot in the ordered stream.
-      report.spend.elapsed_ms =
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              state.finished - state.started)
-              .count();
-      item.report = std::move(report);
     }
-    item.scc_tasks = state.scc_tasks.load();
-    item.cache_hits = state.cache_hits.load();
-    item.inference_tasks = state.inference_tasks.load();
-    item.inference_cache_hits = state.inference_hits.load();
-    item.latency_us = state.busy_us.load(std::memory_order_relaxed);
-    item.e2e_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                      state.finished - state.started)
-                      .count();
+  }
+
+  auto compute = [&]() {
+    ResourceGovernor governor(state.request.options.limits);
+    InferenceOptions inference_options = state.request.options.inference;
+    inference_options.fm.governor = &governor;
+    Result<SccInferenceResult> result = ConstraintInference::RunScc(
+        program, preds, snapshot, inference_options);
+    state.AddSpend(governor.Spend());
+    if (!result.ok()) {
+      // Hard (non-budget) error: carried in the outcome so single-flight
+      // waiters fail identically; never retained by the cache.
+      CachedInferenceOutcome failed;
+      failed.error = result.status();
+      return failed;
+    }
+    return DehydrateInferenceResult(*result, program);
+  };
+
+  CachedInferenceOutcome outcome;
+  if (options_.use_cache) {
+    SccCacheKey key = CanonicalInferenceKey(program, preds, snapshot,
+                                            state.request.options);
+    bool served_from_cache = false;
+    outcome =
+        inference_cache_.GetOrCompute(key.text, compute, &served_from_cache);
+    if (served_from_cache) {
+      state.inference_hits.fetch_add(1, std::memory_order_relaxed);
+    }
+  } else {
+    outcome = compute();
+  }
+  state.inference_tasks.fetch_add(1, std::memory_order_relaxed);
+
+  std::vector<int> ready;
+  {
+    std::lock_guard<std::mutex> lock(state.db_mu);
+    if (!outcome.error.ok()) {
+      state.inference_errors[k] = outcome.error;
+    } else if (outcome.resource_limited) {
+      // Same warning text, composed from the same (plan-order) front
+      // predicate, as the serial ConstraintInference::Run path.
+      state.inference_warnings[k] =
+          StrCat("inference skipped for SCC of ",
+                 program.PredName(node.preds.front()),
+                 " (left unconstrained): ", outcome.trip_message);
+    } else {
+      ApplyInferenceOutcome(outcome, program, &report.arg_sizes);
+    }
+    for (int dependent : state.dependents[k]) {
+      if (--state.deps_left[dependent] == 0) ready.push_back(dependent);
+    }
+  }
+  for (int dependent : ready) {
+    queue_->PushChild([this, state_ptr, dependent] {
+      RunInferenceTask(state_ptr, dependent);
+    });
+  }
+  state.busy_us.fetch_add(ThreadCpuMicros() - cpu_start,
+                          std::memory_order_relaxed);
+  if (state.pending_inference.fetch_sub(1) == 1) FinishInference(state_ptr);
+}
+
+// Merges the inference phase into the skeleton report — exactly the
+// serial Prepare semantics: the first hard error (in plan-node order)
+// fails the request; budget trips degrade to per-node warning notes in
+// plan-node order.
+void BatchEngine::FinishInference(const StatePtr& state_ptr) {
+  RequestState& state = *state_ptr;
+  for (const Status& error : state.inference_errors) {
+    if (!error.ok()) {
+      state.prepared = error;
+      Complete(state_ptr);
+      return;
+    }
+  }
+  TerminationReport& report = state.prepared->report;
+  for (const std::string& warning : state.inference_warnings) {
+    if (warning.empty()) continue;
+    report.notes.push_back(warning);
+    report.resource_limited = true;
+    if (report.first_resource_trip.empty()) {
+      report.first_resource_trip = warning;
+    }
+  }
+  state.prepared->inference.nodes.clear();
+  ScheduleSccs(state_ptr);
+}
+
+// Fills the non-recursive slots and pushes one SCC task per recursive
+// SCC — the tail of request admission, run by the prep task when there
+// is no inference plan and by the last inference task otherwise. The db
+// writes of every inference task are visible here: each task writes
+// under db_mu before its seq_cst decrement of pending_inference, and the
+// queue mutex orders the pushes against the SCC workers.
+void BatchEngine::ScheduleSccs(const StatePtr& state_ptr) {
+  RequestState& state = *state_ptr;
+  PreparedAnalysis& prepared = *state.prepared;
+  state.slots.resize(prepared.sccs.size());
+  int recursive = 0;
+  for (size_t j = 0; j < prepared.sccs.size(); ++j) {
+    const SccTask& task = prepared.sccs[j];
+    if (task.recursive) {
+      ++recursive;
+      continue;
+    }
+    state.slots[j].preds = task.preds;
+    state.slots[j].status = SccStatus::kNonRecursive;
+  }
+  if (recursive == 0) {
+    Complete(state_ptr);
+    return;
+  }
+  state.pending_sccs.store(recursive);
+  for (size_t j = 0; j < prepared.sccs.size(); ++j) {
+    if (!prepared.sccs[j].recursive) continue;
+    queue_->PushChild([this, state_ptr, j] { RunSccTask(state_ptr, j); });
+  }
+}
+
+// Analyzes SCC task `j` of the request (a recursive SCC), through the
+// content cache unless disabled or the SCC has an adornment conflict
+// (conflict verdicts are trivial, and conflict-ness is a property of the
+// request's mode dataflow, not of the SCC's content).
+void BatchEngine::RunSccTask(const StatePtr& state_ptr, size_t j) {
+  RequestState& state = *state_ptr;
+  const int64_t cpu_start = ThreadCpuMicros();
+  obs::ScopedParent trace_parent(state.span);
+  TERMILOG_TRACE("scc.task", "engine");
+  TERMILOG_COUNTER("engine.scc_tasks", 1);
+  const SccTask& task = state.prepared->sccs[j];
+  // All SCC work runs over the report skeleton's analyzed_program (the
+  // post-transformation program whose PredIds the SccTasks reference),
+  // exactly as the serial TerminationAnalyzer::Analyze loop does.
+  const TerminationReport& skeleton = state.prepared->report;
+  const Program& program = skeleton.analyzed_program;
+  std::vector<PredId> preds = CanonicalSccOrder(program, task.preds);
+
+  auto compute = [&]() {
+    ResourceGovernor governor(state.request.options.limits);
+    SccReport fresh = state.analyzer->AnalyzeScc(
+        program, preds, skeleton.modes, skeleton.arg_sizes,
+        task.has_conflict, &governor);
+    GovernorSpend spend = governor.Spend();
+    state.AddSpend(spend);
+    if (fresh.status == SccStatus::kResourceLimit) {
+      // Deterministic spend note: work and limb counts are functions of
+      // the task's inputs; elapsed_ms is deliberately omitted so batch
+      // output stays byte-stable across jobs settings and reruns.
+      fresh.notes.push_back(StrCat("task spend: work=", spend.work,
+                                   " bigint_limbs=",
+                                   spend.bigint_limb_high_water));
+    }
+    return DehydrateSccReport(fresh, program);
+  };
+
+  CachedSccOutcome outcome;
+  if (options_.use_cache && !task.has_conflict) {
+    SccCacheKey key = CanonicalSccKey(program, preds, skeleton.modes,
+                                      skeleton.arg_sizes,
+                                      state.request.options);
+    bool served_from_cache = false;
+    outcome = cache_.GetOrCompute(key.text, compute, &served_from_cache);
+    if (served_from_cache) {
+      state.cache_hits.fetch_add(1, std::memory_order_relaxed);
+    }
+  } else {
+    outcome = compute();
+  }
+  state.scc_tasks.fetch_add(1, std::memory_order_relaxed);
+  state.slots[j] = RehydrateSccReport(outcome, program, std::move(preds));
+  state.busy_us.fetch_add(ThreadCpuMicros() - cpu_start,
+                          std::memory_order_relaxed);
+  if (state.pending_sccs.fetch_sub(1) == 1) Complete(state_ptr);
+}
+
+// Assembles the result on the worker that finished the request's last
+// task — the same assembly the serial Analyze loop does — and hands it to
+// on_done.
+void BatchEngine::Complete(const StatePtr& state_ptr) {
+  RequestState& state = *state_ptr;
+  const auto finished = std::chrono::steady_clock::now();
+  BatchItemResult item;
+  item.name = std::move(state.request.name);
+  if (!state.prepared.ok()) {
+    item.status = state.prepared.status();
+  } else {
+    TerminationReport report = std::move(state.prepared->report);
+    report.proved = true;
+    for (SccReport& scc : state.slots) {
+      if (scc.status == SccStatus::kResourceLimit) {
+        report.resource_limited = true;
+        if (report.first_resource_trip.empty()) {
+          report.first_resource_trip =
+              scc.notes.empty() ? "resource budget tripped" : scc.notes.front();
+        }
+      }
+      if (scc.status != SccStatus::kProved &&
+          scc.status != SccStatus::kNonRecursive) {
+        report.proved = false;
+      }
+      report.sccs.push_back(std::move(scc));
+    }
+    report.spend.work = state.work.load();
+    report.spend.bigint_limb_high_water = state.limb_high_water.load();
+    report.spend.elapsed_ms =
+        std::chrono::duration_cast<std::chrono::milliseconds>(finished -
+                                                              state.started)
+            .count();
+    item.report = std::move(report);
+  }
+  item.scc_tasks = state.scc_tasks.load();
+  item.cache_hits = state.cache_hits.load();
+  item.inference_tasks = state.inference_tasks.load();
+  item.inference_cache_hits = state.inference_hits.load();
+  item.latency_us = state.busy_us.load(std::memory_order_relaxed);
+  item.e2e_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                    finished - state.started)
+                    .count();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stats_.requests += 1;
     stats_.scc_tasks += item.scc_tasks;
     stats_.inference_tasks += item.inference_tasks;
     stats_.total_work += state.work.load();
-    obs::EndSpan(state.span);
-    if (on_result) on_result(item);
-    results.push_back(std::move(item));
   }
-
-  queue.Close();
-  for (std::thread& worker : workers) worker.join();
-
-  stats_.requests += static_cast<int64_t>(n);
-  CopyCacheStats();
-  stats_.wall_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                       std::chrono::steady_clock::now() - run_start)
-                       .count();
-  stats_.total_wall_ms += stats_.wall_ms;
-  obs::EndSpan(batch_span);
-  return results;
+  obs::EndSpan(state.span);
+  state.on_done(std::move(item));
+  std::lock_guard<std::mutex> lock(mu_);
+  if (--in_flight_ == 0) idle_cv_.notify_all();
 }
 
 Status BatchEngine::SelfCheck() const {
@@ -621,24 +653,29 @@ Status BatchEngine::SelfCheck() const {
   return inference_cache_.SelfCheck();
 }
 
-void BatchEngine::CopyCacheStats() {
+EngineStats BatchEngine::stats() const {
+  EngineStats stats;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stats = stats_;
+  }
   // A single-flight waiter was served without computing, so it counts as
   // a hit in EngineStats.
   const CacheStats scc = cache_.stats();
-  stats_.cache_hits = scc.hits + scc.single_flight_waits;
-  stats_.cache_misses = scc.misses;
-  stats_.single_flight_waits = scc.single_flight_waits;
-  stats_.unique_sccs = cache_.size();
-  stats_.persisted_loaded = scc.persisted_loaded;
-  stats_.persisted_hits = scc.persisted_hits;
+  stats.cache_hits = scc.hits + scc.single_flight_waits;
+  stats.cache_misses = scc.misses;
+  stats.single_flight_waits = scc.single_flight_waits;
+  stats.unique_sccs = cache_.size();
+  stats.persisted_loaded = scc.persisted_loaded;
+  stats.persisted_hits = scc.persisted_hits;
   const CacheStats inference = inference_cache_.stats();
-  stats_.inference_cache_hits =
-      inference.hits + inference.single_flight_waits;
-  stats_.inference_cache_misses = inference.misses;
-  stats_.inference_single_flight_waits = inference.single_flight_waits;
-  stats_.unique_inference_sccs = inference_cache_.size();
-  stats_.inference_persisted_loaded = inference.persisted_loaded;
-  stats_.inference_persisted_hits = inference.persisted_hits;
+  stats.inference_cache_hits = inference.hits + inference.single_flight_waits;
+  stats.inference_cache_misses = inference.misses;
+  stats.inference_single_flight_waits = inference.single_flight_waits;
+  stats.unique_inference_sccs = inference_cache_.size();
+  stats.inference_persisted_loaded = inference.persisted_loaded;
+  stats.inference_persisted_hits = inference.persisted_hits;
+  return stats;
 }
 
 }  // namespace termilog

@@ -1,10 +1,13 @@
 #ifndef TERMILOG_ENGINE_ENGINE_H_
 #define TERMILOG_ENGINE_ENGINE_H_
 
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/analyzer.h"
@@ -70,7 +73,8 @@ struct BatchItemResult {
   int64_t e2e_us = 0;
 };
 
-/// Aggregate counters across every Run of one engine.
+/// Aggregate counters across every request of one engine, whether it came
+/// through Run or Submit.
 struct EngineStats {
   int64_t requests = 0;
   /// Recursive SCC tasks routed through the cache.
@@ -96,7 +100,8 @@ struct EngineStats {
   /// Summed governor work ticks across all per-task governors.
   int64_t total_work = 0;
   /// Wall time of the most recent Run only (overwritten each Run); see
-  /// total_wall_ms for the engine-lifetime figure.
+  /// total_wall_ms for the engine-lifetime figure. Submit alone leaves
+  /// both at 0.
   int64_t wall_ms = 0;
   /// Wall time summed across every Run of this engine.
   int64_t total_wall_ms = 0;
@@ -124,12 +129,17 @@ struct EngineOptions {
 /// programs — are solved once. Every task runs under its own
 /// ResourceGovernor built from the request's limits.
 ///
-/// The cache persists across Run calls: a second Run over the same
-/// requests is served warm.
+/// The pool lives as long as the engine: the constructor starts `jobs`
+/// workers and the destructor joins them. Submit is the one way work
+/// enters it; Run is Submit for every request plus an in-order merge. The
+/// caches persist across calls, so a second Run over the same requests is
+/// served warm.
 class BatchEngine {
  public:
   explicit BatchEngine(EngineOptions options = EngineOptions());
-  /// Drains the write-behind queue and flushes the store, if attached.
+  /// Waits for every submitted request to complete, joins the workers,
+  /// then drains the write-behind queue and flushes the store, if
+  /// attached.
   ~BatchEngine();
 
   BatchEngine(const BatchEngine&) = delete;
@@ -142,7 +152,7 @@ class BatchEngine {
   /// thread persists newly computed outcomes of both kinds without
   /// blocking workers. A SelfCheck failure is returned (the CLI maps it
   /// to exit code 5) and the store stays detached. Call before the first
-  /// Run.
+  /// Submit or Run.
   Status AttachStore(std::unique_ptr<persist::PersistentStore> store);
 
   /// Blocks until every queued write-behind entry is on disk and the
@@ -154,34 +164,63 @@ class BatchEngine {
   /// The attached store (null when none). The engine owns it.
   persist::PersistentStore* store() { return store_.get(); }
 
+  /// Queues one request and returns at once. Thread-safe. The program is
+  /// deep-copied before Submit returns, so `request` may be destroyed
+  /// right after. `on_done` runs exactly once, on a worker thread, with
+  /// the request's result; the request's trace span nests under the
+  /// span current on the calling thread. `on_done` must not block on this
+  /// engine — a Run inside it waits for workers that are busy running it
+  /// (at jobs=1, forever) — but it may Submit more work.
+  void Submit(const BatchRequest& request,
+              std::function<void(BatchItemResult)> on_done);
+
   /// Runs every request to completion; results are returned in request
-  /// order. `on_result` (optional) is invoked in request order as results
-  /// become available — with jobs > 1 a completed request may wait for an
-  /// earlier one so the stream stays ordered and deterministic.
+  /// order. `on_result` (optional) is invoked in request order, on the
+  /// calling thread, as results become available — with jobs > 1 a
+  /// completed request may wait for an earlier one so the stream stays
+  /// ordered and deterministic. Must not be called from an `on_done`.
   std::vector<BatchItemResult> Run(
       const std::vector<BatchRequest>& requests,
       const std::function<void(const BatchItemResult&)>& on_result = nullptr);
 
   /// Audits both caches with ContentCache::SelfCheck and returns the
-  /// first violation. Meaningful between runs, with no task in flight.
+  /// first violation. Meaningful with no task in flight.
   Status SelfCheck() const;
 
   const EngineOptions& options() const { return options_; }
-  const EngineStats& stats() const { return stats_; }
+  /// A snapshot; workers keep counting while requests are in flight.
+  EngineStats stats() const;
 
  private:
-  // Copies both caches' counters into the flat EngineStats fields.
-  void CopyCacheStats();
+  class TaskQueue;
+  struct RequestState;
+  using StatePtr = std::shared_ptr<RequestState>;
+
+  // The stages of one request, each run as a pool task (docs/engine.md,
+  // task graph). Complete assembles the result and calls on_done.
+  void Prepare(const StatePtr& state);
+  void RunInferenceTask(const StatePtr& state, int k);
+  void FinishInference(const StatePtr& state);
+  void ScheduleSccs(const StatePtr& state);
+  void RunSccTask(const StatePtr& state, size_t j);
+  void Complete(const StatePtr& state);
 
   EngineOptions options_;
   ContentCache<CachedSccOutcome> cache_;
   ContentCache<CachedInferenceOutcome> inference_cache_;
+  // Guards stats_ (whose cache fields stay zero: stats() reads the caches)
+  // and in_flight_ (submitted requests whose on_done has not returned).
+  mutable std::mutex mu_;
+  std::condition_variable idle_cv_;
   EngineStats stats_;
+  int64_t in_flight_ = 0;
   // Declaration order matters for shutdown: the writer drains into the
   // store on destruction, so it must die first (members are destroyed in
-  // reverse order).
+  // reverse order). The destructor joins the workers before either.
   std::unique_ptr<persist::PersistentStore> store_;
   std::unique_ptr<persist::StoreWriter> writer_;
+  std::unique_ptr<TaskQueue> queue_;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace termilog

@@ -1,14 +1,8 @@
 #include "engine/serve.h"
 
-#include <condition_variable>
-#include <deque>
 #include <fstream>
-#include <map>
-#include <mutex>
 #include <sstream>
-#include <thread>
 #include <utility>
-#include <vector>
 
 #include "condinf/condinf.h"
 #include "engine/report_json.h"
@@ -17,35 +11,6 @@
 
 namespace termilog {
 namespace {
-
-// Writes response lines strictly in request order: a response for
-// sequence K is held until every response before K has been written.
-// Shed and error responses are produced by the reader thread while
-// served responses come from the processing side, so ordering cannot be
-// left to arrival time.
-class ResponseSequencer {
- public:
-  explicit ResponseSequencer(std::ostream& out) : out_(out) {}
-
-  void Emit(int64_t seq, std::string line) {
-    std::lock_guard<std::mutex> lock(mu_);
-    pending_.emplace(seq, std::move(line));
-    while (true) {
-      auto it = pending_.find(next_);
-      if (it == pending_.end()) break;
-      out_ << it->second << '\n';
-      out_.flush();
-      pending_.erase(it);
-      ++next_;
-    }
-  }
-
- private:
-  std::ostream& out_;
-  std::mutex mu_;
-  std::map<int64_t, std::string> pending_;
-  int64_t next_ = 0;
-};
 
 // Loads and parses the entry's program (inline "source" or "file").
 Result<Program> LoadProgram(const gen::ManifestEntry& entry) {
@@ -99,13 +64,6 @@ Result<BatchRequest> BuildRequest(const gen::ManifestEntry& entry,
 
 }  // namespace
 
-std::string ServeStats::ToJson() const {
-  return StrCat("{\"lines\":", lines, ",\"served\":", served,
-                ",\"shed\":", shed, ",\"errors\":", errors,
-                ",\"overlong\":", overlong, ",\"conditions\":", conditions,
-                "}");
-}
-
 std::string ServeErrorLine(const std::string& name, const Status& status) {
   return ReportToJsonLine(name, "", status, TerminationReport());
 }
@@ -127,214 +85,52 @@ Status OverlongLineError(size_t line_number, size_t max_line_bytes) {
              "-byte line cap; line discarded"));
 }
 
-bool ReadBoundedLine(std::istream& in, size_t max_bytes, std::string* line,
-                     bool* overlong) {
-  line->clear();
-  *overlong = false;
-  std::streambuf* buffer = in.rdbuf();
-  bool any = false;
-  while (true) {
-    int c = buffer->sbumpc();
-    if (c == std::char_traits<char>::eof()) {
-      in.setstate(std::ios::eofbit);
-      return any;
-    }
-    any = true;
-    if (c == '\n') return true;
-    if (*overlong) continue;  // discarding: consume without storing
-    line->push_back(static_cast<char>(c));
-    if (line->size() > max_bytes) {
-      *overlong = true;
-      line->clear();
-    }
+void ServeRequest(BatchEngine& engine, gen::ManifestEntry entry,
+                  const AnalysisOptions& base,
+                  std::function<void(std::string line, ServeAnswer answer)>
+                      emit) {
+  if (!entry.error.ok()) {
+    emit(ServeErrorLine(entry.name, entry.error), ServeAnswer::kError);
+    return;
   }
-}
-
-ServeChunkStats ProcessServeChunk(
-    BatchEngine& engine, std::vector<ServeItem> items,
-    const AnalysisOptions& base,
-    const std::function<void(int64_t seq, std::string line)>& emit) {
-  ServeChunkStats stats;
-  std::vector<BatchRequest> requests;
-  std::vector<int64_t> seqs;
-  std::vector<std::string> queries;
-  std::vector<condinf::ConditionsSweep> sweeps;
-  std::vector<int64_t> sweep_seqs;
-  requests.reserve(items.size());
-  for (ServeItem& item : items) {
-    if (!item.entry.error.ok()) {
-      ++stats.errors;
-      emit(item.seq, ServeErrorLine(item.entry.name, item.entry.error));
-      continue;
+  if (entry.kind == "conditions") {
+    // A conditions request sweeps the whole program's mode lattices
+    // (docs/conditions.md), sharing the engine — and the SCC cache every
+    // other request warms — with the plain requests.
+    Result<Program> program = LoadProgram(entry);
+    if (!program.ok()) {
+      condinf::ConditionsReport error_report;
+      error_report.name = entry.name;
+      error_report.status = program.status();
+      emit(condinf::ConditionsReportToJsonLine(error_report),
+           ServeAnswer::kError);
+      return;
     }
-    if (item.entry.kind == "conditions") {
-      // A conditions request sweeps the whole program's mode lattices
-      // (docs/conditions.md); it shares this chunk's engine — and the
-      // SCC cache every other request warms — through
-      // RunConditionsSweeps below.
-      Result<Program> program = LoadProgram(item.entry);
-      if (!program.ok()) {
-        ++stats.errors;
-        condinf::ConditionsReport error_report;
-        error_report.name = item.entry.name;
-        error_report.status = program.status();
-        emit(item.seq, condinf::ConditionsReportToJsonLine(error_report));
-        continue;
-      }
-      condinf::ConditionsOptions conditions_options;
-      conditions_options.analysis = base;
-      if (item.entry.has_limits) {
-        conditions_options.analysis.limits = item.entry.limits;
-      }
-      sweeps.emplace_back(item.entry.name, std::move(*program),
-                          conditions_options);
-      sweep_seqs.push_back(item.seq);
-      continue;
-    }
-    std::string query_text;
-    Result<BatchRequest> request =
-        BuildRequest(item.entry, base, &query_text);
-    if (!request.ok()) {
-      ++stats.errors;
-      emit(item.seq, ServeErrorLine(item.entry.name, request.status()));
-      continue;
-    }
-    requests.push_back(std::move(*request));
-    seqs.push_back(item.seq);
-    queries.push_back(std::move(query_text));
-  }
-  if (!requests.empty()) {
-    size_t index = 0;
-    engine.Run(requests, [&](const BatchItemResult& result) {
-      emit(seqs[index], ReportToJsonLine(result.name, queries[index],
-                                         result.status, result.report));
-      ++index;
-    });
-  }
-  if (!sweeps.empty()) {
-    std::vector<condinf::ConditionsReport> reports =
-        condinf::RunConditionsSweeps(engine, sweeps);
-    for (size_t i = 0; i < reports.size(); ++i) {
-      emit(sweep_seqs[i], condinf::ConditionsReportToJsonLine(reports[i]));
-    }
-  }
-  stats.served += static_cast<int64_t>(requests.size() + sweeps.size());
-  stats.conditions += static_cast<int64_t>(sweeps.size());
-  return stats;
-}
-
-ServeStats Serve(BatchEngine& engine, std::istream& in, std::ostream& out,
-                 const ServeOptions& options) {
-  const int queue_limit = options.queue_limit < 1 ? 1 : options.queue_limit;
-  const int chunk = options.chunk < 1 ? 1 : options.chunk;
-  const size_t max_line_bytes =
-      options.max_line_bytes < 1 ? 1 : options.max_line_bytes;
-
-  ServeStats stats;
-  ResponseSequencer sequencer(out);
-
-  std::mutex mu;
-  std::condition_variable work_cv;
-  std::deque<ServeItem> queue;
-  bool reader_done = false;
-
-  std::thread reader([&] {
-    std::string line;
-    size_t line_number = 0;
-    int64_t seq = 0;
-    bool overlong = false;
-    while (ReadBoundedLine(in, max_line_bytes, &line, &overlong)) {
-      ++line_number;
-      if (overlong) {
-        // Over-long line: the reader held at most max_line_bytes of it,
-        // the rest was discarded in flight. One structured error
-        // response, the loop keeps serving (docs/serve.md).
-        int64_t this_seq = seq++;
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          ++stats.lines;
-          ++stats.errors;
-          ++stats.overlong;
-        }
-        sequencer.Emit(this_seq,
-                       ServeErrorLine(StrCat("manifest:", line_number),
-                                      OverlongLineError(line_number,
-                                                        max_line_bytes)));
-        continue;
-      }
-      std::string_view stripped = StripWhitespace(line);
-      if (stripped.empty()) continue;
-      gen::ManifestEntry entry =
-          gen::ParseManifestLine(stripped, line_number);
-      if (entry.header) continue;
-      int64_t this_seq = seq++;
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        ++stats.lines;
-      }
-      if (!entry.error.ok()) {
-        // Unreadable line: one error response, loop keeps serving.
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          ++stats.errors;
-        }
-        sequencer.Emit(this_seq, ServeErrorLine(entry.name, entry.error));
-        continue;
-      }
-      bool admitted = false;
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        if (queue.size() < static_cast<size_t>(queue_limit)) {
-          queue.push_back(ServeItem{this_seq, std::move(entry)});
-          admitted = true;
-        } else {
-          ++stats.shed;
-        }
-      }
-      if (admitted) {
-        work_cv.notify_one();
-      } else {
-        sequencer.Emit(this_seq, ServeShedLine(entry.name, queue_limit));
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      reader_done = true;
-    }
-    work_cv.notify_all();
-  });
-
-  while (true) {
-    std::vector<ServeItem> batch;
-    {
-      std::unique_lock<std::mutex> lock(mu);
-      work_cv.wait(lock, [&] {
-        if (options.drain_input_first && !reader_done) return false;
-        return reader_done || !queue.empty();
-      });
-      if (queue.empty() && reader_done) break;
-      while (!queue.empty() && batch.size() < static_cast<size_t>(chunk)) {
-        batch.push_back(std::move(queue.front()));
-        queue.pop_front();
-      }
-    }
-    if (batch.empty()) continue;
-    // Seats freed: arrivals during this chunk's analysis may be admitted.
-    ServeChunkStats chunk_stats = ProcessServeChunk(
-        engine, std::move(batch), options.base,
-        [&](int64_t seq, std::string response) {
-          sequencer.Emit(seq, std::move(response));
+    condinf::ConditionsOptions conditions_options;
+    conditions_options.analysis = base;
+    if (entry.has_limits) conditions_options.analysis.limits = entry.limits;
+    condinf::SubmitConditionsSweep(
+        engine,
+        condinf::ConditionsSweep(entry.name, std::move(*program),
+                                 conditions_options),
+        [emit = std::move(emit)](condinf::ConditionsReport report) {
+          emit(condinf::ConditionsReportToJsonLine(report),
+               ServeAnswer::kConditionsReport);
         });
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      stats.served += chunk_stats.served;
-      stats.errors += chunk_stats.errors;
-      stats.conditions += chunk_stats.conditions;
-    }
+    return;
   }
-
-  reader.join();
-  return stats;
+  std::string query_text;
+  Result<BatchRequest> request = BuildRequest(entry, base, &query_text);
+  if (!request.ok()) {
+    emit(ServeErrorLine(entry.name, request.status()), ServeAnswer::kError);
+    return;
+  }
+  engine.Submit(*request, [query_text = std::move(query_text),
+                           emit = std::move(emit)](BatchItemResult result) {
+    emit(ReportToJsonLine(result.name, query_text, result.status,
+                          result.report),
+         ServeAnswer::kReport);
+  });
 }
 
 }  // namespace termilog

@@ -1,12 +1,9 @@
 #ifndef TERMILOG_ENGINE_SERVE_H_
 #define TERMILOG_ENGINE_SERVE_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <functional>
-#include <istream>
-#include <ostream>
 #include <string>
-#include <vector>
 
 #include "core/analyzer.h"
 #include "engine/engine.h"
@@ -14,102 +11,56 @@
 
 namespace termilog {
 
-/// Options for the long-running request loop (docs/serve.md,
-/// docs/engine.md, docs/persistence.md). The protocol reuses the --batch
-/// JSONL framing: one manifest-entry object per input line ("source" or
-/// "file", plus optional "name"/"query"/"limits"/"kind"), one report JSON
-/// line per request on the output, in request order. EOF on the input
-/// ends the loop. "kind":"conditions" answers with a termination-
-/// condition sweep report (docs/conditions.md) instead of a single-mode
-/// analysis; an unknown kind answers with the structured per-request
-/// error shape.
+/// Options for serve mode (docs/serve.md, docs/engine.md,
+/// docs/persistence.md), shared by every NetServer connection: the socket
+/// listeners of --listen and the stdio peer of --serve FIFO|-. The
+/// protocol reuses the --batch JSONL framing: one manifest-entry object
+/// per input line ("source" or "file", plus optional "name"/"query"/
+/// "limits"/"kind"), one report JSON line per request on the output, in
+/// that connection's request order. "kind":"conditions" answers with a
+/// termination-condition sweep report (docs/conditions.md) instead of a
+/// single-mode analysis; an unknown kind answers with the structured
+/// per-request error shape.
 struct ServeOptions {
   /// Base AnalysisOptions for every request; a request's own "limits"
   /// object overrides `base.limits`, so `--deadline-ms` supplies the
   /// per-request deadline default that the ResourceGovernor enforces.
   AnalysisOptions base;
-  /// Requests allowed to wait for a worker before the server sheds.
-  /// When the waiting room is full, a new request is answered
-  /// immediately with a deterministic RESOURCE_EXHAUSTED error carrying
-  /// a retry-after note — bounded memory and bounded latency instead of
-  /// an unbounded queue that falls over (docs/engine.md, Overload).
+  /// Admitted requests allowed to be unanswered at once (waiting for a
+  /// worker or being analyzed) before the server sheds. When the waiting
+  /// room is full, a new request is answered immediately with a
+  /// deterministic RESOURCE_EXHAUSTED error carrying a retry-after note —
+  /// bounded memory and bounded latency instead of an unbounded queue
+  /// that falls over (docs/serve.md, Overload).
   int queue_limit = 64;
-  /// Max requests handed to one BatchEngine::Run call. Small chunks keep
-  /// response latency low; the content cache carries warmth across
-  /// chunks either way.
-  int chunk = 16;
-  /// Max bytes of one request line. The JSONL reader never buffers more
-  /// than this per line: an over-long line is answered with the
-  /// structured per-request error shape (naming the line number and the
-  /// cap) and its remaining bytes are discarded up to the newline, so an
-  /// adversarial or broken client cannot grow server memory with one
-  /// unbounded line. Shared guard with the socket transport (src/net/).
+  /// Max bytes of one request line. A connection never buffers more than
+  /// this per line: an over-long line is answered with the structured
+  /// per-request error shape (naming the line number and the cap) and its
+  /// remaining bytes are discarded up to the newline, so an adversarial or
+  /// broken client cannot grow server memory with one unbounded line.
   size_t max_line_bytes = 1 << 20;
-  /// Test hook: when true the processing side waits until the reader has
-  /// consumed its whole input before analyzing anything, making the
-  /// shed/accept split a pure function of queue_limit rather than of
-  /// scheduler timing. Production serving leaves this false.
-  bool drain_input_first = false;
 };
 
-struct ServeStats {
-  /// Input lines seen (blank and header lines excluded).
-  int64_t lines = 0;
-  /// Requests analyzed to completion (both kinds).
-  int64_t served = 0;
-  /// Requests answered with the overload response without being queued.
-  int64_t shed = 0;
-  /// Unreadable request lines answered with a per-line error — truncated
-  /// JSON, a missing source, an unknown request "kind", an unparseable
-  /// program, a line over max_line_bytes. Every one gets the structured
-  /// per-request error shape ({"name":..,"ok":false,"error":..}); none
-  /// aborts the loop.
-  int64_t errors = 0;
-  /// The subset of `errors` that were over-long input lines.
-  int64_t overlong = 0;
-  /// The subset of `served` that were "kind":"conditions" sweeps
-  /// (docs/conditions.md).
-  int64_t conditions = 0;
-
-  std::string ToJson() const;
+/// How ServeRequest answered a request, for the transport's counters.
+enum class ServeAnswer {
+  kReport,            // a plain request, analyzed
+  kConditionsReport,  // a "kind":"conditions" sweep, completed
+  kError,             // the structured per-request error shape
 };
 
-// --- Shared request-processing core -------------------------------------
-//
-// The pieces below are the transport-independent half of serve mode: the
-// FIFO/stdin loop (Serve) and the socket transport (src/net/) both admit
-// gen::ManifestEntry requests and answer them through these, so the wire
-// protocol — request kinds, error/shed shapes, response bytes — is one
-// implementation, not two.
-
-/// One admitted request: an opaque sequence token (returned verbatim to
-/// `emit`, never interpreted) and the parsed manifest entry.
-struct ServeItem {
-  int64_t seq = 0;
-  gen::ManifestEntry entry;
-};
-
-/// What one ProcessServeChunk call answered, for the caller's stats.
-struct ServeChunkStats {
-  int64_t served = 0;
-  int64_t errors = 0;
-  int64_t conditions = 0;
-};
-
-/// Analyzes one chunk of admitted requests through `engine` and calls
-/// `emit(seq, line)` exactly once per item with its response line (no
-/// trailing newline). Plain requests batch through BatchEngine::Run;
-/// "conditions" requests sweep through RunConditionsSweeps sharing the
-/// same engine and cache; unreadable entries (ParseManifestLine `error`
-/// set) and per-request failures get the structured error shape. `emit`
-/// runs on the calling thread; emission order within the chunk follows
-/// completion order, so callers that need a global order sequence by
-/// `seq` (ResponseSequencer here, the per-connection sequencers in
-/// src/net/).
-ServeChunkStats ProcessServeChunk(
-    BatchEngine& engine, std::vector<ServeItem> items,
-    const AnalysisOptions& base,
-    const std::function<void(int64_t seq, std::string line)>& emit);
+/// Answers one admitted manifest entry through `engine` without waiting
+/// for its analysis. Unreadable entries (ParseManifestLine `error` set),
+/// unloadable programs and bad queries get the structured error shape;
+/// plain requests go through BatchEngine::Submit, "conditions" requests
+/// through condinf::SubmitConditionsSweep, sharing the engine and its
+/// caches. `emit(line, answer)` runs exactly once with the response line
+/// (no trailing newline): on the calling thread for an error, on an
+/// engine worker otherwise. Like any engine callback it must not block on
+/// the engine. The response bytes are what --batch prints for the entry.
+void ServeRequest(BatchEngine& engine, gen::ManifestEntry entry,
+                  const AnalysisOptions& base,
+                  std::function<void(std::string line, ServeAnswer answer)>
+                      emit);
 
 /// The structured per-request error line ({"name":..,"ok":false,
 /// "error":..}) shared by every transport.
@@ -123,25 +74,6 @@ std::string ServeShedLine(const std::string& name, int queue_limit);
 /// The error status for a request line over `max_line_bytes`, naming the
 /// 1-based line number and the cap.
 Status OverlongLineError(size_t line_number, size_t max_line_bytes);
-
-/// Reads one newline-terminated line from `in`, buffering at most
-/// `max_bytes` of it. Returns false at EOF with nothing consumed. When
-/// the line exceeds the cap, `*overlong` is set, `*line` comes back
-/// empty, and the line's remaining bytes are consumed (not stored) up to
-/// the newline — bounded memory however long the line is.
-bool ReadBoundedLine(std::istream& in, size_t max_bytes, std::string* line,
-                     bool* overlong);
-
-/// Runs the serve loop: reads JSONL requests from `in` until EOF,
-/// answers each with exactly one JSON line on `out` (flushed per line,
-/// strictly in request order). A reader thread admits requests into a
-/// bounded waiting room; overflow is shed with a deterministic overload
-/// response rather than queued. Unreadable lines (truncated JSON,
-/// missing source, over-long input) get a per-line error response; they
-/// never abort the loop. The caller owns engine setup (jobs, cache,
-/// attached store) and shutdown (FlushStore after Serve returns).
-ServeStats Serve(BatchEngine& engine, std::istream& in, std::ostream& out,
-                 const ServeOptions& options);
 
 }  // namespace termilog
 

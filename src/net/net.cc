@@ -73,6 +73,11 @@ Result<sockaddr_un> UnixSockaddr(const std::string& path) {
   return sun;
 }
 
+bool IsSocket(int fd) {
+  struct stat st;
+  return ::fstat(fd, &st) == 0 && S_ISSOCK(st.st_mode);
+}
+
 // The one server a process routes SIGTERM/SIGINT to. The handler itself
 // only loads this pointer and calls BeginDrain (an atomic store plus a
 // write(2) to the wakeup pipe) — everything async-signal-safe.
@@ -142,12 +147,22 @@ std::string NetStats::ToJson() const {
 // --- NetServer ----------------------------------------------------------
 
 struct NetServer::Connection {
-  int fd = -1;
+  int in_fd = -1;
+  int out_fd = -1;  // == in_fd for a socket
+  // Sockets use recv/send (MSG_NOSIGNAL: a vanished peer costs EPIPE,
+  // never SIGPIPE); pipes, FIFOs and files reject them, so a peer over
+  // those uses read/write.
+  bool socket = true;
+  // Added by AddPeer: the caller owns the fds, whose file-status flags
+  // are restored on close, and the server drains when the peer closes.
+  bool peer = false;
+  int in_flags = 0;
+  int out_flags = 0;
   int64_t id = 0;
   std::string read_buffer;   // partial line, capped at max_line_bytes
   std::string write_buffer;  // in-order responses awaiting the peer
   // Per-connection response sequencer: responses complete out of request
-  // order (sheds synchronously, analyses whenever their chunk finishes),
+  // order (sheds synchronously, analyses whenever their engine tasks do),
   // but each is written only once every earlier response of this
   // connection has been.
   std::map<int64_t, std::string> pending;
@@ -159,7 +174,15 @@ struct NetServer::Connection {
   bool discarding = false;  // dropping the rest of an over-long line
   bool peer_eof = false;
   bool paused = false;  // backpressure: write buffer over the watermark
-  bool dead = false;    // socket error; close on the next sweep
+  bool dead = false;    // I/O error; close on the next sweep
+
+  ssize_t Read(char* buffer, size_t len) const {
+    return socket ? ::recv(in_fd, buffer, len, 0) : ::read(in_fd, buffer, len);
+  }
+  ssize_t Write(const char* data, size_t len) const {
+    return socket ? ::send(out_fd, data, len, MSG_NOSIGNAL)
+                  : ::write(out_fd, data, len);
+  }
 };
 
 struct NetServer::PendingRequest {
@@ -179,7 +202,6 @@ NetServer::NetServer(BatchEngine& engine, NetServerOptions options)
       options_(std::move(options)),
       queue_limit_(options_.serve.queue_limit < 1 ? 1
                                                   : options_.serve.queue_limit),
-      chunk_(options_.serve.chunk < 1 ? 1 : options_.serve.chunk),
       max_line_bytes_(options_.serve.max_line_bytes < 1
                           ? 1
                           : options_.serve.max_line_bytes) {
@@ -333,9 +355,33 @@ void NetServer::DrainWakeupPipe() {
   }
 }
 
+Status NetServer::AddPeer(int in_fd, int out_fd) {
+  Connection conn;
+  conn.in_fd = in_fd;
+  conn.out_fd = out_fd;
+  conn.socket = IsSocket(in_fd) && IsSocket(out_fd);
+  conn.peer = true;
+  // Both flags are saved before either is changed: stdin and stdout may
+  // share one open file description (a terminal).
+  conn.in_flags = ::fcntl(in_fd, F_GETFL);
+  conn.out_flags = ::fcntl(out_fd, F_GETFL);
+  if (conn.in_flags < 0 || conn.out_flags < 0) {
+    return SysError("fcntl(F_GETFL)");
+  }
+  if (::fcntl(in_fd, F_SETFL, conn.in_flags | O_NONBLOCK) != 0 ||
+      ::fcntl(out_fd, F_SETFL, conn.out_flags | O_NONBLOCK) != 0) {
+    Status error = SysError("fcntl(F_SETFL)");
+    ::fcntl(out_fd, F_SETFL, conn.out_flags);
+    ::fcntl(in_fd, F_SETFL, conn.in_flags);
+    return error;
+  }
+  AddConnection(std::move(conn));
+  return Status::Ok();
+}
+
 void NetServer::ProcessLoop() {
   while (true) {
-    std::vector<PendingRequest> batch;
+    PendingRequest request;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_cv_.wait(lock,
@@ -344,44 +390,52 @@ void NetServer::ProcessLoop() {
         if (processor_exit_) break;
         continue;
       }
-      while (!queue_.empty() && batch.size() < static_cast<size_t>(chunk_)) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
+      request = std::move(queue_.front());
+      queue_.pop_front();
+      ++in_engine_;
     }
-    // Seats freed: arrivals during this chunk's analysis may be admitted.
-    std::vector<ServeItem> items;
-    items.reserve(batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      items.push_back(ServeItem{static_cast<int64_t>(i),
-                                std::move(batch[i].entry)});
-    }
-    const ServeChunkStats chunk_stats = ProcessServeChunk(
-        engine_, std::move(items), options_.serve.base,
-        [&](int64_t seq, std::string line) {
-          const PendingRequest& request = batch[static_cast<size_t>(seq)];
-          std::lock_guard<std::mutex> lock(mu_);
-          responses_.push_back(RoutedResponse{request.conn_id,
-                                              request.conn_seq,
-                                              std::move(line)});
-        });
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      stats_.served += chunk_stats.served;
-      stats_.errors += chunk_stats.errors;
-      stats_.conditions += chunk_stats.conditions;
-    }
-    TERMILOG_COUNTER("net.req.served", chunk_stats.served);
-    if (chunk_stats.errors > 0) {
-      TERMILOG_COUNTER("net.req.errors", chunk_stats.errors);
-    }
-    WakeLoop();
+    // Parsing happens here, off the poll loop; the analysis does not
+    // block this thread, so the next request is taken at once.
+    const int64_t conn_id = request.conn_id;
+    const int64_t conn_seq = request.conn_seq;
+    ServeRequest(engine_, std::move(request.entry), options_.serve.base,
+                 [this, conn_id, conn_seq](std::string line,
+                                           ServeAnswer answer) {
+                   Answer(conn_id, conn_seq, std::move(line), answer);
+                 });
   }
 }
 
+// Runs on an engine worker, or on the processing thread for an error
+// answer. The response is queued and the wakeup byte written under mu_,
+// so by the time the event loop (or Run's epilogue) can see the response,
+// this call touches the server no more.
+void NetServer::Answer(int64_t conn_id, int64_t conn_seq, std::string line,
+                       ServeAnswer answer) {
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    if (answer == ServeAnswer::kError) {
+      ++stats_.errors;
+    } else {
+      ++stats_.served;
+      if (answer == ServeAnswer::kConditionsReport) ++stats_.conditions;
+    }
+  }
+  if (answer == ServeAnswer::kError) {
+    TERMILOG_COUNTER("net.req.errors", 1);
+  } else {
+    TERMILOG_COUNTER("net.req.served", 1);
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  responses_.push_back(RoutedResponse{conn_id, conn_seq, std::move(line)});
+  --in_engine_;
+  WakeLoop();
+  answered_cv_.notify_all();
+}
+
 Status NetServer::Run() {
-  if (listeners_.empty()) {
-    return Status::Internal("net: Run() before Listen()");
+  if (listeners_.empty() && connections_.empty()) {
+    return Status::Internal("net: Run() before Listen() or AddPeer()");
   }
   if (wakeup_read_ < 0 || wakeup_write_ < 0) {
     return Status::Internal("net: wakeup pipe unavailable");
@@ -425,13 +479,17 @@ Status NetServer::Run() {
       }
     }
     for (auto& [id, conn] : connections_) {
-      short events = 0;
+      // Each fd is polled only while it has work: a pipe or socket whose
+      // peer is gone reports POLLHUP on every poll. A socket's one fd may
+      // appear twice, once per direction.
       if (!draining_ && !conn.paused && !conn.peer_eof && !conn.dead) {
-        events |= POLLIN;
+        fds.push_back(pollfd{conn.in_fd, POLLIN, 0});
+        fd_conn.push_back(id);
       }
-      if (!conn.write_buffer.empty() && !conn.dead) events |= POLLOUT;
-      fds.push_back(pollfd{conn.fd, events, 0});
-      fd_conn.push_back(id);
+      if (!conn.write_buffer.empty() && !conn.dead) {
+        fds.push_back(pollfd{conn.out_fd, POLLOUT, 0});
+        fd_conn.push_back(id);
+      }
     }
 
     const int n = ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
@@ -467,6 +525,12 @@ Status NetServer::Run() {
   }
   work_cv_.notify_all();
   processor_.join();
+  {
+    // A poll failure can end the loop while submitted requests are still
+    // in the engine; their callbacks touch this server.
+    std::unique_lock<std::mutex> lock(mu_);
+    answered_cv_.wait(lock, [this] { return in_engine_ == 0; });
+  }
   RouteResponses();
   if (result.ok()) FinalFlush();
   Cleanup();
@@ -507,22 +571,27 @@ void NetServer::AcceptReady(int listen_fd) {
       continue;
     }
     Connection conn;
-    conn.fd = fd;
-    conn.id = next_connection_id_++;
-    conn.last_activity_ms = NowMs();
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.accepted;
-    }
-    TERMILOG_COUNTER("net.conn.accepted", 1);
-    connections_.emplace(conn.id, std::move(conn));
+    conn.in_fd = fd;
+    conn.out_fd = fd;
+    AddConnection(std::move(conn));
   }
+}
+
+void NetServer::AddConnection(Connection conn) {
+  conn.id = next_connection_id_++;
+  conn.last_activity_ms = NowMs();
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    ++stats_.accepted;
+  }
+  TERMILOG_COUNTER("net.conn.accepted", 1);
+  connections_.emplace(conn.id, std::move(conn));
 }
 
 void NetServer::HandleReadable(Connection& conn) {
   char buffer[65536];
   while (true) {
-    const ssize_t n = ::recv(conn.fd, buffer, sizeof(buffer), 0);
+    const ssize_t n = conn.Read(buffer, sizeof(buffer));
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
@@ -618,7 +687,7 @@ void NetServer::HandleLine(Connection& conn, const std::string& line) {
   bool admitted = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (queue_.size() < static_cast<size_t>(queue_limit_)) {
+    if (outstanding_ < queue_limit_) {
       queue_.push_back(PendingRequest{conn.id, seq, std::move(entry)});
       ++outstanding_;
       admitted = true;
@@ -656,8 +725,8 @@ void NetServer::EmitToConnection(Connection& conn, int64_t seq,
 
 void NetServer::TryWrite(Connection& conn) {
   while (!conn.write_buffer.empty() && !conn.dead) {
-    const ssize_t n = ::send(conn.fd, conn.write_buffer.data(),
-                             conn.write_buffer.size(), MSG_NOSIGNAL);
+    const ssize_t n =
+        conn.Write(conn.write_buffer.data(), conn.write_buffer.size());
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
@@ -729,7 +798,16 @@ void NetServer::CloseFinishedConnections(int64_t now_ms) {
 void NetServer::CloseConnection(int64_t id) {
   auto it = connections_.find(id);
   if (it == connections_.end()) return;
-  ::close(it->second.fd);
+  const Connection& conn = it->second;
+  if (conn.peer) {
+    // stdin and stdout are shared with the parent shell: hand them back
+    // as found. The server's work ends with its peer's.
+    ::fcntl(conn.out_fd, F_SETFL, conn.out_flags);
+    ::fcntl(conn.in_fd, F_SETFL, conn.in_flags);
+    drain_requested_.store(true, std::memory_order_relaxed);
+  } else {
+    ::close(conn.in_fd);
+  }
   connections_.erase(it);
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
@@ -748,7 +826,7 @@ void NetServer::FinalFlush() {
     std::vector<int64_t> ids;
     for (auto& [id, conn] : connections_) {
       if (conn.dead || conn.write_buffer.empty()) continue;
-      fds.push_back(pollfd{conn.fd, POLLOUT, 0});
+      fds.push_back(pollfd{conn.out_fd, POLLOUT, 0});
       ids.push_back(id);
     }
     if (fds.empty()) return;

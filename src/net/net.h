@@ -38,15 +38,15 @@ struct NetAddress {
 /// colons, non-numeric or out-of-range ports.
 Result<NetAddress> ParseNetAddress(const std::string& spec);
 
-/// Options for the socket server. The request protocol itself — JSONL
-/// manifest entries in, one report line out per request — is ServeOptions'
+/// Options for the server. The request protocol itself — JSONL manifest
+/// entries in, one report line out per request — is ServeOptions'
 /// (`serve`); everything here is transport.
 struct NetServerOptions {
-  /// Protocol/processing options shared with the FIFO serve loop:
-  /// base AnalysisOptions, waiting-room queue_limit, chunk size, and
-  /// max_line_bytes (the per-connection line cap: an over-long request
-  /// line is answered with the structured error shape and discarded up
-  /// to its newline, bounding per-connection read memory).
+  /// Protocol/processing options: base AnalysisOptions, the waiting-room
+  /// queue_limit, and max_line_bytes (the per-connection line cap: an
+  /// over-long request line is answered with the structured error shape
+  /// and discarded up to its newline, bounding per-connection read
+  /// memory).
   ServeOptions serve;
   /// Close a connection with no activity — no bytes read or written and
   /// no request in flight — for this long. 0 disables the timeout.
@@ -55,7 +55,7 @@ struct NetServerOptions {
   /// exceed this many bytes the server stops reading from it (the peer
   /// must drain responses before sending more requests); reading resumes
   /// when the buffer falls back under the watermark. Write memory stays
-  /// bounded by watermark + one chunk of responses.
+  /// bounded by watermark + the responses of its admitted requests.
   size_t write_high_watermark = 1 << 20;
   /// Accepted connections beyond this are closed immediately.
   int max_connections = 256;
@@ -63,14 +63,13 @@ struct NetServerOptions {
   int backlog = 64;
   /// Test hook: when true the processing thread holds every admitted
   /// request until ReleaseProcessing(), making the shed/accept split a
-  /// pure function of queue_limit (the socket twin of
-  /// ServeOptions::drain_input_first). Production serving leaves false.
+  /// pure function of queue_limit. Production serving leaves false.
   bool hold_processing = false;
 };
 
-/// Transport + protocol counters, a superset of ServeStats. Snapshot via
-/// NetServer::stats(); exported as one JSON object on the CLI's stderr
-/// when the server drains.
+/// Transport + protocol counters. Snapshot via NetServer::stats();
+/// exported as one JSON object on the CLI's stderr when the server
+/// drains, for --listen and --serve alike.
 struct NetStats {
   int64_t accepted = 0;       // connections accepted
   int64_t closed = 0;         // connections closed (any reason)
@@ -82,21 +81,24 @@ struct NetStats {
   int64_t errors = 0;         // structured per-request error responses
   int64_t overlong = 0;       // subset of errors: lines over the cap
   int64_t conditions = 0;     // subset of served: conditions sweeps
-  int64_t bytes_in = 0;       // bytes read off sockets
-  int64_t bytes_out = 0;      // bytes written to sockets
+  int64_t bytes_in = 0;       // bytes read off connections
+  int64_t bytes_out = 0;      // bytes written to connections
 
   std::string ToJson() const;
 };
 
-/// Multi-client socket front end for serve mode (docs/serve.md).
+/// The one transport loop of serve mode (docs/serve.md): socket
+/// listeners (--listen) and the stdio peer (--serve FIFO|-, AddPeer) are
+/// connections of the same loop.
 ///
 /// One poll(2) event-loop thread (the caller of Run) owns every
 /// connection: accepts, framing, per-connection response sequencing,
-/// write buffering, timeouts. One processing thread pulls admitted
-/// requests from the shared bounded waiting room in chunks and answers
-/// them through ProcessServeChunk — the same engine path, request kinds,
-/// and response bytes as --batch and FIFO --serve. Responses cross back
-/// to the event loop through a queue plus a self-pipe wakeup.
+/// write buffering, timeouts. One processing thread takes admitted
+/// requests from the shared waiting room one at a time, parses them and
+/// submits them through ServeRequest — the same engine path, request
+/// kinds, and response bytes as --batch — without waiting for the
+/// analysis. Engine workers hand each response back to the event loop
+/// through a queue plus a self-pipe wakeup.
 ///
 /// Per connection, responses are written strictly in that connection's
 /// request order. Across connections no order is promised (requests from
@@ -104,10 +106,11 @@ struct NetStats {
 /// response bytes are identical to what --batch would print for the same
 /// entry.
 ///
-/// Overload: admission is against the shared waiting room; when it is
-/// full the request is answered immediately with the deterministic
-/// RESOURCE_EXHAUSTED shed shape (ServeShedLine) — bounded memory and
-/// bounded latency, never an unbounded queue.
+/// Overload: admission counts every admitted-but-unanswered request,
+/// waiting or in the engine, against queue_limit; beyond it the request
+/// is answered immediately with the deterministic RESOURCE_EXHAUSTED shed
+/// shape (ServeShedLine) — bounded memory and bounded latency, never an
+/// unbounded queue.
 ///
 /// Drain (SIGTERM/SIGINT via InstallSignalHandlers, or BeginDrain): the
 /// server stops accepting and stops reading, finishes every admitted
@@ -117,6 +120,11 @@ struct NetStats {
 /// All socket I/O is EINTR-safe and SIGPIPE-proof (MSG_NOSIGNAL; the CLI
 /// additionally ignores SIGPIPE): a peer that disconnects mid-response
 /// costs one connection, never the server.
+///
+/// No engine callback touches the server once Run can observe that the
+/// callback's response arrived, and Run returns only after every request
+/// it submitted has answered, so the server may be destroyed as soon as
+/// Run returns.
 class NetServer {
  public:
   explicit NetServer(BatchEngine& engine, NetServerOptions options);
@@ -135,8 +143,19 @@ class NetServer {
   /// or 0 when none.
   int port() const { return bound_port_; }
 
+  /// Adds one connection that reads requests from `in_fd` and writes
+  /// responses to `out_fd` (stdin/stdout, a FIFO, files, a socketpair).
+  /// Pipes, FIFOs and files are served with read/write, sockets with
+  /// recv/send. The fds are made non-blocking while served; the caller
+  /// keeps ownership, and their original file-status flags come back
+  /// when the peer closes. When the peer closes — end of input and every
+  /// response written, or a write error — the server drains and Run
+  /// returns. Call before Run.
+  Status AddPeer(int in_fd, int out_fd);
+
   /// Runs the event loop until a drain completes. Blocks the calling
-  /// thread; spawns and joins the processing thread internally.
+  /// thread; spawns and joins the processing thread internally. An error
+  /// without a listener or a peer.
   Status Run();
 
   /// Requests a graceful drain. Async-signal-safe (an atomic flag and a
@@ -158,9 +177,12 @@ class NetServer {
   struct RoutedResponse;
 
   void ProcessLoop();
+  void Answer(int64_t conn_id, int64_t conn_seq, std::string line,
+              ServeAnswer answer);
   void WakeLoop();
   void DrainWakeupPipe();
   void AcceptReady(int listen_fd);
+  void AddConnection(Connection conn);
   void HandleReadable(Connection& conn);
   void ConsumeInput(Connection& conn, const char* data, size_t len);
   void HandleOverlong(Connection& conn);
@@ -178,7 +200,6 @@ class NetServer {
   BatchEngine& engine_;
   const NetServerOptions options_;
   const int queue_limit_;
-  const int chunk_;
   const size_t max_line_bytes_;
 
   struct Listener {
@@ -195,12 +216,15 @@ class NetServer {
   int64_t next_connection_id_ = 1;
   bool draining_ = false;
 
-  // Shared waiting room and response queue (event loop <-> processor).
+  // Shared waiting room and response queue (event loop <-> processor <->
+  // engine workers).
   mutable std::mutex mu_;
   std::condition_variable work_cv_;
+  std::condition_variable answered_cv_;  // in_engine_ fell
   std::deque<PendingRequest> queue_;
   std::vector<RoutedResponse> responses_;
   int64_t outstanding_ = 0;  // admitted, response not yet routed
+  int64_t in_engine_ = 0;    // handed to ServeRequest, not yet answered
   bool processor_exit_ = false;
   bool hold_ = false;
   std::thread processor_;

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -109,6 +111,51 @@ TEST(EngineDeterminism, CacheIsOutputInvisibleAndWarmRunsHit) {
     EXPECT_EQ(uncached_lines[i], cold_lines[i]) << requests[i].name;
     EXPECT_EQ(cold_lines[i], warm_lines[i]) << requests[i].name;
   }
+}
+
+// Submit is thread-safe and the one way work enters the pool: several
+// threads submitting the corpus into one engine at once get, request for
+// request, the report lines a serial Run produces.
+TEST(EngineTest, ConcurrentSubmitMatchesRun) {
+  std::vector<BatchRequest> requests = CorpusRequests();
+  BatchEngine serial(EngineOptions{/*jobs=*/1, /*use_cache=*/true});
+  std::vector<std::string> expected =
+      JsonLines(requests, serial.Run(requests));
+
+  constexpr size_t kThreads = 3;
+  std::mutex mu;
+  std::condition_variable answered;
+  std::vector<std::vector<std::string>> lines(
+      kThreads, std::vector<std::string>(requests.size()));
+  size_t done = 0;
+  BatchEngine engine(EngineOptions{/*jobs=*/4, /*use_cache=*/true});
+  std::vector<std::thread> submitters;
+  for (size_t t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&, t] {
+      for (size_t i = 0; i < requests.size(); ++i) {
+        engine.Submit(requests[i], [&, t, i](BatchItemResult result) {
+          std::string line = ReportToJsonLine(result.name, requests[i].name,
+                                              result.status, result.report);
+          std::lock_guard<std::mutex> lock(mu);
+          lines[t][i] = std::move(line);
+          ++done;
+          answered.notify_all();
+        });
+      }
+    });
+  }
+  for (std::thread& submitter : submitters) submitter.join();
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    answered.wait(lock, [&] { return done == kThreads * requests.size(); });
+  }
+  for (size_t t = 0; t < kThreads; ++t) {
+    for (size_t i = 0; i < requests.size(); ++i) {
+      EXPECT_EQ(lines[t][i], expected[i]) << requests[i].name;
+    }
+  }
+  EXPECT_EQ(engine.stats().requests,
+            static_cast<int64_t>(kThreads * requests.size()));
 }
 
 // The engine must agree with the serial TerminationAnalyzer entry point on

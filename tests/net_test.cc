@@ -1,20 +1,25 @@
-// Socket-transport suite (docs/serve.md, src/net/): the poll event loop
-// behind --listen. Contracts under test: per-request responses carry the
-// same protocol as the FIFO serve loop (and therefore --batch), each
-// connection's responses come back in its own request order however many
-// clients interleave, overload sheds deterministically through the shared
-// waiting room, torn/over-long frames get structured errors without
-// killing the connection (or the server), idle peers are disconnected,
-// and a graceful drain answers everything admitted and leaves an attached
-// store flushed and clean.
+// Transport suite (docs/serve.md, src/net/): the poll event loop behind
+// --listen and --serve. Contracts under test: per-request responses carry
+// the --batch protocol, each connection's responses come back in its own
+// request order however many clients interleave, overload sheds
+// deterministically through the shared waiting room, torn/over-long
+// frames get structured errors without killing the connection (or the
+// server), idle peers are disconnected, a light request is not held
+// behind a heavy one, and a graceful drain answers everything admitted
+// and leaves an attached store flushed and clean. The ServeTest cases
+// drive the stdio peer (--serve FIFO|-) over files: the JSONL protocol,
+// per-line error isolation, strict response ordering, and deterministic
+// shedding.
 //
 // Lives in its own binary (label "net") so scripts/check.sh --serve can
-// drive it through the ASan and TSan trees: the event loop + processing
-// thread handoff is exactly where a lifetime or lock-order mistake would
-// surface.
+// drive it through the ASan and TSan trees: the event loop, processing
+// thread and engine-callback handoffs are exactly where a lifetime or
+// lock-order mistake would surface.
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -29,10 +34,12 @@
 #include <thread>
 #include <vector>
 
+#include "corpus/corpus.h"
 #include "engine/engine.h"
 #include "net/net.h"
 #include "persist/store.h"
 #include "util/json.h"
+#include "util/string_util.h"
 
 namespace termilog {
 namespace {
@@ -64,6 +71,8 @@ Response ParseResponse(const std::string& line) {
   Result<JsonValue> parsed = ParseJson(line);
   EXPECT_TRUE(parsed.ok()) << line;
   if (!parsed.ok()) return response;
+  EXPECT_TRUE(parsed->Has("name")) << line;
+  EXPECT_TRUE(parsed->Has("ok")) << line;
   response.name = parsed->At("name").StringOr("");
   response.ok = parsed->At("ok").BoolOr(false);
   response.error = parsed->At("error").StringOr("");
@@ -75,9 +84,10 @@ Response ParseResponse(const std::string& line) {
 // join on Run().
 class TestServer {
  public:
-  explicit TestServer(net::NetServerOptions options, int jobs = 2)
-      : engine_(EngineOptions{jobs, /*use_cache=*/true}),
-        server_(engine_, std::move(options)) {}
+  explicit TestServer(net::NetServerOptions options,
+                      EngineOptions engine_options = EngineOptions{
+                          /*jobs=*/2, /*use_cache=*/true})
+      : engine_(engine_options), server_(engine_, std::move(options)) {}
 
   ~TestServer() {
     if (thread_.joinable()) Stop();
@@ -95,6 +105,12 @@ class TestServer {
 
   Status Stop() {
     server_.BeginDrain();
+    return Wait();
+  }
+
+  // Joins a server that ends on its own, as one with a peer does once
+  // the peer closes.
+  Status Wait() {
     thread_.join();
     return run_status_;
   }
@@ -181,11 +197,80 @@ class RawClient {
     fd_ = -1;
   }
 
+  // Whether a response (or EOF) is already here, without blocking.
+  bool HasData() {
+    if (!buffer_.empty()) return true;
+    pollfd pfd{fd_, POLLIN, 0};
+    return ::poll(&pfd, 1, 0) > 0;
+  }
+
  private:
   int fd_ = -1;
   bool connected_ = false;
   std::string buffer_;
 };
+
+// The stdio peer of --serve over files, as `--serve IN >OUT` runs it:
+// requests from one temp file, responses into another.
+class FilePeer {
+ public:
+  FilePeer(const std::string& name, const std::string& input)
+      : in_path_(TempPath(name + ".in")), out_path_(TempPath(name + ".out")) {
+    std::ofstream(in_path_, std::ios::binary) << input;
+    in_fd_ = ::open(in_path_.c_str(), O_RDONLY);
+    out_fd_ = ::open(out_path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  }
+
+  ~FilePeer() {
+    ::close(in_fd_);
+    ::close(out_fd_);
+    std::error_code ec;
+    fs::remove(in_path_, ec);
+    fs::remove(out_path_, ec);
+  }
+
+  Status AddTo(net::NetServer& server) {
+    return server.AddPeer(in_fd_, out_fd_);
+  }
+
+  // Whether both fds are blocking again, as AddPeer found them.
+  bool FlagsRestored() const {
+    return (::fcntl(in_fd_, F_GETFL) & O_NONBLOCK) == 0 &&
+           (::fcntl(out_fd_, F_GETFL) & O_NONBLOCK) == 0;
+  }
+
+  std::vector<std::string> ResponseLines() const {
+    std::ifstream in(out_path_, std::ios::binary);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    return lines;
+  }
+
+ private:
+  static std::string TempPath(const std::string& name) {
+    return (fs::path(::testing::TempDir()) /
+            ("termilog_peer_" + std::to_string(::getpid()) + "_" + name))
+        .string();
+  }
+
+  std::string in_path_;
+  std::string out_path_;
+  int in_fd_ = -1;
+  int out_fd_ = -1;
+};
+
+// Serves `input` through the server's stdio peer on this thread; Run
+// returns once the peer has read its whole input and every response is
+// written.
+std::vector<std::string> ServeThroughPeer(TestServer& server,
+                                          const std::string& name,
+                                          const std::string& input) {
+  FilePeer peer(name, input);
+  EXPECT_TRUE(peer.AddTo(server.server()).ok());
+  EXPECT_TRUE(server.server().Run().ok());
+  EXPECT_TRUE(peer.FlagsRestored());
+  return peer.ResponseLines();
+}
 
 TEST(NetAddressTest, ParsesUnixAndTcpSpecs) {
   Result<net::NetAddress> unix_addr = net::ParseNetAddress("unix:/tmp/x.sock");
@@ -518,6 +603,290 @@ TEST(NetServerTest, GracefulDrainLeavesAttachedStoreFlushedAndClean) {
   EXPECT_EQ((*reopened)->stats().tail_bytes_truncated, 0);
   EXPECT_GT((*reopened)->size(), 0);
   fs::remove(store_path, ec);
+}
+
+// The corpus's slowest entry, `nnf` (one inference task and one SCC
+// task, hundreds of milliseconds), as a request line named "heavy".
+std::string HeavyRequestLine() {
+  const CorpusEntry* nnf = FindCorpusEntry("nnf");
+  EXPECT_NE(nnf, nullptr);
+  return "{\"name\":\"heavy\",\"source\":\"" + JsonEscape(nnf->source) +
+         "\",\"query\":\"nnf(b,f)\"}\n";
+}
+
+// A light request must not wait for a heavy one admitted before it: the
+// engine runs each request's tasks as workers free up, so with two
+// workers the second one answers `app` while `nnf` is still in analysis.
+TEST(NetServerTest, LightRequestIsNotHeldBehindAHeavyOne) {
+  const std::string path = SocketPath("light");
+  TestServer server((net::NetServerOptions()));
+  ASSERT_TRUE(server.Listen("unix:" + path).ok());
+  server.Start();
+
+  RawClient heavy(path);
+  ASSERT_TRUE(heavy.connected());
+  ASSERT_TRUE(heavy.Send(HeavyRequestLine()));
+  ASSERT_TRUE(server.WaitForStats(
+      [](const net::NetStats& s) { return s.lines == 1; }));
+
+  RawClient light(path);
+  ASSERT_TRUE(light.connected());
+  ASSERT_TRUE(light.Send(RequestLine("light") + "\n"));
+  std::string line;
+  ASSERT_EQ(light.ReadLine(&line), 1);
+  EXPECT_EQ(ParseResponse(line).name, "light");
+  // The heavy response has not been written yet.
+  EXPECT_FALSE(heavy.HasData()) << "the light request waited for nnf";
+  ASSERT_EQ(heavy.ReadLine(&line), 1);
+  Response response = ParseResponse(line);
+  EXPECT_EQ(response.name, "heavy");
+  EXPECT_TRUE(response.ok) << line;
+  EXPECT_TRUE(server.Stop().ok());
+}
+
+// The waiting room holds every admitted request until it is answered,
+// including one the engine is already analyzing: with room for one, a
+// request that arrives while `nnf` is in analysis is shed.
+TEST(NetServerTest, WaitingRoomCountsRequestsBeingAnalyzed) {
+  const std::string path = SocketPath("room");
+  net::NetServerOptions options;
+  options.serve.queue_limit = 1;
+  TestServer server(options);
+  ASSERT_TRUE(server.Listen("unix:" + path).ok());
+  server.Start();
+
+  RawClient heavy(path);
+  ASSERT_TRUE(heavy.connected());
+  ASSERT_TRUE(heavy.Send(HeavyRequestLine()));
+  ASSERT_TRUE(server.WaitForStats(
+      [](const net::NetStats& s) { return s.lines == 1; }));
+
+  RawClient light(path);
+  ASSERT_TRUE(light.connected());
+  ASSERT_TRUE(light.Send(RequestLine("light") + "\n"));
+  std::string line;
+  ASSERT_EQ(light.ReadLine(&line), 1);
+  Response shed = ParseResponse(line);
+  EXPECT_EQ(shed.name, "light");
+  EXPECT_NE(shed.error.find("server overloaded: waiting room full"),
+            std::string::npos)
+      << line;
+  ASSERT_EQ(heavy.ReadLine(&line), 1);
+  EXPECT_TRUE(ParseResponse(line).ok) << line;
+  EXPECT_TRUE(server.Stop().ok());
+  EXPECT_EQ(server.server().stats().shed, 1);
+}
+
+TEST(ServeTest, AnswersEachRequestInOrder) {
+  TestServer server(net::NetServerOptions(),
+                    EngineOptions{/*jobs=*/2, /*use_cache=*/true});
+  std::vector<std::string> lines = ServeThroughPeer(
+      server, "order",
+      RequestLine("r0") + "\n" + RequestLine("r1") + "\n" +
+          "\n" +  // blank lines are skipped, not answered
+          RequestLine("r2") + "\n");
+  net::NetStats stats = server.server().stats();
+  EXPECT_EQ(stats.lines, 3);
+  EXPECT_EQ(stats.served, 3);
+  EXPECT_EQ(stats.shed, 0);
+  EXPECT_EQ(stats.errors, 0);
+  ASSERT_EQ(lines.size(), 3u);
+  for (int i = 0; i < 3; ++i) {
+    Response response = ParseResponse(lines[i]);
+    EXPECT_EQ(response.name, "r" + std::to_string(i));
+    EXPECT_TRUE(response.ok) << lines[i];
+  }
+}
+
+TEST(ServeTest, BadLinesGetErrorResponsesAndTheLoopKeepsServing) {
+  TestServer server(net::NetServerOptions(),
+                    EngineOptions{/*jobs=*/1, /*use_cache=*/true});
+  std::vector<std::string> lines = ServeThroughPeer(
+      server, "bad",
+      RequestLine("good") + "\n" + "this is not json\n" +
+          "{\"name\":\"nosource\"}\n" + RequestLine("also") + "\n");
+  net::NetStats stats = server.server().stats();
+  EXPECT_EQ(stats.lines, 4);
+  EXPECT_EQ(stats.served, 2);
+  EXPECT_EQ(stats.errors, 2);
+  ASSERT_EQ(lines.size(), 4u);
+  EXPECT_TRUE(ParseResponse(lines[0]).ok);
+  Response garbage = ParseResponse(lines[1]);
+  EXPECT_FALSE(garbage.ok);
+  // The error names the offending line so a client tailing the stream
+  // can find it in its own log.
+  EXPECT_NE(garbage.error.find("line 2"), std::string::npos) << lines[1];
+  EXPECT_FALSE(ParseResponse(lines[2]).ok);
+  EXPECT_TRUE(ParseResponse(lines[3]).ok);
+}
+
+TEST(ServeTest, OverloadShedsDeterministicallyBeyondQueueLimit) {
+  constexpr int kRequests = 10, kQueueLimit = 3;
+  net::NetServerOptions options;
+  options.serve.queue_limit = kQueueLimit;
+  // Freeze the processor until the server has seen all input: exactly
+  // queue_limit requests fit the waiting room, the rest must shed.
+  options.hold_processing = true;
+  TestServer server(options, EngineOptions{/*jobs=*/2, /*use_cache=*/true});
+  std::string input;
+  for (int i = 0; i < kRequests; ++i) {
+    input += RequestLine("r" + std::to_string(i)) + "\n";
+  }
+  FilePeer peer("shed", input);
+  ASSERT_TRUE(peer.AddTo(server.server()).ok());
+  server.Start();
+  ASSERT_TRUE(server.WaitForStats(
+      [&](const net::NetStats& s) { return s.lines == kRequests; }));
+  server.server().ReleaseProcessing();
+  ASSERT_TRUE(server.Wait().ok());
+  net::NetStats stats = server.server().stats();
+  EXPECT_EQ(stats.lines, kRequests);
+  EXPECT_EQ(stats.served, kQueueLimit);
+  EXPECT_EQ(stats.shed, kRequests - kQueueLimit);
+  EXPECT_EQ(stats.errors, 0);
+
+  std::vector<std::string> lines = peer.ResponseLines();
+  ASSERT_EQ(lines.size(), static_cast<size_t>(kRequests));
+  std::string shed_line;
+  for (int i = 0; i < kRequests; ++i) {
+    Response response = ParseResponse(lines[i]);
+    // Responses arrive in request order even though shed responses are
+    // written by the event loop and served ones come from engine workers.
+    EXPECT_EQ(response.name, "r" + std::to_string(i));
+    if (i < kQueueLimit) {
+      EXPECT_TRUE(response.ok) << lines[i];
+    } else {
+      EXPECT_FALSE(response.ok) << lines[i];
+      EXPECT_NE(response.error.find("server overloaded"), std::string::npos);
+      EXPECT_NE(response.error.find("retry"), std::string::npos);
+      // Deterministic shed bytes: every shed response is identical
+      // except for the request name.
+      std::string tail = lines[i].substr(lines[i].find("\"ok\""));
+      if (shed_line.empty()) {
+        shed_line = tail;
+      } else {
+        EXPECT_EQ(tail, shed_line);
+      }
+    }
+  }
+}
+
+TEST(ServeTest, UnknownRequestKindGetsStructuredErrorResponse) {
+  TestServer server(net::NetServerOptions(),
+                    EngineOptions{/*jobs=*/1, /*use_cache=*/true});
+  // An unknown "kind" is a protocol error on that line only: the response
+  // uses the same structured error shape as any other bad line, names the
+  // offending kind, and the loop keeps serving subsequent requests.
+  std::string bad = "{\"name\":\"mystery\",\"kind\":\"frobnicate\","
+                    "\"source\":\"p(a).\"}\n";
+  std::vector<std::string> lines =
+      ServeThroughPeer(server, "kind", bad + RequestLine("after") + "\n");
+  net::NetStats stats = server.server().stats();
+  EXPECT_EQ(stats.lines, 2);
+  EXPECT_EQ(stats.served, 1);
+  EXPECT_EQ(stats.errors, 1);
+  EXPECT_EQ(stats.conditions, 0);
+  ASSERT_EQ(lines.size(), 2u);
+  Response unknown = ParseResponse(lines[0]);
+  EXPECT_EQ(unknown.name, "mystery");
+  EXPECT_FALSE(unknown.ok);
+  EXPECT_NE(unknown.error.find("unknown request kind"), std::string::npos)
+      << lines[0];
+  EXPECT_NE(unknown.error.find("frobnicate"), std::string::npos) << lines[0];
+  EXPECT_TRUE(ParseResponse(lines[1]).ok);
+}
+
+TEST(ServeTest, ConditionsKindAnswersWithSweepReport) {
+  TestServer server(net::NetServerOptions(),
+                    EngineOptions{/*jobs=*/2, /*use_cache=*/true});
+  std::string conditions = "{\"name\":\"sweep\",\"kind\":\"conditions\","
+                           "\"source\":\"" + std::string(kAppendSource) +
+                           "\"}\n";
+  std::vector<std::string> lines = ServeThroughPeer(
+      server, "conditions", RequestLine("plain") + "\n" + conditions);
+  net::NetStats stats = server.server().stats();
+  EXPECT_EQ(stats.lines, 2);
+  EXPECT_EQ(stats.served, 2);
+  EXPECT_EQ(stats.errors, 0);
+  EXPECT_EQ(stats.conditions, 1);
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_TRUE(ParseResponse(lines[0]).ok);
+  Response sweep = ParseResponse(lines[1]);
+  EXPECT_EQ(sweep.name, "sweep");
+  EXPECT_TRUE(sweep.ok) << lines[1];
+  EXPECT_NE(lines[1].find("\"kind\":\"conditions\""), std::string::npos);
+  EXPECT_NE(lines[1].find("\"minimal_modes\":[\"bff\",\"ffb\"]"),
+            std::string::npos)
+      << lines[1];
+}
+
+TEST(ServeTest, ConditionsKindReportsUnparseableProgramAsError) {
+  TestServer server(net::NetServerOptions(),
+                    EngineOptions{/*jobs=*/1, /*use_cache=*/true});
+  std::vector<std::string> lines = ServeThroughPeer(
+      server, "broken",
+      "{\"name\":\"broken\",\"kind\":\"conditions\",\"source\":\"p(\"}\n");
+  net::NetStats stats = server.server().stats();
+  EXPECT_EQ(stats.served, 0);
+  EXPECT_EQ(stats.errors, 1);
+  EXPECT_EQ(stats.conditions, 0);
+  ASSERT_EQ(lines.size(), 1u);
+  Response broken = ParseResponse(lines[0]);
+  EXPECT_EQ(broken.name, "broken");
+  EXPECT_FALSE(broken.ok);
+  EXPECT_NE(lines[0].find("\"kind\":\"conditions\""), std::string::npos);
+}
+
+TEST(ServeTest, OverlongLinesAreDiscardedWithAStructuredError) {
+  net::NetServerOptions options;
+  options.serve.max_line_bytes = 128;
+  TestServer server(options, EngineOptions{/*jobs=*/1, /*use_cache=*/true});
+  // A 1 MiB request line against a 128-byte cap: the server must answer
+  // with the per-request error shape while buffering at most the cap,
+  // and the next (short enough) request must still be served. The short
+  // request has to actually fit, so use a trivial program inline.
+  std::string tiny = "{\"name\":\"tiny\",\"source\":\"p(a).\","
+                     "\"query\":\"p(b)\"}\n";
+  ASSERT_LT(tiny.size(), 128u);
+  std::vector<std::string> lines = ServeThroughPeer(
+      server, "overlong",
+      "{\"name\":\"flood\",\"source\":\"" + std::string(1 << 20, 'x') +
+          "\"}\n" + tiny);
+  net::NetStats stats = server.server().stats();
+  EXPECT_EQ(stats.lines, 2);
+  EXPECT_EQ(stats.served, 1);
+  EXPECT_EQ(stats.errors, 1);
+  EXPECT_EQ(stats.overlong, 1);
+  ASSERT_EQ(lines.size(), 2u);
+  Response flood = ParseResponse(lines[0]);
+  // The request name is unknowable (the line was never parsed), so the
+  // error names the input position instead.
+  EXPECT_EQ(flood.name, "manifest:1");
+  EXPECT_FALSE(flood.ok);
+  EXPECT_NE(flood.error.find("128-byte line cap"), std::string::npos)
+      << lines[0];
+  Response tiny_response = ParseResponse(lines[1]);
+  EXPECT_EQ(tiny_response.name, "tiny");
+  EXPECT_TRUE(tiny_response.ok) << lines[1];
+}
+
+TEST(ServeTest, PerRequestLimitsOverrideTheBase) {
+  TestServer server(net::NetServerOptions(),
+                    EngineOptions{/*jobs=*/1, /*use_cache=*/false});
+  // A work budget of 1 cannot complete the SCC analysis: the report must
+  // come back resource-limited, but still as a valid ok:true response.
+  std::string line = "{\"name\":\"starved\",\"source\":\"" +
+                     std::string(kAppendSource) +
+                     "\",\"query\":\"app(b,f,f)\"," +
+                     "\"limits\":{\"work_budget\":1}}\n";
+  std::vector<std::string> lines =
+      ServeThroughPeer(server, "limits", line + RequestLine("fed") + "\n");
+  EXPECT_EQ(server.server().stats().served, 2);
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_NE(lines[0].find("\"resource_limited\":true"), std::string::npos)
+      << lines[0];
+  EXPECT_NE(lines[1].find("\"resource_limited\":false"), std::string::npos)
+      << lines[1];
 }
 
 }  // namespace
