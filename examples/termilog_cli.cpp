@@ -27,10 +27,12 @@
 // (# comments and blank lines ignored), or — when its first byte is '{' —
 // a JSONL manifest (docs/generator.md): one JSON object per line with
 // "source" (inline program) or "file", plus optional "query", "name",
-// "expect" and per-request "limits". Output is one JSON line per request,
-// streamed to stdout in request order — byte-identical for every --jobs
-// value — with an aggregate stats object (cache hits/misses, work spend)
-// on stderr.
+// "expect" and per-request "limits". A "kind":"conditions" line, or one
+// with neither a "query" nor a mode directive, is answered the way serve
+// mode answers it (ServeRequest), so the bytes match. Output is one JSON
+// line per request, streamed to stdout in request order — byte-identical
+// for every --jobs value — with an aggregate stats object (cache
+// hits/misses, work spend) on stderr.
 //
 // Generator mode (--gen, docs/generator.md) emits a JSONL manifest of
 // synthetic programs with declared expected verdicts to --out (default
@@ -158,12 +160,15 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <climits>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -197,10 +202,14 @@ int VerdictExit(bool proved, bool resource_limited,
   return resource_limited ? kExitResourceLimited : kExitNotProved;
 }
 
+// A value past the int64 range is rejected, never saturated.
 bool ParseInt64Flag(const char* text, int64_t* out) {
   char* end = nullptr;
+  errno = 0;
   long long value = std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0' || value < 0) return false;
+  if (end == text || *end != '\0' || errno == ERANGE || value < 0) {
+    return false;
+  }
   *out = value;
   return true;
 }
@@ -234,6 +243,10 @@ struct BatchPlan {
   std::vector<size_t> request_slot;   // request index -> output slot
   std::vector<std::string> request_query;  // query text for the JSON line
   std::vector<std::string> request_expect;  // declared verdict ("" = none)
+  // JSONL entries answered through the serve path (ServeRequest), so
+  // --batch prints the bytes --serve does: "kind":"conditions" sweeps and
+  // entries with neither a "query" nor a mode directive. Slot, entry.
+  std::vector<std::pair<size_t, gen::ManifestEntry>> served;
   bool any_error = false;
   // Expectation attached to the entry currently being expanded (JSONL
   // manifests only); AddProgram stamps it onto every request it creates.
@@ -284,6 +297,11 @@ struct BatchPlan {
     }
   }
 
+  void AddServed(const gen::ManifestEntry& entry) {
+    served.emplace_back(lines.size(), entry);
+    lines.emplace_back(std::nullopt);
+  }
+
   // One JSONL manifest entry (inline source or program file), with its
   // per-request limits and declared expectation.
   void AddManifestEntry(const gen::ManifestEntry& entry,
@@ -292,6 +310,10 @@ struct BatchPlan {
       // Truncated or garbage manifest line: one error response for it,
       // the rest of the batch still runs (docs/generator.md).
       AddErrorLine(entry.name, entry.error);
+      return;
+    }
+    if (entry.kind == "conditions") {
+      AddServed(entry);
       return;
     }
     AnalysisOptions options = base;
@@ -313,6 +335,8 @@ struct BatchPlan {
     Result<Program> parsed = ParseProgram(source);
     if (!parsed.ok()) {
       AddErrorLine(entry.name, parsed.status());
+    } else if (entry.query.empty() && parsed->mode_decls().empty()) {
+      AddServed(entry);
     } else {
       AddProgram(entry.name, *parsed, entry.query, options);
     }
@@ -519,6 +543,11 @@ int RunBatch(const std::string& batch_path, const AnalysisOptions& options,
   int64_t expect_mismatches = 0;
   size_t next_request = 0;
   size_t next_to_print = 0;
+  // Served entries fill their slots from engine workers, so the slots and
+  // the verdict tally are shared under `mu`; flush runs with it held.
+  std::mutex mu;
+  std::condition_variable served_cv;
+  size_t served_left = plan.served.size();
   auto flush = [&] {
     while (next_to_print < plan.lines.size() &&
            plan.lines[next_to_print].has_value()) {
@@ -527,7 +556,22 @@ int RunBatch(const std::string& batch_path, const AnalysisOptions& options,
     }
     std::fflush(stdout);
   };
+  for (auto& [slot, entry] : plan.served) {
+    ServeRequest(engine, std::move(entry), options,
+                 [&, slot = slot](std::string line, ServeAnswer answer) {
+                   std::lock_guard<std::mutex> lock(mu);
+                   plan.lines[slot] = std::move(line);
+                   // A served plain entry is always an error line.
+                   all_proved = all_proved &&
+                                answer == ServeAnswer::kConditionsReport;
+                   any_limited = any_limited ||
+                                 answer == ServeAnswer::kConditionsLimited;
+                   --served_left;
+                   served_cv.notify_all();
+                 });
+  }
   engine.Run(plan.requests, [&](const BatchItemResult& item) {
+    std::lock_guard<std::mutex> lock(mu);
     size_t index = next_request++;
     plan.lines[plan.request_slot[index]] = ReportToJsonLine(
         item.name, plan.request_query[index], item.status, item.report);
@@ -558,7 +602,11 @@ int RunBatch(const std::string& batch_path, const AnalysisOptions& options,
     }
     flush();
   });
-  flush();
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    served_cv.wait(lock, [&] { return served_left == 0; });
+    flush();
+  }
 
   std::fprintf(stderr, "%s\n",
                EngineStatsToJson(engine.stats(), jobs).c_str());
@@ -1030,8 +1078,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--store-auto-compact" && i + 1 < argc) {
       char* end = nullptr;
       store_auto_compact = std::strtod(argv[++i], &end);
-      if (end == argv[i] || *end != '\0' || store_auto_compact <= 0.0 ||
-          store_auto_compact > 1.0) {
+      // Negated, so NaN (which fails every comparison) is rejected too.
+      if (end == argv[i] || *end != '\0' ||
+          !(store_auto_compact > 0.0 && store_auto_compact <= 1.0)) {
         return Fail("--store-auto-compact wants a ratio in (0, 1]");
       }
     } else if (arg == "--gen" && i + 1 < argc) {

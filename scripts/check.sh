@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Repo check driver (docs/robustness.md):
 #   1. tier-1 verify: configure + build + full ctest in build/ (includes
-#      the stress-labelled smoke at its default 200-request size), plus a
-#      CLI check that an integer flag above INT_MAX is rejected (exit 1)
-#      rather than narrowed
+#      the stress-labelled smoke at its default 200-request size), plus
+#      CLI checks that out-of-range flag values are rejected (exit 1)
+#      rather than narrowed or saturated: an int flag above INT_MAX, an
+#      int64 flag past the int64 range, and a NaN ratio
 #   2. UBSan pass of the unit and engine suites in build-ubsan/ (the
 #      arithmetic kernel lives in the unit suite; docs/arithmetic.md)
 #   3. ASan+UBSan pass of the engine, obs and condinf suites in
@@ -21,8 +22,9 @@
 #   b. the 10k-request CLI round trip: termilog --gen writes a manifest,
 #      --batch replays it at jobs=1 and jobs=8 with --check-expect, and
 #      the two output streams must be byte-identical
-#   c. bench_engine --chaos: seeded failpoint replay (ladder degradation,
-#      cache self-check, clean-round recovery, store-fault rounds)
+#   c. bench_engine --chaos 7: seeded failpoint replay (ladder
+#      degradation, cache self-check, clean-round recovery, store-fault
+#      rounds); BENCH_engine_chaos.json is this run's output
 #
 # --conditions runs the termination-condition sweep harness
 # (docs/conditions.md):
@@ -46,9 +48,11 @@
 #   c. the socket-mode kill -9 drill: a --listen server with --store is
 #      SIGKILLed mid-load, a restarted server replays the manifest from
 #      the survivor store (nonzero persisted hits), byte-identical again
-#   d. a stdio round trip: --serve - (the stdio peer of the same NetServer)
-#      over the same manifest, with --queue-limit above the request count,
-#      must be byte-identical to --batch
+#   d. stdio round trips: --serve - (the stdio peer of the same NetServer),
+#      with --queue-limit above the request count, must be byte-identical
+#      to --batch over the same manifest, and over a modes=2 manifest of
+#      "kind":"conditions" sweep lines plus one line with neither a query
+#      nor a mode directive (--batch answers both through the serve path)
 #   e. a FIFO drill: --serve FIFO --store is sent SIGTERM while its writer
 #      is still open; it must drain to exit 0, print the stats line, emit
 #      a prefix of the --batch stream, and leave a store that reopens with
@@ -94,14 +98,18 @@ run() {
 run cmake -B build -S . -DTERMILOG_OBS=ON
 run cmake --build build -j "$JOBS"
 run ctest --test-dir build --output-on-failure -j "$JOBS"
-# An int flag above INT_MAX is a usage error, not a wrapped value.
-rc=0
-./build/examples/termilog_cli --jobs 4294967298 --corpus perm \
-    >/dev/null 2>&1 || rc=$?
-if [[ "$rc" -ne 1 ]]; then
-  echo "check.sh: --jobs 4294967298 exited $rc, want 1" >&2
-  exit 1
-fi
+# An out-of-range flag value is a usage error, not a wrapped, saturated
+# or ignored value.
+for flag in "--jobs 4294967298" "--deadline-ms 99999999999999999999999" \
+            "--store-auto-compact nan"; do
+  rc=0
+  # Unquoted on purpose: "--flag value" splits into two words.
+  ./build/examples/termilog_cli $flag --corpus perm >/dev/null 2>&1 || rc=$?
+  if [[ "$rc" -ne 1 ]]; then
+    echo "check.sh: $flag exited $rc, want 1" >&2
+    exit 1
+  fi
+done
 
 if [[ "${1:-}" == "--tier1-only" ]]; then
   echo "check.sh: tier-1 OK (sanitizer passes skipped)" >&2
@@ -260,10 +268,21 @@ if [[ "${1:-}" == "--serve" ]]; then
     exit 1
   fi
 
-  # --- d. stdio round trip: the --serve peer matches --batch -------------
+  # --- d. stdio round trips: the --serve peer matches --batch ------------
   run ./build/examples/termilog_cli --serve - --jobs 4 --queue-limit 4000 \
       <"$manifest" >"$workdir/out.stdio.jsonl" 2>/dev/null
   run cmp "$workdir/out.ref.jsonl" "$workdir/out.stdio.jsonl"
+  # Sweep lines and a modeless, queryless line take the serve path in
+  # --batch too, so their bytes match.
+  sweeps="$workdir/sweeps.jsonl"
+  run ./build/examples/termilog_cli \
+      --gen "7:count=40,sccs=1-3,arity=3,modes=2,mix=70/30/0" --out "$sweeps"
+  echo '{"name":"modeless","source":"p(s(X)) :- p(X).\np(0).\n"}' >>"$sweeps"
+  run_batch ./build/examples/termilog_cli --batch "$sweeps" --jobs 2 \
+      >"$workdir/sweeps.batch.jsonl"
+  run ./build/examples/termilog_cli --serve - --jobs 2 --queue-limit 1000 \
+      <"$sweeps" >"$workdir/sweeps.stdio.jsonl" 2>/dev/null
+  run cmp "$workdir/sweeps.batch.jsonl" "$workdir/sweeps.stdio.jsonl"
 
   # --- e. FIFO drill: SIGTERM drains --serve to exit 0 ------------------
   fifo="$workdir/serve.fifo"

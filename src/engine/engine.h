@@ -61,8 +61,7 @@ struct BatchItemResult {
   /// the work the request cost, not how oversubscribed the machine was
   /// (on a single core, wall-interval task times inflate roughly jobs-
   /// fold); it therefore excludes time blocked in single-flight waits.
-  /// Wall-clock accounting — never part of the deterministic report bytes
-  /// (bench_engine's p50/p95/p99 columns).
+  /// Accounting only, never part of the deterministic report bytes.
   int64_t latency_us = 0;
   /// Admission-to-completion wall microseconds: from the moment a worker
   /// picked up the request's preparation to the completion of its last

@@ -115,7 +115,8 @@ void ServeRequest(BatchEngine& engine, gen::ManifestEntry entry,
                                  conditions_options),
         [emit = std::move(emit)](condinf::ConditionsReport report) {
           emit(condinf::ConditionsReportToJsonLine(report),
-               ServeAnswer::kConditionsReport);
+               report.resource_limited ? ServeAnswer::kConditionsLimited
+                                       : ServeAnswer::kConditionsReport);
         });
     return;
   }

@@ -41,11 +41,12 @@ struct ServeOptions {
   size_t max_line_bytes = 1 << 20;
 };
 
-/// How ServeRequest answered a request, for the transport's counters.
+/// How ServeRequest answered a request: net counters, --batch exit codes.
 enum class ServeAnswer {
-  kReport,            // a plain request, analyzed
-  kConditionsReport,  // a "kind":"conditions" sweep, completed
-  kError,             // the structured per-request error shape
+  kReport,             // a plain request, analyzed
+  kConditionsReport,   // a "kind":"conditions" sweep, completed
+  kConditionsLimited,  // the same, with a budget tripped in some probe
+  kError,              // the structured per-request error shape
 };
 
 /// Answers one admitted manifest entry through `engine` without waiting

@@ -159,7 +159,7 @@ GeneratedWorkload Generate(const GenParams& params);
 Result<GenParams> ParseGenSpec(std::string_view spec);
 
 /// Canonical spec string reproducing `params` (round-trips through
-/// ParseGenSpec); recorded in manifest headers and bench metadata.
+/// ParseGenSpec); recorded in manifest headers.
 std::string GenSpecToString(const GenParams& params);
 
 // --- JSONL manifest -----------------------------------------------------
@@ -226,7 +226,7 @@ Result<std::vector<BatchRequest>> WorkloadToBatchRequests(
 bool OutcomeMatchesExpect(ExpectedVerdict expect, bool proved,
                           bool resource_limited);
 
-// --- Latency summaries (bench_engine schema v3, stress harness) ---------
+// --- Latency summaries (the --connect load client) -----------------------
 
 struct LatencySummary {
   int64_t count = 0;
@@ -236,8 +236,7 @@ struct LatencySummary {
   int64_t max_us = 0;
 };
 
-/// Nearest-rank percentiles over per-request service latencies
-/// (BatchItemResult::latency_us). Sorts a copy; empty input -> all zeros.
+/// Nearest-rank percentiles. Sorts a copy; empty input -> all zeros.
 LatencySummary SummarizeLatencies(std::vector<int64_t> latencies_us);
 
 }  // namespace gen

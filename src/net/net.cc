@@ -418,7 +418,7 @@ void NetServer::Answer(int64_t conn_id, int64_t conn_seq, std::string line,
       ++stats_.errors;
     } else {
       ++stats_.served;
-      if (answer == ServeAnswer::kConditionsReport) ++stats_.conditions;
+      if (answer != ServeAnswer::kReport) ++stats_.conditions;
     }
   }
   if (answer == ServeAnswer::kError) {

@@ -1,8 +1,8 @@
 // Tests for the synthetic workload generator (src/gen/): seeded
 // determinism (same seed, byte-identical output; different seeds,
 // structurally distinct programs), spec-string round-trips, JSONL
-// manifest round-trips, and the latency-summary helper used by
-// bench_engine's stress section.
+// manifest round-trips, and the latency-summary helper used by the
+// --connect load client.
 
 #include "gen/gen.h"
 
