@@ -19,20 +19,23 @@
 //           Omitted if the file has a `:- mode(pred(b,f)).` directive.
 //
 // Batch mode analyzes many requests through the parallel engine
-// (docs/engine.md): DIR expands to every *.pl file in sorted order, one
-// request per `:- mode(...)` directive; MANIFEST is either a text file of
+// (docs/engine.md). Every input form is read into manifest entries: DIR
+// is every *.pl file in sorted order; MANIFEST is either a text file of
 // lines
 //   corpus:NAME          a built-in corpus entry
-//   FILE [QUERY]         a program file (QUERY optional as above)
+//   FILE [QUERY]         a program file (QUERY after a space or tab)
 // (# comments and blank lines ignored), or — when its first byte is '{' —
 // a JSONL manifest (docs/generator.md): one JSON object per line with
 // "source" (inline program) or "file", plus optional "query", "name",
-// "expect" and per-request "limits". A "kind":"conditions" line, or one
-// with neither a "query" nor a mode directive, is answered the way serve
-// mode answers it (ServeRequest), so the bytes match. Output is one JSON
-// line per request, streamed to stdout in request order — byte-identical
-// for every --jobs value — with an aggregate stats object (cache
-// hits/misses, work spend) on stderr.
+// "kind", "expect", "expect_modes" and per-request "limits". Each entry is
+// planned by the code serve mode uses (src/engine/serve.h), so an entry
+// prints the bytes --serve answers: its "query", else one request per
+// `:- mode(...)` directive (named "NAME QUERY" when there are several;
+// serve answers only the first), else an error line; a "kind":"conditions"
+// entry is a sweep (below). Output is one JSON line per request, streamed
+// to stdout in request order — byte-identical for every --jobs value —
+// with an aggregate stats object (cache hits/misses, work spend) on
+// stderr.
 //
 // Generator mode (--gen, docs/generator.md) emits a JSONL manifest of
 // synthetic programs with declared expected verdicts to --out (default
@@ -76,14 +79,12 @@
 // Conditions mode (--conditions, docs/conditions.md) infers, for every
 // defined predicate, the weakest binding patterns under which termination
 // is proved, by sweeping the boundedness lattice through the engine with
-// frontier pruning. With a FILE or --corpus NAME it sweeps that program
-// (text report, or one JSON line with --json); with --batch it sweeps
-// every batch entry and streams one conditions JSON line per entry; with
-// neither it sweeps the whole built-in corpus. --jobs parallelizes the
-// mode variants (output bytes are identical for every value), --store
-// makes a repeat sweep mostly persisted cache hits, and --check-expect
-// verifies JSONL-manifest "expect_modes" declarations (exit 4 on
-// mismatch).
+// frontier pruning. It is batch mode with every entry a
+// "kind":"conditions" sweep, over --batch's inputs, a FILE, --corpus NAME
+// or (with none of these) the whole built-in corpus; a FILE or --corpus
+// NAME prints a text report unless --json is given. --jobs parallelizes
+// the mode variants (output bytes are identical for every value), and
+// --store makes a repeat sweep mostly persisted cache hits.
 //
 // Store maintenance (--compact PATH) rewrites the persistent store's
 // append-only log to its live-entry minimum (docs/persistence.md),
@@ -121,7 +122,8 @@
 //                          R (0 < R <= 1), checked at open and after the
 //                          final flush; manual --compact PATH still works
 //   --check-expect         with --batch over a JSONL manifest: compare each
-//                          verdict against the manifest's "expect" field
+//                          plain verdict against its "expect" field and
+//                          each sweep against its "expect_modes" sets
 //   --out FILE             with --gen: write the manifest here
 //   --transform            run the Appendix A pipeline first
 //   --negative-deltas      enable the Appendix C free-delta mode
@@ -149,12 +151,14 @@
 //
 // Exit codes: 0 = proved, 2 = not proved, 3 = resource-limited (a budget
 // tripped; the report printed is valid but partial), 4 = --check-expect
-// found verdict mismatches, 5 = a content cache failed its integrity
-// self-check (after a --store warm start or at shutdown; the store is
-// suspect, see docs/persistence.md), 1 = usage/parse error. When
-// --check-expect verified at least one declared verdict and all matched,
-// the exit is 0 regardless of the verdict mix: the assertion being made
-// is "engine agrees with the manifest", not "everything proved".
+// found mismatches, 5 = a content cache failed its integrity self-check
+// (after a --store warm start or at shutdown; the store is suspect, see
+// docs/persistence.md), 1 = usage/parse error. In batch and conditions
+// mode an error line is not proved, and a sweep is proved when no probe
+// tripped a budget. When --check-expect verified at least one declaration,
+// all matched and no line is an error, the exit is 0 regardless of the
+// verdict mix: the assertion being made is "engine agrees with the
+// manifest", not "everything proved".
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -223,164 +227,103 @@ bool ParseIntFlag(const char* text, int* out) {
   return true;
 }
 
-std::string ModeQueryText(const Program& program, const ModeDecl& decl) {
-  std::string query = program.symbols().Name(decl.pred.symbol) + "(";
-  for (size_t i = 0; i < decl.adornment.size(); ++i) {
-    if (i > 0) query += ",";
-    query += decl.adornment[i] == Mode::kBound ? "b" : "f";
-  }
-  query += ")";
-  return query;
+// One input of --batch or --conditions: a manifest entry and the
+// AnalysisOptions it runs under.
+struct BatchInput {
+  gen::ManifestEntry entry;
+  AnalysisOptions options;
+};
+
+// A program file, named by its path.
+BatchInput FileInput(const std::string& file, const std::string& query,
+                     const AnalysisOptions& base) {
+  BatchInput input{gen::ManifestEntry(), base};
+  input.entry.name = file;
+  input.entry.file = file;
+  input.entry.query = query;
+  return input;
 }
 
-// The batch is a list of output slots, filled either eagerly (parse/setup
-// errors, rendered as {"ok":false,...} lines up front) or by the engine as
-// requests complete. Slots print in order, so the JSONL stream is
-// deterministic regardless of --jobs.
-struct BatchPlan {
-  std::vector<std::optional<std::string>> lines;
-  std::vector<BatchRequest> requests;
-  std::vector<size_t> request_slot;   // request index -> output slot
-  std::vector<std::string> request_query;  // query text for the JSON line
-  std::vector<std::string> request_expect;  // declared verdict ("" = none)
-  // JSONL entries answered through the serve path (ServeRequest), so
-  // --batch prints the bytes --serve does: "kind":"conditions" sweeps and
-  // entries with neither a "query" nor a mode directive. Slot, entry.
-  std::vector<std::pair<size_t, gen::ManifestEntry>> served;
-  bool any_error = false;
-  // Expectation attached to the entry currently being expanded (JSONL
-  // manifests only); AddProgram stamps it onto every request it creates.
-  std::string pending_expect;
-
-  void AddErrorLine(const std::string& name, const Status& status) {
-    any_error = true;
-    lines.push_back(ReportToJsonLine(name, "", status, TerminationReport()));
+// The built-in corpus entry NAME, named "corpus:NAME", with its source
+// inline, its query, and the options it needs on top of `base`.
+BatchInput CorpusInput(const std::string& name, const AnalysisOptions& base) {
+  BatchInput input{gen::ManifestEntry(), base};
+  input.entry.name = "corpus:" + name;
+  const CorpusEntry* entry = FindCorpusEntry(name);
+  if (entry == nullptr) {
+    input.entry.error = Status::InvalidArgument("unknown corpus entry");
+    return input;
   }
+  input.entry.source = entry->source;
+  input.entry.query = entry->query;
+  input.options.apply_transformations |= entry->needs_transformations;
+  input.options.allow_negative_deltas |= entry->needs_negative_deltas;
+  for (const auto& supplied : entry->supplied_constraints) {
+    input.options.supplied_constraints.push_back(supplied);
+  }
+  return input;
+}
 
-  // One request per declared mode (or the explicit query when given).
-  void AddProgram(const std::string& name, const Program& program,
-                  const std::string& query, const AnalysisOptions& options) {
-    std::vector<std::string> queries;
-    if (!query.empty()) {
-      queries.push_back(query);
-    } else {
-      for (const ModeDecl& decl : program.mode_decls()) {
-        queries.push_back(ModeQueryText(program, decl));
-      }
-      if (queries.empty()) {
-        AddErrorLine(name, Status::InvalidArgument(
-                               "no QUERY given and no :- mode(...) "
-                               "directive in the file"));
-        return;
+// Reads --batch DIR|MANIFEST (see the header comment) into inputs under
+// `base`. Fails when the path is unreadable or names no request.
+Result<std::vector<BatchInput>> ReadBatch(const std::string& path,
+                                          const AnalysisOptions& base) {
+  namespace fs = std::filesystem;
+  std::vector<BatchInput> inputs;
+  std::error_code ec;
+  if (fs::is_directory(path, ec)) {
+    std::vector<std::string> files;
+    for (const auto& entry : fs::directory_iterator(path, ec)) {
+      if (entry.path().extension() == ".pl") {
+        files.push_back(entry.path().string());
       }
     }
-    for (const std::string& q : queries) {
-      std::string request_name =
-          queries.size() > 1 ? name + " " + q : name;
-      Result<std::pair<PredId, Adornment>> parsed_query =
-          ParseQuerySpec(program, q);
-      if (!parsed_query.ok()) {
-        AddErrorLine(request_name, parsed_query.status());
+    std::sort(files.begin(), files.end());
+    if (files.empty()) {
+      return Status::InvalidArgument("--batch directory holds no *.pl files");
+    }
+    for (const std::string& file : files) {
+      inputs.push_back(FileInput(file, "", base));
+    }
+    return inputs;
+  }
+  std::ifstream in(path);
+  if (!in) return Status::InvalidArgument("cannot open --batch manifest");
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  const std::string text = buffer.str();
+  size_t first = text.find_first_not_of(" \t\r\n");
+  if (first != std::string::npos && text[first] == '{') {
+    // JSONL manifest (docs/generator.md has the line schema).
+    for (gen::ManifestEntry& entry : gen::ParseManifestJsonl(text)) {
+      inputs.push_back(BatchInput{std::move(entry), base});
+    }
+  } else {
+    std::istringstream lines(text);
+    std::string line;
+    while (std::getline(lines, line)) {
+      size_t start = line.find_first_not_of(" \t");
+      if (start == std::string::npos || line[start] == '#') continue;
+      size_t end = line.find_last_not_of(" \t\r");
+      line = line.substr(start, end - start + 1);
+      if (line.rfind("corpus:", 0) == 0) {
+        inputs.push_back(CorpusInput(line.substr(7), base));
         continue;
       }
-      BatchRequest request;
-      request.name = request_name;
-      request.program = program;
-      request.query = parsed_query->first;
-      request.adornment = parsed_query->second;
-      request.options = options;
-      request_slot.push_back(lines.size());
-      request_query.push_back(q);
-      request_expect.push_back(pending_expect);
-      lines.emplace_back(std::nullopt);
-      requests.push_back(std::move(request));
-    }
-  }
-
-  void AddServed(const gen::ManifestEntry& entry) {
-    served.emplace_back(lines.size(), entry);
-    lines.emplace_back(std::nullopt);
-  }
-
-  // One JSONL manifest entry (inline source or program file), with its
-  // per-request limits and declared expectation.
-  void AddManifestEntry(const gen::ManifestEntry& entry,
-                        const AnalysisOptions& base) {
-    if (!entry.error.ok()) {
-      // Truncated or garbage manifest line: one error response for it,
-      // the rest of the batch still runs (docs/generator.md).
-      AddErrorLine(entry.name, entry.error);
-      return;
-    }
-    if (entry.kind == "conditions") {
-      AddServed(entry);
-      return;
-    }
-    AnalysisOptions options = base;
-    if (entry.has_limits) options.limits = entry.limits;
-    pending_expect = entry.expect;
-    std::string source = entry.source;
-    if (source.empty()) {
-      std::ifstream in(entry.file);
-      if (!in) {
-        AddErrorLine(entry.name,
-                     Status::InvalidArgument("cannot open program file"));
-        pending_expect.clear();
-        return;
+      // FILE [QUERY]: the file name ends at the first space or tab.
+      size_t split = line.find_first_of(" \t");
+      std::string query;
+      if (split != std::string::npos) {
+        query = line.substr(line.find_first_not_of(" \t", split));
       }
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
-      source = buffer.str();
+      inputs.push_back(FileInput(line.substr(0, split), query, base));
     }
-    Result<Program> parsed = ParseProgram(source);
-    if (!parsed.ok()) {
-      AddErrorLine(entry.name, parsed.status());
-    } else if (entry.query.empty() && parsed->mode_decls().empty()) {
-      AddServed(entry);
-    } else {
-      AddProgram(entry.name, *parsed, entry.query, options);
-    }
-    pending_expect.clear();
   }
-
-  void AddFile(const std::string& path, const std::string& query,
-               const AnalysisOptions& options) {
-    std::ifstream in(path);
-    if (!in) {
-      AddErrorLine(path, Status::InvalidArgument("cannot open program file"));
-      return;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    Result<Program> parsed = ParseProgram(buffer.str());
-    if (!parsed.ok()) {
-      AddErrorLine(path, parsed.status());
-      return;
-    }
-    AddProgram(path, *parsed, query, options);
+  if (inputs.empty()) {
+    return Status::InvalidArgument("--batch manifest names no requests");
   }
-
-  void AddCorpusEntry(const std::string& name, const AnalysisOptions& base) {
-    const CorpusEntry* entry = FindCorpusEntry(name);
-    if (entry == nullptr) {
-      AddErrorLine("corpus:" + name,
-                   Status::InvalidArgument("unknown corpus entry"));
-      return;
-    }
-    AnalysisOptions options = base;
-    options.apply_transformations |= entry->needs_transformations;
-    options.allow_negative_deltas |= entry->needs_negative_deltas;
-    for (const auto& supplied : entry->supplied_constraints) {
-      options.supplied_constraints.push_back(supplied);
-    }
-    Result<Program> parsed = ParseProgram(entry->source);
-    if (!parsed.ok()) {
-      AddErrorLine("corpus:" + name, parsed.status());
-      return;
-    }
-    AddProgram("corpus:" + name, *parsed, entry->query, options);
-  }
-};
+  return inputs;
+}
 
 // Opens the --store file (replaying its log with the recovery rules in
 // docs/persistence.md), reports what recovery did on stderr, and attaches
@@ -472,62 +415,61 @@ int FinishStore(BatchEngine& engine, int code,
   return code;
 }
 
-// Expands DIR|MANIFEST into a BatchPlan, runs it through the engine, and
-// streams the JSONL report. Returns the process exit code.
-int RunBatch(const std::string& batch_path, const AnalysisOptions& options,
-             int jobs, bool use_cache, bool check_expect,
-             const std::string& store_path, double auto_compact) {
-  namespace fs = std::filesystem;
-  BatchPlan plan;
-  std::error_code ec;
-  if (fs::is_directory(batch_path, ec)) {
-    std::vector<std::string> files;
-    for (const auto& entry : fs::directory_iterator(batch_path, ec)) {
-      if (entry.path().extension() == ".pl") {
-        files.push_back(entry.path().string());
-      }
+// Runs every input through one engine, planned by the serve planner
+// (ServeRequest's), and prints one line per request, sweep or error in
+// input order: a sweep's report as JSON, or as text when `text` is set;
+// byte-identical for every --jobs value. Sweeps start first and advance
+// from engine workers while BatchEngine::Run streams the plain requests.
+// Returns the process exit code.
+int RunBatch(const std::vector<BatchInput>& inputs, bool text, int jobs,
+             bool use_cache, bool check_expect, const std::string& store_path,
+             double auto_compact) {
+  std::vector<std::optional<std::string>> lines;  // one slot per output line
+  std::vector<BatchRequest> requests;
+  struct Planned {  // per request: its slot, query text and declaration
+    size_t slot;
+    std::string query;
+    std::string expect;
+  };
+  std::vector<Planned> planned;
+  std::vector<condinf::ConditionsSweep> sweeps;
+  std::vector<std::pair<size_t, gen::ExpectModes>> swept;  // per sweep
+  bool any_error = false;
+  auto error_line = [&](std::string line) {
+    any_error = true;
+    lines.emplace_back(std::move(line));
+  };
+  for (const BatchInput& input : inputs) {
+    const gen::ManifestEntry& entry = input.entry;
+    Result<Program> program = LoadProgram(entry);
+    if (!program.ok()) {
+      error_line(EntryErrorLine(entry, program.status()));
+      continue;
     }
-    std::sort(files.begin(), files.end());
-    if (files.empty()) return Fail("--batch directory holds no *.pl files");
-    for (const std::string& file : files) plan.AddFile(file, "", options);
-  } else {
-    std::ifstream in(batch_path);
-    if (!in) return Fail("cannot open --batch manifest");
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    std::string text = buffer.str();
-    size_t first = text.find_first_not_of(" \t\r\n");
-    if (first != std::string::npos && text[first] == '{') {
-      // JSONL manifest (generator output or hand-written; see
-      // docs/generator.md for the line schema).
-      Result<std::vector<gen::ManifestEntry>> entries =
-          gen::ParseManifestJsonl(text);
-      if (!entries.ok()) return Fail(entries.status().ToString().c_str());
-      for (const gen::ManifestEntry& entry : *entries) {
-        plan.AddManifestEntry(entry, options);
-      }
-    } else {
-      std::istringstream lines_in(text);
-      std::string line;
-      while (std::getline(lines_in, line)) {
-        size_t start = line.find_first_not_of(" \t");
-        if (start == std::string::npos || line[start] == '#') continue;
-        size_t end = line.find_last_not_of(" \t\r");
-        line = line.substr(start, end - start + 1);
-        if (line.rfind("corpus:", 0) == 0) {
-          plan.AddCorpusEntry(line.substr(7), options);
-          continue;
-        }
-        size_t space = line.find(' ');
-        std::string file = line.substr(0, space);
-        std::string query =
-            space == std::string::npos ? "" : line.substr(space + 1);
-        size_t qstart = query.find_first_not_of(" \t");
-        query = qstart == std::string::npos ? "" : query.substr(qstart);
-        plan.AddFile(file, query, options);
-      }
+    if (entry.kind == "conditions") {
+      swept.emplace_back(lines.size(), entry.expect_modes);
+      lines.emplace_back();
+      sweeps.push_back(PlanSweep(entry, std::move(*program), input.options));
+      continue;
     }
-    if (plan.lines.empty()) return Fail("--batch manifest names no requests");
+    Result<std::vector<std::string>> queries = EntryQueries(entry, *program);
+    if (!queries.ok()) {
+      error_line(EntryErrorLine(entry, queries.status()));
+      continue;
+    }
+    for (const std::string& query : *queries) {
+      std::string name =
+          queries->size() > 1 ? entry.name + " " + query : entry.name;
+      Result<BatchRequest> request =
+          PlanRequest(entry, name, *program, query, input.options);
+      if (!request.ok()) {
+        error_line(ServeErrorLine(name, request.status()));
+        continue;
+      }
+      planned.push_back(Planned{lines.size(), query, entry.expect});
+      lines.emplace_back();
+      requests.push_back(std::move(*request));
+    }
   }
 
   EngineOptions engine_options;
@@ -537,326 +479,115 @@ int RunBatch(const std::string& batch_path, const AnalysisOptions& options,
   int attach = AttachStoreOrFail(engine, store_path, auto_compact);
   if (attach != 0) return attach;
 
-  bool all_proved = !plan.any_error;
-  bool any_limited = false;
-  int64_t expect_checked = 0;
-  int64_t expect_mismatches = 0;
-  size_t next_request = 0;
-  size_t next_to_print = 0;
-  // Served entries fill their slots from engine workers, so the slots and
-  // the verdict tally are shared under `mu`; flush runs with it held.
+  // Sweeps finish on engine workers, so the slots and the tallies are
+  // shared under `mu`; only this thread prints, with `mu` held.
   std::mutex mu;
-  std::condition_variable served_cv;
-  size_t served_left = plan.served.size();
+  std::condition_variable swept_cv;
+  size_t sweeps_left = sweeps.size();
+  size_t next_to_print = 0;
+  bool all_proved = true;
+  bool any_limited = false;
+  // --check-expect: "expect" verdicts and "expect_modes" sets checked.
+  int64_t verdicts = 0, verdict_mismatches = 0;
+  int64_t sets = 0, set_mismatches = 0;
+  int printed = 0;
+  auto print_mismatch = [&](const std::string& message) {
+    if (printed++ < 10) {
+      std::fprintf(stderr, "termilog_cli: expect mismatch: %s\n",
+                   message.c_str());
+    }
+  };
   auto flush = [&] {
-    while (next_to_print < plan.lines.size() &&
-           plan.lines[next_to_print].has_value()) {
-      std::printf("%s\n", plan.lines[next_to_print]->c_str());
-      ++next_to_print;
+    for (; next_to_print < lines.size() && lines[next_to_print].has_value();
+         ++next_to_print) {
+      const std::string& line = *lines[next_to_print];
+      // A text report is multi-line and newline-terminated already.
+      if (text) {
+        std::fputs(line.c_str(), stdout);
+      } else {
+        std::printf("%s\n", line.c_str());
+      }
     }
     std::fflush(stdout);
   };
-  for (auto& [slot, entry] : plan.served) {
-    ServeRequest(engine, std::move(entry), options,
-                 [&, slot = slot](std::string line, ServeAnswer answer) {
-                   std::lock_guard<std::mutex> lock(mu);
-                   plan.lines[slot] = std::move(line);
-                   // A served plain entry is always an error line.
-                   all_proved = all_proved &&
-                                answer == ServeAnswer::kConditionsReport;
-                   any_limited = any_limited ||
-                                 answer == ServeAnswer::kConditionsLimited;
-                   --served_left;
-                   served_cv.notify_all();
-                 });
+  for (size_t i = 0; i < sweeps.size(); ++i) {
+    condinf::SubmitConditionsSweep(
+        engine, std::move(sweeps[i]),
+        [&, i](condinf::ConditionsReport report) {
+          std::lock_guard<std::mutex> lock(mu);
+          const auto& [slot, expect_modes] = swept[i];
+          all_proved = all_proved && report.status.ok() &&
+                       !report.resource_limited;
+          any_limited = any_limited || report.resource_limited;
+          if (check_expect && !expect_modes.empty()) {
+            sets += static_cast<int64_t>(expect_modes.size());
+            std::vector<std::string> messages;
+            set_mismatches += condinf::CountExpectModeMismatches(
+                report, expect_modes, &messages);
+            for (const std::string& message : messages) {
+              print_mismatch(message);
+            }
+          }
+          lines[slot] = text ? condinf::ConditionsReportToText(report)
+                             : condinf::ConditionsReportToJsonLine(report);
+          --sweeps_left;
+          swept_cv.notify_all();
+        });
   }
-  engine.Run(plan.requests, [&](const BatchItemResult& item) {
+  size_t next_request = 0;
+  engine.Run(requests, [&](const BatchItemResult& item) {
     std::lock_guard<std::mutex> lock(mu);
-    size_t index = next_request++;
-    plan.lines[plan.request_slot[index]] = ReportToJsonLine(
-        item.name, plan.request_query[index], item.status, item.report);
-    if (!item.status.ok()) {
-      all_proved = false;
-    } else {
+    const Planned& request = planned[next_request++];
+    lines[request.slot] = ReportToJsonLine(item.name, request.query,
+                                           item.status, item.report);
+    if (item.status.ok()) {
       all_proved = all_proved && item.report.proved;
       any_limited = any_limited || item.report.resource_limited;
+    } else {
+      any_error = true;
     }
-    if (check_expect && !plan.request_expect[index].empty()) {
-      gen::ExpectedVerdict expect;
-      if (gen::ParseExpectedVerdict(plan.request_expect[index], &expect)) {
-        ++expect_checked;
-        bool matches =
-            item.status.ok() &&
-            gen::OutcomeMatchesExpect(expect, item.report.proved,
-                                      item.report.resource_limited);
-        if (!matches) {
-          ++expect_mismatches;
-          if (expect_mismatches <= 10) {
-            std::fprintf(stderr,
-                         "termilog_cli: expect mismatch: %s declared %s\n",
-                         item.name.c_str(),
-                         plan.request_expect[index].c_str());
-          }
-        }
+    gen::ExpectedVerdict expect;
+    if (check_expect && gen::ParseExpectedVerdict(request.expect, &expect)) {
+      ++verdicts;
+      if (!item.status.ok() ||
+          !gen::OutcomeMatchesExpect(expect, item.report.proved,
+                                     item.report.resource_limited)) {
+        ++verdict_mismatches;
+        print_mismatch(item.name + " declared " + request.expect);
       }
     }
     flush();
   });
   {
     std::unique_lock<std::mutex> lock(mu);
-    served_cv.wait(lock, [&] { return served_left == 0; });
-    flush();
+    while (true) {
+      flush();
+      if (sweeps_left == 0) break;
+      swept_cv.wait(lock);
+    }
   }
 
   std::fprintf(stderr, "%s\n",
                EngineStatsToJson(engine.stats(), jobs).c_str());
-  int code = any_limited ? kExitResourceLimited : kExitNotProved;
-  if (all_proved) code = EXIT_SUCCESS;
+  int code = EXIT_SUCCESS;
+  if (any_error || !all_proved) {
+    code = any_limited ? kExitResourceLimited : kExitNotProved;
+  }
   if (check_expect) {
     std::fprintf(stderr,
-                 "termilog_cli: expect check: %lld/%lld verdicts match\n",
-                 static_cast<long long>(expect_checked - expect_mismatches),
-                 static_cast<long long>(expect_checked));
-    if (expect_mismatches > 0) {
+                 "termilog_cli: expect check: %lld/%lld verdicts and "
+                 "%lld/%lld minimal-mode sets match\n",
+                 static_cast<long long>(verdicts - verdict_mismatches),
+                 static_cast<long long>(verdicts),
+                 static_cast<long long>(sets - set_mismatches),
+                 static_cast<long long>(sets));
+    if (verdict_mismatches + set_mismatches > 0) {
       code = kExitExpectMismatch;
-    } else if (expect_checked > 0) {
-      // In verification mode the contract is "verdicts match
+    } else if (verdicts + sets > 0 && !any_error) {
+      // In verification mode the contract is "outcomes match
       // declarations", not "everything proved": a generated workload
       // deliberately mixes not-proved and resource-limited requests, and
       // all of them matching is the success being asserted.
-      code = EXIT_SUCCESS;
-    }
-  }
-  return FinishStore(engine, code, auto_compact);
-}
-
-// Sweep plan for --conditions: one slot per entry, filled eagerly for
-// setup errors and by the engine-driven sweeps otherwise, so the output
-// stream is deterministic in entry order like --batch.
-struct ConditionsPlan {
-  std::vector<std::optional<std::string>> lines;
-  std::vector<condinf::ConditionsSweep> sweeps;
-  std::vector<size_t> sweep_slot;               // sweep index -> output slot
-  std::vector<gen::ExpectModes> sweep_expect;   // declared minimal modes
-  bool any_error = false;
-
-  void AddErrorLine(const std::string& name, const Status& status) {
-    any_error = true;
-    condinf::ConditionsReport report;
-    report.name = name;
-    report.status = status;
-    lines.push_back(condinf::ConditionsReportToJsonLine(report));
-  }
-
-  void AddProgram(const std::string& name, Program program,
-                  const condinf::ConditionsOptions& options,
-                  gen::ExpectModes expect = {}) {
-    sweeps.emplace_back(name, std::move(program), options);
-    sweep_slot.push_back(lines.size());
-    sweep_expect.push_back(std::move(expect));
-    lines.emplace_back(std::nullopt);
-  }
-
-  void AddFile(const std::string& path,
-               const condinf::ConditionsOptions& options) {
-    std::ifstream in(path);
-    if (!in) {
-      AddErrorLine(path, Status::InvalidArgument("cannot open program file"));
-      return;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    Result<Program> parsed = ParseProgram(buffer.str());
-    if (!parsed.ok()) {
-      AddErrorLine(path, parsed.status());
-      return;
-    }
-    AddProgram(path, std::move(*parsed), options);
-  }
-
-  void AddCorpusEntry(const std::string& name,
-                      const condinf::ConditionsOptions& base) {
-    const CorpusEntry* entry = FindCorpusEntry(name);
-    if (entry == nullptr) {
-      AddErrorLine("corpus:" + name,
-                   Status::InvalidArgument("unknown corpus entry"));
-      return;
-    }
-    condinf::ConditionsOptions options = base;
-    options.analysis.apply_transformations |= entry->needs_transformations;
-    options.analysis.allow_negative_deltas |= entry->needs_negative_deltas;
-    for (const auto& supplied : entry->supplied_constraints) {
-      options.analysis.supplied_constraints.push_back(supplied);
-    }
-    Result<Program> parsed = ParseProgram(entry->source);
-    if (!parsed.ok()) {
-      AddErrorLine("corpus:" + name, parsed.status());
-      return;
-    }
-    AddProgram("corpus:" + name, std::move(*parsed), options);
-  }
-
-  void AddManifestEntry(const gen::ManifestEntry& entry,
-                        const condinf::ConditionsOptions& base) {
-    if (!entry.error.ok()) {
-      AddErrorLine(entry.name, entry.error);
-      return;
-    }
-    condinf::ConditionsOptions options = base;
-    if (entry.has_limits) options.analysis.limits = entry.limits;
-    std::string source = entry.source;
-    if (source.empty()) {
-      std::ifstream in(entry.file);
-      if (!in) {
-        AddErrorLine(entry.name,
-                     Status::InvalidArgument("cannot open program file"));
-        return;
-      }
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
-      source = buffer.str();
-    }
-    Result<Program> parsed = ParseProgram(source);
-    if (!parsed.ok()) {
-      AddErrorLine(entry.name, parsed.status());
-      return;
-    }
-    AddProgram(entry.name, std::move(*parsed), options, entry.expect_modes);
-  }
-};
-
-// Runs --conditions: per program, the minimal terminating binding
-// patterns of every predicate (docs/conditions.md). Sweeps share one
-// engine, so mode variants parallelize under --jobs and shared SCC
-// structure hits the cache (and the --store) instead of recomputing.
-int RunConditions(const std::string& batch_path,
-                  const std::string& corpus_name,
-                  const std::vector<std::string>& positional,
-                  const AnalysisOptions& options, int jobs, bool use_cache,
-                  bool check_expect, const std::string& store_path,
-                  double auto_compact, bool json) {
-  namespace fs = std::filesystem;
-  ConditionsPlan plan;
-  condinf::ConditionsOptions base;
-  base.analysis = options;
-  bool single_text = false;  // human rendering: one program, no --json
-  if (!batch_path.empty()) {
-    std::error_code ec;
-    if (fs::is_directory(batch_path, ec)) {
-      std::vector<std::string> files;
-      for (const auto& entry : fs::directory_iterator(batch_path, ec)) {
-        if (entry.path().extension() == ".pl") {
-          files.push_back(entry.path().string());
-        }
-      }
-      std::sort(files.begin(), files.end());
-      if (files.empty()) return Fail("--batch directory holds no *.pl files");
-      for (const std::string& file : files) plan.AddFile(file, base);
-    } else {
-      std::ifstream in(batch_path);
-      if (!in) return Fail("cannot open --batch manifest");
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
-      std::string text = buffer.str();
-      size_t first = text.find_first_not_of(" \t\r\n");
-      if (first != std::string::npos && text[first] == '{') {
-        Result<std::vector<gen::ManifestEntry>> entries =
-            gen::ParseManifestJsonl(text);
-        if (!entries.ok()) return Fail(entries.status().ToString().c_str());
-        for (const gen::ManifestEntry& entry : *entries) {
-          plan.AddManifestEntry(entry, base);
-        }
-      } else {
-        std::istringstream lines_in(text);
-        std::string line;
-        while (std::getline(lines_in, line)) {
-          size_t start = line.find_first_not_of(" \t");
-          if (start == std::string::npos || line[start] == '#') continue;
-          size_t end = line.find_last_not_of(" \t\r");
-          line = line.substr(start, end - start + 1);
-          if (line.rfind("corpus:", 0) == 0) {
-            plan.AddCorpusEntry(line.substr(7), base);
-            continue;
-          }
-          // The sweep covers every predicate, so a line's QUERY column
-          // (a single entry mode) is irrelevant here and ignored.
-          plan.AddFile(line.substr(0, line.find(' ')), base);
-        }
-      }
-      if (plan.lines.empty()) {
-        return Fail("--batch manifest names no requests");
-      }
-    }
-  } else if (!corpus_name.empty()) {
-    plan.AddCorpusEntry(corpus_name, base);
-    single_text = !json;
-  } else if (!positional.empty()) {
-    plan.AddFile(positional[0], base);
-    single_text = !json;
-  } else {
-    // Bare --conditions: the whole built-in corpus, one line per entry.
-    for (const CorpusEntry& entry : Corpus()) {
-      plan.AddCorpusEntry(entry.name, base);
-    }
-  }
-
-  EngineOptions engine_options;
-  engine_options.jobs = jobs;
-  engine_options.use_cache = use_cache;
-  BatchEngine engine(engine_options);
-  int attach = AttachStoreOrFail(engine, store_path, auto_compact);
-  if (attach != 0) return attach;
-
-  std::vector<condinf::ConditionsReport> reports =
-      condinf::RunConditionsSweeps(engine, plan.sweeps);
-  bool any_limited = false;
-  int64_t expect_checked = 0;
-  int64_t expect_mismatches = 0;
-  for (size_t i = 0; i < reports.size(); ++i) {
-    any_limited = any_limited || reports[i].resource_limited;
-    if (check_expect && !plan.sweep_expect[i].empty()) {
-      std::vector<std::string> messages;
-      int mismatches = condinf::CountExpectModeMismatches(
-          reports[i], plan.sweep_expect[i], &messages);
-      expect_checked += static_cast<int64_t>(plan.sweep_expect[i].size());
-      expect_mismatches += mismatches;
-      for (const std::string& message : messages) {
-        if (expect_mismatches <= 10) {
-          std::fprintf(stderr, "termilog_cli: expect mismatch: %s\n",
-                       message.c_str());
-        }
-      }
-    }
-    plan.lines[plan.sweep_slot[i]] =
-        single_text ? condinf::ConditionsReportToText(reports[i])
-                    : condinf::ConditionsReportToJsonLine(reports[i]);
-  }
-  for (const std::optional<std::string>& line : plan.lines) {
-    if (single_text) {
-      std::fputs(line->c_str(), stdout);  // multi-line, newline-terminated
-    } else {
-      std::printf("%s\n", line->c_str());
-    }
-  }
-  std::fflush(stdout);
-  std::fprintf(stderr, "%s\n",
-               EngineStatsToJson(engine.stats(), jobs).c_str());
-
-  int code = EXIT_SUCCESS;
-  if (plan.any_error) {
-    code = kExitNotProved;
-  } else if (any_limited) {
-    code = kExitResourceLimited;
-  }
-  if (check_expect) {
-    std::fprintf(
-        stderr,
-        "termilog_cli: expect check: %lld/%lld minimal-mode sets match\n",
-        static_cast<long long>(expect_checked - expect_mismatches),
-        static_cast<long long>(expect_checked));
-    if (expect_mismatches > 0) {
-      code = kExitExpectMismatch;
-    } else if (expect_checked > 0 && !plan.any_error) {
       code = EXIT_SUCCESS;
     }
   }
@@ -1183,20 +914,35 @@ int main(int argc, char** argv) {
     return RunConnect(connect_spec, manifest_path, clients, window);
   }
 
-  if (conditions) {
-    return RunConditions(batch_path, corpus_name, positional, options,
-                         jobs, use_cache, check_expect,
-                         store_path, store_auto_compact, json);
-  }
-
-  if (!batch_path.empty()) {
-    return RunBatch(batch_path, options, jobs, use_cache,
-                    check_expect, store_path, store_auto_compact);
+  if (conditions || !batch_path.empty()) {
+    std::vector<BatchInput> inputs;
+    bool text = false;  // one --conditions report, rendered for people
+    if (!batch_path.empty()) {
+      Result<std::vector<BatchInput>> read = ReadBatch(batch_path, options);
+      if (!read.ok()) return Fail(read.status().message().c_str());
+      inputs = std::move(*read);
+    } else if (!corpus_name.empty()) {
+      inputs.push_back(CorpusInput(corpus_name, options));
+      text = !json;
+    } else if (!positional.empty()) {
+      inputs.push_back(FileInput(positional[0], "", options));
+      text = !json;
+    } else {
+      for (const CorpusEntry& entry : Corpus()) {
+        inputs.push_back(CorpusInput(entry.name, options));
+      }
+    }
+    // --conditions is --batch with every entry a sweep.
+    if (conditions) {
+      for (BatchInput& input : inputs) input.entry.kind = "conditions";
+    }
+    return RunBatch(inputs, text, jobs, use_cache, check_expect, store_path,
+                    store_auto_compact);
   }
 
   if (!corpus_name.empty()) {
-    const CorpusEntry* entry = FindCorpusEntry(corpus_name);
-    if (entry == nullptr) {
+    BatchInput input = CorpusInput(corpus_name, options);
+    if (!input.entry.error.ok()) {
       std::fprintf(stderr, "unknown corpus entry; available:\n");
       for (const CorpusEntry& e : Corpus()) {
         std::fprintf(stderr, "  %-22s %s\n", e.name.c_str(),
@@ -1204,13 +950,9 @@ int main(int argc, char** argv) {
       }
       return EXIT_FAILURE;
     }
-    source = entry->source;
-    query = entry->query;
-    options.apply_transformations |= entry->needs_transformations;
-    options.allow_negative_deltas |= entry->needs_negative_deltas;
-    for (const auto& supplied : entry->supplied_constraints) {
-      options.supplied_constraints.push_back(supplied);
-    }
+    source = input.entry.source;
+    query = input.entry.query;
+    options = input.options;
   } else {
     if (positional.empty()) {
       return Fail("usage: termilog_cli FILE [QUERY] | --corpus NAME");

@@ -4,7 +4,9 @@
 #      the stress-labelled smoke at its default 200-request size), plus
 #      CLI checks that out-of-range flag values are rejected (exit 1)
 #      rather than narrowed or saturated: an int flag above INT_MAX, an
-#      int64 flag past the int64 range, and a NaN ratio
+#      int64 flag past the int64 range, and a NaN ratio; and a cross-form
+#      check that --batch DIR, a text manifest and --conditions --batch
+#      print the same bytes as --batch over their JSONL twins
 #   2. UBSan pass of the unit and engine suites in build-ubsan/ (the
 #      arithmetic kernel lives in the unit suite; docs/arithmetic.md)
 #   3. ASan+UBSan pass of the engine, obs and condinf suites in
@@ -32,8 +34,10 @@
 #      reuse, generator expectation checks)
 #   b. a corpus-wide --conditions sweep at jobs=1 and jobs=8 whose JSONL
 #      streams must be byte-identical
-#   c. a generated modes=K workload replayed with --check-expect: every
-#      declared minimal-mode set must be reproduced exactly
+#   c. a generated modes=K workload replayed with --check-expect under
+#      --conditions --batch and plain --batch: every declared minimal-mode
+#      set must be reproduced exactly, and a copy with one declaration
+#      tampered must exit 4 under both
 #   d. an ASan+UBSan pass over the condinf suite
 #
 # --serve runs the transport harness (docs/serve.md):
@@ -52,7 +56,7 @@
 #      with --queue-limit above the request count, must be byte-identical
 #      to --batch over the same manifest, and over a modes=2 manifest of
 #      "kind":"conditions" sweep lines plus one line with neither a query
-#      nor a mode directive (--batch answers both through the serve path)
+#      nor a mode directive (--batch plans both with serve's planner)
 #   e. a FIFO drill: --serve FIFO --store is sent SIGTERM while its writer
 #      is still open; it must drain to exit 0, print the stats line, emit
 #      a prefix of the --batch stream, and leave a store that reopens with
@@ -111,6 +115,50 @@ for flag in "--jobs 4294967298" "--deadline-ms 99999999999999999999999" \
   fi
 done
 
+# Every --batch input form is planned by the same code, so a directory, a
+# text manifest (FILE, FILE<TAB>QUERY, a comment, a missing file) and
+# --conditions --batch must print exactly what --batch prints over their
+# JSONL twins. Each run has error lines (bad.pl, nomode.pl or missing.pl),
+# so each must exit 2.
+forms="$(mktemp -d)"
+trap 'rm -rf "$forms"' EXIT
+printf '%s\n' ':- mode(app(b,f,f)).' ':- mode(app(f,f,b)).' \
+    'app([], L, L).' 'app([H|T], L, [H|R]) :- app(T, L, R).' >"$forms/app.pl"
+printf '%s\n' 'len([], 0).' 'len([_|T], s(N)) :- len(T, N).' \
+    >"$forms/nomode.pl"
+printf '%s\n' 'p(X :- .' >"$forms/bad.pl"
+for f in app bad nomode; do
+  printf '{"file":"%s/%s.pl"}\n' "$forms" "$f"
+done >"$forms/dir.jsonl"
+printf '# comment\n%s/app.pl\n%s/nomode.pl\tlen(b,f)\n%s/missing.pl\n' \
+    "$forms" "$forms" "$forms" >"$forms/list.txt"
+{
+  printf '{"file":"%s/app.pl"}\n' "$forms"
+  printf '{"file":"%s/nomode.pl","query":"len(b,f)"}\n' "$forms"
+  printf '{"file":"%s/missing.pl"}\n' "$forms"
+} >"$forms/list.jsonl"
+sed 's/^{/{"kind":"conditions",/' "$forms/list.jsonl" >"$forms/cond.jsonl"
+forms_run() {  # forms_run OUT ARGS...
+  local out="$1" rc=0
+  shift
+  echo "== termilog_cli $* >$out" >&2
+  ./build/examples/termilog_cli "$@" >"$out" 2>/dev/null || rc=$?
+  if [[ "$rc" -ne 2 ]]; then
+    echo "check.sh: termilog_cli $* exited $rc, want 2" >&2
+    exit 1
+  fi
+}
+forms_run "$forms/dir.out" --batch "$forms"
+forms_run "$forms/dir.twin" --batch "$forms/dir.jsonl"
+run cmp "$forms/dir.out" "$forms/dir.twin"
+forms_run "$forms/list.out" --batch "$forms/list.txt"
+forms_run "$forms/list.twin" --batch "$forms/list.jsonl"
+run cmp "$forms/list.out" "$forms/list.twin"
+forms_run "$forms/cond.out" --conditions --batch "$forms/list.txt"
+forms_run "$forms/cond.twin" --batch "$forms/cond.jsonl"
+run cmp "$forms/cond.out" "$forms/cond.twin"
+rm -rf "$forms"
+
 if [[ "${1:-}" == "--tier1-only" ]]; then
   echo "check.sh: tier-1 OK (sanitizer passes skipped)" >&2
   exit 0
@@ -162,6 +210,28 @@ if [[ "${1:-}" == "--conditions" ]]; then
       --out "$manifest"
   run ./build/examples/termilog_cli --conditions --batch "$manifest" \
       --jobs 8 --check-expect >"$workdir/modes.out.jsonl"
+  # Plain --batch grades the same "expect_modes" declarations.
+  run ./build/examples/termilog_cli --batch "$manifest" --jobs 8 \
+      --check-expect >"$workdir/modes.batch.jsonl" 2>"$workdir/modes.err"
+  run cmp "$workdir/modes.out.jsonl" "$workdir/modes.batch.jsonl"
+  if ! grep -q ' 152/152 minimal-mode sets match' "$workdir/modes.err"; then
+    echo "check.sh: --batch did not grade the 152 minimal-mode sets" >&2
+    cat "$workdir/modes.err" >&2
+    exit 1
+  fi
+  # One tampered declaration (a mode no sweep reports) must fail both.
+  sed '0,/"expect_modes":{"\([^"]*\)":\[[^]]*\]/s//"expect_modes":{"\1":["x"]/' \
+      "$manifest" >"$workdir/modes.bad.jsonl"
+  for mode in --batch "--conditions --batch"; do
+    rc=0
+    # Unquoted on purpose: "--conditions --batch" splits into two words.
+    ./build/examples/termilog_cli $mode "$workdir/modes.bad.jsonl" \
+        --check-expect >/dev/null 2>&1 || rc=$?
+    if [[ "$rc" -ne 4 ]]; then
+      echo "check.sh: $mode over a tampered manifest exited $rc, want 4" >&2
+      exit 1
+    fi
+  done
 
   # --- d. ASan over the condinf suite ------------------------------------
   run cmake -B build-asan -S . -DTERMILOG_SANITIZE=address -DTERMILOG_OBS=ON
@@ -272,8 +342,8 @@ if [[ "${1:-}" == "--serve" ]]; then
   run ./build/examples/termilog_cli --serve - --jobs 4 --queue-limit 4000 \
       <"$manifest" >"$workdir/out.stdio.jsonl" 2>/dev/null
   run cmp "$workdir/out.ref.jsonl" "$workdir/out.stdio.jsonl"
-  # Sweep lines and a modeless, queryless line take the serve path in
-  # --batch too, so their bytes match.
+  # --batch plans sweep lines and a modeless, queryless line with the
+  # planner ServeRequest uses, so their bytes match.
   sweeps="$workdir/sweeps.jsonl"
   run ./build/examples/termilog_cli \
       --gen "7:count=40,sccs=1-3,arity=3,modes=2,mix=70/30/0" --out "$sweeps"

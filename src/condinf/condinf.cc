@@ -28,10 +28,13 @@ namespace termilog {
 namespace condinf {
 namespace {
 
-// Enumeration bound for the exact lattice accounting loop in Finish();
-// ConditionsOptions::max_arity is clamped here so lattice_size stays a
-// count we can afford to walk (2^16), not just to represent.
-constexpr int kMaxSweepArity = 16;
+// Predicates wider than this are reported truncated rather than swept,
+// which also keeps Finish()'s exact lattice accounting walk affordable.
+constexpr int kMaxSweepArity = 12;
+// Mode evaluations allowed per predicate (the probes and necessity row
+// take arity + 2); past it the report is truncated and the patterns left
+// unclassified count as `unknown`.
+constexpr int64_t kMaxEvalsPerPred = 64;
 
 void AppendQuoted(std::string_view text, std::string* out) {
   *out += '"';
@@ -64,8 +67,6 @@ ConditionsSweep::ConditionsSweep(std::string name, Program program,
     : name_(std::move(name)),
       program_(std::move(program)),
       options_(std::move(options)) {
-  if (options_.max_arity > kMaxSweepArity) options_.max_arity = kMaxSweepArity;
-  if (options_.max_arity < 0) options_.max_arity = 0;
   // (name, arity) order, not PredId order: symbol ids are an artifact of
   // interning order and must not leak into report bytes.
   std::vector<std::pair<std::string, PredId>> named;
@@ -79,12 +80,12 @@ ConditionsSweep::ConditionsSweep(std::string name, Program program,
     ps.pred = pred;
     ps.display = display;
     ps.arity = pred.arity;
-    if (pred.arity > options_.max_arity) {
+    if (pred.arity > kMaxSweepArity) {
       ps.stage = PredSweep::Stage::kDone;
       ps.truncated = true;
       ps.notes.push_back(StrCat("arity ", pred.arity,
                                 " exceeds the sweep's max_arity ",
-                                options_.max_arity, "; lattice not explored"));
+                                kMaxSweepArity, "; lattice not explored"));
     }
     preds_.push_back(std::move(ps));
   }
@@ -177,11 +178,11 @@ std::vector<BatchRequest> ConditionsSweep::NextRound() {
         AdvanceStage(&ps);
         continue;
       }
-      int64_t remaining = options_.max_evals_per_pred - ps.evals;
+      int64_t remaining = kMaxEvalsPerPred - ps.evals;
       if (remaining <= 0) {
         ps.truncated = true;
         ps.notes.push_back(StrCat("mode-evaluation budget (",
-                                  options_.max_evals_per_pred,
+                                  kMaxEvalsPerPred,
                                   ") exhausted; frontier left open"));
         ps.stage = PredSweep::Stage::kDone;
         break;
@@ -259,7 +260,7 @@ ConditionsReport ConditionsSweep::Finish() {
     pc.notes = std::move(ps.notes);
     pc.minimal_modes = ps.frontier.minimal_proved();
 
-    if (ps.arity <= options_.max_arity) {
+    if (ps.arity <= kMaxSweepArity) {
       // Exact accounting over the whole lattice: every pattern is either
       // evaluated, decided by the frontier, or unknown (truncation only).
       std::set<ModeBits> evaluated(ps.evaluated.begin(), ps.evaluated.end());
@@ -286,16 +287,14 @@ ConditionsReport ConditionsSweep::Finish() {
         }
       }
     }
-    if (options_.include_certificates) {
-      for (ModeBits mode : pc.minimal_modes) {
-        auto it = ps.proved_reports.find(mode);
-        TERMILOG_CHECK_MSG(it != ps.proved_reports.end(),
-                           "minimal mode without a witness report");
-        ModeWitness witness;
-        witness.mode = mode;
-        witness.report = std::move(it->second);
-        pc.witnesses.push_back(std::move(witness));
-      }
+    for (ModeBits mode : pc.minimal_modes) {
+      auto it = ps.proved_reports.find(mode);
+      TERMILOG_CHECK_MSG(it != ps.proved_reports.end(),
+                         "minimal mode without a witness report");
+      ModeWitness witness;
+      witness.mode = mode;
+      witness.report = std::move(it->second);
+      pc.witnesses.push_back(std::move(witness));
     }
     report.resource_limited |= pc.resource_limited;
     report.preds.push_back(std::move(pc));

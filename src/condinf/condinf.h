@@ -25,19 +25,6 @@ struct ConditionsOptions {
   /// limits participate in the SCC cache key, so budgeted and unbudgeted
   /// sweeps never share entries.
   AnalysisOptions analysis;
-  /// Predicates wider than this are reported truncated (no enumeration)
-  /// rather than sweeping an exponential lattice. Clamped to
-  /// kMaxLatticeArity.
-  int max_arity = 12;
-  /// Mode evaluations (engine requests) allowed per predicate before the
-  /// sweep gives up on narrowing its frontier further; the report is then
-  /// marked truncated and the patterns left unclassified count as
-  /// `unknown`. The probes plus necessity row cost arity + 2 evaluations,
-  /// so this must comfortably exceed that.
-  int64_t max_evals_per_pred = 64;
-  /// Attach the witnessing certificate of each minimal proved mode to the
-  /// report (per-SCC theta/delta rows). Off shrinks report lines.
-  bool include_certificates = true;
 };
 
 /// Witness for one minimal proved mode: the full analysis report of that
@@ -59,8 +46,7 @@ struct PredConditions {
   /// upward closure; empty means no pattern proves (or none found before
   /// truncation).
   std::vector<ModeBits> minimal_modes;
-  /// One witness per minimal mode, same order (empty when certificates
-  /// are disabled).
+  /// One witness per minimal mode, same order.
   std::vector<ModeWitness> witnesses;
   /// Argument positions every proved pattern must bind — boundedness
   /// requirements established by the necessity probes (the backwards

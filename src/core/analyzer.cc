@@ -364,7 +364,6 @@ Result<PreparedAnalysis> TerminationAnalyzer::PrepareStructure(
 
   if (options_.apply_transformations) {
     TransformOptions transform_options;
-    transform_options.phases = options_.transform_phases;
     transform_options.governor = gov;
     Result<Program> transformed = RunTransformPipeline(
         program, {query}, transform_options, &report.notes);

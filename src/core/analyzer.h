@@ -27,8 +27,6 @@ struct AnalysisOptions {
   /// elimination, then alternating safe unfolding / predicate splitting)
   /// before analysis.
   bool apply_transformations = false;
-  /// Number of unfold/split phase pairs (the paper suggests 3).
-  int transform_phases = 3;
   /// Appendix C: when the nonnegative-delta system is infeasible, retry
   /// with free deltas constrained only by positive-cycle path constraints.
   bool allow_negative_deltas = false;

@@ -4,16 +4,14 @@
 #include <sstream>
 #include <utility>
 
-#include "condinf/condinf.h"
 #include "engine/report_json.h"
 #include "program/parser.h"
 #include "util/string_util.h"
 
 namespace termilog {
-namespace {
 
-// Loads and parses the entry's program (inline "source" or "file").
 Result<Program> LoadProgram(const gen::ManifestEntry& entry) {
+  if (!entry.error.ok()) return entry.error;
   std::string source = entry.source;
   if (source.empty()) {
     std::ifstream in(entry.file);
@@ -25,53 +23,69 @@ Result<Program> LoadProgram(const gen::ManifestEntry& entry) {
   return ParseProgram(source);
 }
 
-// Expands one admitted manifest entry into an engine request. Serve is a
-// one-line-in / one-line-out protocol, so a file with several mode
-// directives analyzes the first one; name a "query" to pick another.
-Result<BatchRequest> BuildRequest(const gen::ManifestEntry& entry,
-                                  const AnalysisOptions& base,
-                                  std::string* query_text) {
-  AnalysisOptions options = base;
-  if (entry.has_limits) options.limits = entry.limits;
-  Result<Program> parsed = LoadProgram(entry);
-  if (!parsed.ok()) return parsed.status();
-  std::string query = entry.query;
-  if (query.empty()) {
-    if (parsed->mode_decls().empty()) {
-      return Status::InvalidArgument(
-          "no \"query\" given and no :- mode(...) directive in the program");
-    }
-    const ModeDecl& decl = parsed->mode_decls().front();
-    query = parsed->symbols().Name(decl.pred.symbol) + "(";
-    for (size_t i = 0; i < decl.adornment.size(); ++i) {
-      if (i > 0) query += ",";
-      query += decl.adornment[i] == Mode::kBound ? "b" : "f";
-    }
-    query += ")";
+std::string ModeQueryText(const Program& program, const ModeDecl& decl) {
+  std::string query = program.symbols().Name(decl.pred.symbol) + "(";
+  for (size_t i = 0; i < decl.adornment.size(); ++i) {
+    if (i > 0) query += ",";
+    query += decl.adornment[i] == Mode::kBound ? "b" : "f";
   }
+  return query + ")";
+}
+
+Result<std::vector<std::string>> EntryQueries(const gen::ManifestEntry& entry,
+                                              const Program& program) {
+  if (!entry.query.empty()) return std::vector<std::string>{entry.query};
+  if (program.mode_decls().empty()) {
+    return Status::InvalidArgument(
+        "no \"query\" given and no :- mode(...) directive in the program");
+  }
+  std::vector<std::string> queries;
+  for (const ModeDecl& decl : program.mode_decls()) {
+    queries.push_back(ModeQueryText(program, decl));
+  }
+  return queries;
+}
+
+Result<BatchRequest> PlanRequest(const gen::ManifestEntry& entry,
+                                 std::string name, Program program,
+                                 const std::string& query,
+                                 const AnalysisOptions& base) {
   Result<std::pair<PredId, Adornment>> parsed_query =
-      ParseQuerySpec(*parsed, query);
+      ParseQuerySpec(program, query);
   if (!parsed_query.ok()) return parsed_query.status();
-  *query_text = query;
   BatchRequest request;
-  request.name = entry.name;
-  request.program = std::move(*parsed);
+  request.name = std::move(name);
+  request.program = std::move(program);
   request.query = parsed_query->first;
   request.adornment = parsed_query->second;
-  request.options = options;
+  request.options = base;
+  if (entry.has_limits) request.options.limits = entry.limits;
   return request;
 }
 
-}  // namespace
+condinf::ConditionsSweep PlanSweep(const gen::ManifestEntry& entry,
+                                   Program program,
+                                   const AnalysisOptions& base) {
+  condinf::ConditionsOptions options;
+  options.analysis = base;
+  if (entry.has_limits) options.analysis.limits = entry.limits;
+  return condinf::ConditionsSweep(entry.name, std::move(program), options);
+}
 
 std::string ServeErrorLine(const std::string& name, const Status& status) {
   return ReportToJsonLine(name, "", status, TerminationReport());
 }
 
+std::string EntryErrorLine(const gen::ManifestEntry& entry,
+                           const Status& status) {
+  if (entry.kind != "conditions") return ServeErrorLine(entry.name, status);
+  condinf::ConditionsReport report;
+  report.name = entry.name;
+  report.status = status;
+  return condinf::ConditionsReportToJsonLine(report);
+}
+
 std::string ServeShedLine(const std::string& name, int queue_limit) {
-  // The shed response is deterministic — same bytes for every shed
-  // request — so clients can match on it; the retry-after note is advice,
-  // not a wall-clock promise.
   return ServeErrorLine(
       name, Status::ResourceExhausted(StrCat(
                 "server overloaded: waiting room full (queue_limit=",
@@ -89,47 +103,37 @@ void ServeRequest(BatchEngine& engine, gen::ManifestEntry entry,
                   const AnalysisOptions& base,
                   std::function<void(std::string line, ServeAnswer answer)>
                       emit) {
-  if (!entry.error.ok()) {
-    emit(ServeErrorLine(entry.name, entry.error), ServeAnswer::kError);
+  Result<Program> program = LoadProgram(entry);
+  if (!program.ok()) {
+    emit(EntryErrorLine(entry, program.status()), ServeAnswer::kError);
     return;
   }
   if (entry.kind == "conditions") {
-    // A conditions request sweeps the whole program's mode lattices
-    // (docs/conditions.md), sharing the engine — and the SCC cache every
-    // other request warms — with the plain requests.
-    Result<Program> program = LoadProgram(entry);
-    if (!program.ok()) {
-      condinf::ConditionsReport error_report;
-      error_report.name = entry.name;
-      error_report.status = program.status();
-      emit(condinf::ConditionsReportToJsonLine(error_report),
-           ServeAnswer::kError);
-      return;
-    }
-    condinf::ConditionsOptions conditions_options;
-    conditions_options.analysis = base;
-    if (entry.has_limits) conditions_options.analysis.limits = entry.limits;
+    // A sweep of the whole program's mode lattices (docs/conditions.md),
+    // sharing the engine and its caches with the plain requests.
     condinf::SubmitConditionsSweep(
-        engine,
-        condinf::ConditionsSweep(entry.name, std::move(*program),
-                                 conditions_options),
+        engine, PlanSweep(entry, std::move(*program), base),
         [emit = std::move(emit)](condinf::ConditionsReport report) {
           emit(condinf::ConditionsReportToJsonLine(report),
-               report.resource_limited ? ServeAnswer::kConditionsLimited
-                                       : ServeAnswer::kConditionsReport);
+               ServeAnswer::kConditionsReport);
         });
     return;
   }
-  std::string query_text;
-  Result<BatchRequest> request = BuildRequest(entry, base, &query_text);
-  if (!request.ok()) {
-    emit(ServeErrorLine(entry.name, request.status()), ServeAnswer::kError);
+  Result<std::vector<std::string>> queries = EntryQueries(entry, *program);
+  if (!queries.ok()) {
+    emit(EntryErrorLine(entry, queries.status()), ServeAnswer::kError);
     return;
   }
-  engine.Submit(*request, [query_text = std::move(query_text),
+  std::string query = std::move(queries->front());
+  Result<BatchRequest> request =
+      PlanRequest(entry, entry.name, std::move(*program), query, base);
+  if (!request.ok()) {
+    emit(EntryErrorLine(entry, request.status()), ServeAnswer::kError);
+    return;
+  }
+  engine.Submit(*request, [query = std::move(query),
                            emit = std::move(emit)](BatchItemResult result) {
-    emit(ReportToJsonLine(result.name, query_text, result.status,
-                          result.report),
+    emit(ReportToJsonLine(result.name, query, result.status, result.report),
          ServeAnswer::kReport);
   });
 }

@@ -210,9 +210,8 @@ ManifestEntry ParseManifestLine(std::string_view line, size_t line_number);
 
 /// Parses a whole JSONL manifest. Blank lines and header lines are
 /// skipped; every other line yields one entry, with `error` set on the
-/// unreadable ones (see ParseManifestLine). Always returns OK — the
-/// Result wrapper is kept for call-site stability.
-Result<std::vector<ManifestEntry>> ParseManifestJsonl(std::string_view text);
+/// unreadable ones (see ParseManifestLine).
+std::vector<ManifestEntry> ParseManifestJsonl(std::string_view text);
 
 /// Expands a workload into engine requests (parsing every source).
 /// Request options carry the per-request limits.

@@ -142,7 +142,7 @@ ManifestEntry ParseManifestLine(std::string_view line, size_t line_number) {
   return entry;
 }
 
-Result<std::vector<ManifestEntry>> ParseManifestJsonl(std::string_view text) {
+std::vector<ManifestEntry> ParseManifestJsonl(std::string_view text) {
   std::vector<ManifestEntry> entries;
   size_t line_number = 0;
   size_t pos = 0;

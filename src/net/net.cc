@@ -27,6 +27,12 @@ namespace termilog {
 namespace net {
 namespace {
 
+// Backpressure: a connection whose buffered responses exceed this many
+// bytes is not read from until they drain back under it.
+constexpr size_t kWriteHighWatermark = 1 << 20;
+constexpr size_t kMaxConnections = 256;  // accepts beyond it are closed
+constexpr int kBacklog = 64;             // listen(2) backlog
+
 int64_t NowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -252,7 +258,7 @@ Status NetServer::Listen(const NetAddress& address) {
       ::close(fd);
       return error;
     }
-    if (::listen(fd, options_.backlog) != 0) {
+    if (::listen(fd, kBacklog) != 0) {
       Status error = SysError("listen " + address.ToString());
       ::close(fd);
       return error;
@@ -277,7 +283,7 @@ Status NetServer::Listen(const NetAddress& address) {
     ::close(fd);
     return error;
   }
-  if (::listen(fd, options_.backlog) != 0) {
+  if (::listen(fd, kBacklog) != 0) {
     Status error = SysError("listen " + address.ToString());
     ::close(fd);
     return error;
@@ -418,7 +424,7 @@ void NetServer::Answer(int64_t conn_id, int64_t conn_seq, std::string line,
       ++stats_.errors;
     } else {
       ++stats_.served;
-      if (answer != ServeAnswer::kReport) ++stats_.conditions;
+      if (answer == ServeAnswer::kConditionsReport) ++stats_.conditions;
     }
   }
   if (answer == ServeAnswer::kError) {
@@ -559,9 +565,7 @@ void NetServer::AcceptReady(int listen_fd) {
       if (errno == EINTR) continue;
       break;  // EAGAIN, or a transient per-connection error (ECONNABORTED)
     }
-    if (draining_ ||
-        connections_.size() >=
-            static_cast<size_t>(std::max(1, options_.max_connections))) {
+    if (draining_ || connections_.size() >= kMaxConnections) {
       ::close(fd);
       {
         std::lock_guard<std::mutex> lock(stats_mu_);
@@ -681,7 +685,7 @@ void NetServer::HandleLine(Connection& conn, const std::string& line) {
       ++stats_.errors;
     }
     TERMILOG_COUNTER("net.req.errors", 1);
-    EmitToConnection(conn, seq, ServeErrorLine(entry.name, entry.error));
+    EmitToConnection(conn, seq, EntryErrorLine(entry, entry.error));
     return;
   }
   bool admitted = false;
@@ -718,7 +722,7 @@ void NetServer::EmitToConnection(Connection& conn, int64_t seq,
     ++conn.next_emit;
   }
   TryWrite(conn);
-  if (conn.write_buffer.size() > options_.write_high_watermark) {
+  if (conn.write_buffer.size() > kWriteHighWatermark) {
     conn.paused = true;
   }
 }
@@ -742,7 +746,7 @@ void NetServer::TryWrite(Connection& conn) {
     conn.last_activity_ms = NowMs();
   }
   if (conn.paused &&
-      conn.write_buffer.size() <= options_.write_high_watermark) {
+      conn.write_buffer.size() <= kWriteHighWatermark) {
     conn.paused = false;
   }
 }

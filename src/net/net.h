@@ -42,25 +42,10 @@ Result<NetAddress> ParseNetAddress(const std::string& spec);
 /// entries in, one report line out per request — is ServeOptions'
 /// (`serve`); everything here is transport.
 struct NetServerOptions {
-  /// Protocol/processing options: base AnalysisOptions, the waiting-room
-  /// queue_limit, and max_line_bytes (the per-connection line cap: an
-  /// over-long request line is answered with the structured error shape
-  /// and discarded up to its newline, bounding per-connection read
-  /// memory).
   ServeOptions serve;
   /// Close a connection with no activity — no bytes read or written and
   /// no request in flight — for this long. 0 disables the timeout.
   int64_t idle_timeout_ms = 0;
-  /// Backpressure watermark: once a connection's buffered responses
-  /// exceed this many bytes the server stops reading from it (the peer
-  /// must drain responses before sending more requests); reading resumes
-  /// when the buffer falls back under the watermark. Write memory stays
-  /// bounded by watermark + the responses of its admitted requests.
-  size_t write_high_watermark = 1 << 20;
-  /// Accepted connections beyond this are closed immediately.
-  int max_connections = 256;
-  /// listen(2) backlog.
-  int backlog = 64;
   /// Test hook: when true the processing thread holds every admitted
   /// request until ReleaseProcessing(), making the shed/accept split a
   /// pure function of queue_limit. Production serving leaves false.
@@ -73,7 +58,7 @@ struct NetServerOptions {
 struct NetStats {
   int64_t accepted = 0;       // connections accepted
   int64_t closed = 0;         // connections closed (any reason)
-  int64_t refused = 0;        // accepts closed at the max_connections cap
+  int64_t refused = 0;        // accepts closed at the connection cap
   int64_t idle_timeouts = 0;  // closes due to idle_timeout_ms
   int64_t lines = 0;          // request lines seen (blank/header excluded)
   int64_t served = 0;         // requests analyzed to completion

@@ -1,5 +1,6 @@
 // Tests for the parallel batch-analysis engine (src/engine/): the
-// canonical key derivation, the SCC outcome round trip, and — the
+// canonical key derivation, the SCC outcome round trip, the request
+// planner's query derivation, and — the
 // load-bearing guarantee — byte-identical batch output for every --jobs
 // value over the full corpus. The content cache itself is tested in
 // content_cache_test.cc.
@@ -18,6 +19,8 @@
 #include "engine/cached_outcomes.h"
 #include "engine/canonical.h"
 #include "engine/report_json.h"
+#include "engine/serve.h"
+#include "gen/gen.h"
 #include "program/modes.h"
 #include "program/parser.h"
 #include "rational/bigint.h"
@@ -343,6 +346,37 @@ TEST(GovernorThreads, LimbHighWaterIsPerThread) {
   BigInt small = BigInt(7) * BigInt(9);
   GovernorSpend spend = governor.Spend();
   EXPECT_LE(spend.bigint_limb_high_water, 2);
+}
+
+// The request planner every front end shares (src/engine/serve.h): which
+// queries an entry asks.
+TEST(PlannerTest, EntryQueriesPreferTheQueryThenModeDirectivesInOrder) {
+  gen::ManifestEntry entry;
+  entry.name = "app";
+  entry.source =
+      ":- mode(app(b,f,f)). :- mode(app(f,f,b)). "
+      "app([],L,L). app([H|T],L,[H|R]) :- app(T,L,R).";
+  Result<Program> program = LoadProgram(entry);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  Result<std::vector<std::string>> modes = EntryQueries(entry, *program);
+  ASSERT_TRUE(modes.ok());
+  EXPECT_EQ(*modes, (std::vector<std::string>{"app(b,f,f)", "app(f,f,b)"}));
+
+  entry.query = "app(f,b,f)";
+  Result<std::vector<std::string>> named = EntryQueries(entry, *program);
+  ASSERT_TRUE(named.ok());
+  EXPECT_EQ(*named, std::vector<std::string>{"app(f,b,f)"});
+
+  gen::ManifestEntry modeless;
+  modeless.name = "len";
+  modeless.source = "len([],0). len([_|T],s(N)) :- len(T,N).";
+  Result<Program> modeless_program = LoadProgram(modeless);
+  ASSERT_TRUE(modeless_program.ok());
+  Result<std::vector<std::string>> none =
+      EntryQueries(modeless, *modeless_program);
+  ASSERT_FALSE(none.ok());
+  EXPECT_EQ(none.status().message(),
+            "no \"query\" given and no :- mode(...) directive in the program");
 }
 
 }  // namespace

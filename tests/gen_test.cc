@@ -200,11 +200,10 @@ TEST(ManifestTest, JsonlRoundTripPreservesEveryRequest) {
   GeneratedWorkload workload = Generate(params);
   std::string jsonl = WorkloadToManifestJsonl(workload);
 
-  Result<std::vector<ManifestEntry>> entries = ParseManifestJsonl(jsonl);
-  ASSERT_TRUE(entries.ok()) << entries.status().ToString();
-  ASSERT_EQ(entries->size(), workload.requests.size());
-  for (size_t i = 0; i < entries->size(); ++i) {
-    const ManifestEntry& entry = (*entries)[i];
+  std::vector<ManifestEntry> entries = ParseManifestJsonl(jsonl);
+  ASSERT_EQ(entries.size(), workload.requests.size());
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const ManifestEntry& entry = entries[i];
     const GeneratedRequest& request = workload.requests[i];
     EXPECT_EQ(entry.name, request.name);
     EXPECT_EQ(entry.source, request.source);
@@ -221,41 +220,37 @@ TEST(ManifestTest, MalformedLinesBecomePerLineErrors) {
   // A bad line no longer aborts the whole batch: it comes back as an
   // entry whose `error` names the line, so the CLI answers it with one
   // error response and every other request still runs.
-  Result<std::vector<ManifestEntry>> truncated =
+  std::vector<ManifestEntry> truncated =
       ParseManifestJsonl("{\"name\":\"x\"");
-  ASSERT_TRUE(truncated.ok());
-  ASSERT_EQ(truncated->size(), 1u);
-  EXPECT_FALSE((*truncated)[0].error.ok());
-  EXPECT_NE((*truncated)[0].error.ToString().find("line 1"),
-            std::string::npos);
+  ASSERT_EQ(truncated.size(), 1u);
+  EXPECT_FALSE(truncated[0].error.ok());
+  EXPECT_NE(truncated[0].error.ToString().find("line 1"), std::string::npos);
   // The JSON never parsed, so no name could be salvaged from it: the
   // entry gets the stable synthetic name instead.
-  EXPECT_EQ((*truncated)[0].name, "manifest:1");
+  EXPECT_EQ(truncated[0].name, "manifest:1");
 
-  Result<std::vector<ManifestEntry>> mixed = ParseManifestJsonl(
+  std::vector<ManifestEntry> mixed = ParseManifestJsonl(
       "{\"name\":\"good\",\"source\":\"a.\",\"query\":\"a\"}\n"
       "{\"name\":\"x\",\"query\":\"q(b)\","
       "\"expect\":\"maybe\",\"source\":\"a.\"}\n"  // unknown verdict
       "not json at all\n"
       "{\"name\":\"tail\",\"source\":\"b.\",\"query\":\"b\"}\n");
-  ASSERT_TRUE(mixed.ok());
-  ASSERT_EQ(mixed->size(), 4u);
-  EXPECT_TRUE((*mixed)[0].error.ok());
-  EXPECT_FALSE((*mixed)[1].error.ok());
-  EXPECT_NE((*mixed)[1].error.ToString().find("unknown expect"),
+  ASSERT_EQ(mixed.size(), 4u);
+  EXPECT_TRUE(mixed[0].error.ok());
+  EXPECT_FALSE(mixed[1].error.ok());
+  EXPECT_NE(mixed[1].error.ToString().find("unknown expect"),
             std::string::npos);
-  EXPECT_FALSE((*mixed)[2].error.ok());
-  EXPECT_NE((*mixed)[2].error.ToString().find("line 3"), std::string::npos);
+  EXPECT_FALSE(mixed[2].error.ok());
+  EXPECT_NE(mixed[2].error.ToString().find("line 3"), std::string::npos);
   // A line with no name gets a stable synthetic one for its response.
-  EXPECT_EQ((*mixed)[2].name, "manifest:3");
-  EXPECT_TRUE((*mixed)[3].error.ok());
-  EXPECT_EQ((*mixed)[3].name, "tail");
+  EXPECT_EQ(mixed[2].name, "manifest:3");
+  EXPECT_TRUE(mixed[3].error.ok());
+  EXPECT_EQ(mixed[3].name, "tail");
 
   // A header-only manifest is empty, not an error.
-  Result<std::vector<ManifestEntry>> empty =
+  std::vector<ManifestEntry> empty =
       ParseManifestJsonl("{\"gen_manifest\":1,\"spec\":\"1\",\"count\":0}\n");
-  ASSERT_TRUE(empty.ok());
-  EXPECT_TRUE(empty->empty());
+  EXPECT_TRUE(empty.empty());
 }
 
 TEST(OutcomeTest, MatchesExpectTable) {

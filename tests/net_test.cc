@@ -837,6 +837,44 @@ TEST(ServeTest, ConditionsKindReportsUnparseableProgramAsError) {
   EXPECT_NE(lines[0].find("\"kind\":\"conditions\""), std::string::npos);
 }
 
+TEST(ServeTest, MultiModeEntryWithoutQueryAnswersOnceForTheFirstMode) {
+  TestServer server(net::NetServerOptions(),
+                    EngineOptions{/*jobs=*/1, /*use_cache=*/true});
+  // Serve is one line in, one line out: of the two mode directives only
+  // the first is analyzed (--batch answers both).
+  std::string line = "{\"name\":\"modes\",\"source\":\":- mode(app(f,f,b)). " +
+                     std::string(kAppendSource) + "\"}\n";
+  std::vector<std::string> lines =
+      ServeThroughPeer(server, "modes", line + RequestLine("after") + "\n");
+  EXPECT_EQ(server.server().stats().served, 2);
+  ASSERT_EQ(lines.size(), 2u);
+  Response first = ParseResponse(lines[0]);
+  EXPECT_EQ(first.name, "modes");
+  EXPECT_TRUE(first.ok) << lines[0];
+  EXPECT_NE(lines[0].find("\"query\":\"app(f,f,b)\""), std::string::npos)
+      << lines[0];
+  EXPECT_EQ(ParseResponse(lines[1]).name, "after");
+}
+
+TEST(ServeTest, ConditionsKindWithoutSourceAnswersInTheConditionsShape) {
+  TestServer server(net::NetServerOptions(),
+                    EngineOptions{/*jobs=*/1, /*use_cache=*/true});
+  std::vector<std::string> lines = ServeThroughPeer(
+      server, "nosource", "{\"name\":\"bare\",\"kind\":\"conditions\"}\n");
+  net::NetStats stats = server.server().stats();
+  EXPECT_EQ(stats.errors, 1);
+  EXPECT_EQ(stats.conditions, 0);
+  ASSERT_EQ(lines.size(), 1u);
+  Response bare = ParseResponse(lines[0]);
+  EXPECT_EQ(bare.name, "bare");
+  EXPECT_FALSE(bare.ok);
+  EXPECT_NE(bare.error.find("needs \"source\" or \"file\""),
+            std::string::npos)
+      << lines[0];
+  EXPECT_NE(lines[0].find("\"kind\":\"conditions\""), std::string::npos)
+      << lines[0];
+}
+
 TEST(ServeTest, OverlongLinesAreDiscardedWithAStructuredError) {
   net::NetServerOptions options;
   options.serve.max_line_bytes = 128;
