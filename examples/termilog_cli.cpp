@@ -501,12 +501,10 @@ int RunBatch(const std::vector<BatchInput>& inputs, bool text, int jobs,
     for (; next_to_print < lines.size() && lines[next_to_print].has_value();
          ++next_to_print) {
       const std::string& line = *lines[next_to_print];
-      // A text report is multi-line and newline-terminated already.
-      if (text) {
-        std::fputs(line.c_str(), stdout);
-      } else {
-        std::printf("%s\n", line.c_str());
-      }
+      // A text report is multi-line and newline-terminated already; every
+      // other line (a JSON report, an error line) gets its newline here.
+      std::fputs(line.c_str(), stdout);
+      if (line.empty() || line.back() != '\n') std::fputc('\n', stdout);
     }
     std::fflush(stdout);
   };

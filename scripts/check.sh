@@ -6,12 +6,15 @@
 #      rather than narrowed or saturated: an int flag above INT_MAX, an
 #      int64 flag past the int64 range, and a NaN ratio; and a cross-form
 #      check that --batch DIR, a text manifest and --conditions --batch
-#      print the same bytes as --batch over their JSONL twins
+#      print the same bytes as --batch over their JSONL twins, and that a
+#      text-mode --conditions error line (unknown corpus entry, missing
+#      file) ends in a newline
 #   2. UBSan pass of the unit and engine suites in build-ubsan/ (the
 #      arithmetic kernel lives in the unit suite; docs/arithmetic.md)
-#   3. ASan+UBSan pass of the engine, obs and condinf suites in
-#      build-asan/ (the engine suite includes the seeded-failpoint chaos
-#      regression)
+#   3. ASan+UBSan pass of the unit, engine, obs and condinf suites in
+#      build-asan/ (the unit suite holds the arithmetic kernel, whose
+#      Rational owns heap memory; the engine suite includes the
+#      seeded-failpoint chaos regression)
 #   4. TSan pass of the engine, obs and condinf suites in build-tsan/
 # The sanitizer trees are configured with TERMILOG_OBS=ON explicitly so the
 # tracing/metrics subsystem is exercised under both sanitizers (the obs
@@ -157,6 +160,17 @@ run cmp "$forms/list.out" "$forms/list.twin"
 forms_run "$forms/cond.out" --conditions --batch "$forms/list.txt"
 forms_run "$forms/cond.twin" --batch "$forms/cond.jsonl"
 run cmp "$forms/cond.out" "$forms/cond.twin"
+# A text-mode --conditions error line ends in a newline, like the text
+# reports around it.
+for target in "--corpus nosuch" "$forms/missing.pl"; do
+  # Unquoted on purpose: "--corpus nosuch" splits into two words.
+  forms_run "$forms/err.txt" --conditions $target
+  if [[ "$(tail -c 1 "$forms/err.txt" | wc -l)" -ne 1 ]]; then
+    echo "check.sh: termilog_cli --conditions $target: stdout does not" \
+         "end in a newline" >&2
+    exit 1
+  fi
+done
 rm -rf "$forms"
 
 if [[ "${1:-}" == "--tier1-only" ]]; then
@@ -537,16 +551,21 @@ run cmake --build build-ubsan -j "$JOBS" \
     --target termilog_tests termilog_engine_tests
 run ctest --test-dir build-ubsan --output-on-failure -j "$JOBS" -L 'unit|engine'
 
-# --- 3+4. sanitizer passes over the concurrency-heavy suites -----------
-# -L takes a regex: select every test labelled engine, obs or condinf.
-for flavor in address thread; do
-  tree="build-asan"
-  [[ "$flavor" == "thread" ]] && tree="build-tsan"
-  run cmake -B "$tree" -S . -DTERMILOG_SANITIZE="$flavor" -DTERMILOG_OBS=ON
-  run cmake --build "$tree" -j "$JOBS" \
-      --target termilog_engine_tests termilog_obs_tests termilog_condinf_tests
-  run ctest --test-dir "$tree" --output-on-failure -j "$JOBS" \
-      -L 'engine|obs|condinf'
-done
+# --- 3. ASan+UBSan over the unit suite and the concurrency-heavy suites
+# Rational owns a heap BigInt pair behind hand-written copy and move, so
+# the unit suite (the arithmetic kernel) runs under ASan too. -L takes a
+# regex: select every test labelled unit, engine, obs or condinf.
+run cmake -B build-asan -S . -DTERMILOG_SANITIZE=address -DTERMILOG_OBS=ON
+run cmake --build build-asan -j "$JOBS" --target termilog_tests \
+    termilog_engine_tests termilog_obs_tests termilog_condinf_tests
+run ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
+    -L 'unit|engine|obs|condinf'
+
+# --- 4. TSan over the concurrency-heavy suites ------------------------
+run cmake -B build-tsan -S . -DTERMILOG_SANITIZE=thread -DTERMILOG_OBS=ON
+run cmake --build build-tsan -j "$JOBS" \
+    --target termilog_engine_tests termilog_obs_tests termilog_condinf_tests
+run ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
+    -L 'engine|obs|condinf'
 
 echo "check.sh: tier-1 + UBSan + ASan + TSan passes OK" >&2

@@ -1,6 +1,7 @@
 #include "fm/fourier_motzkin.h"
 
 #include <algorithm>
+#include <numeric>
 #include <optional>
 #include <utility>
 
@@ -29,15 +30,18 @@ Constraint CombineGe(const Constraint& pos, const Constraint& neg, int var) {
   // is what keeps deep eliminations inside the Rational int64 fast path.
   // Rows are integer after Simplify, so the integer case is the hot one.
   Rational mp, mq;
-  if (p.is_integer() && q.is_integer()) {
+  int64_t pn = 0, qn = 0;
+  if (p.GetInt64(&pn) && q.GetInt64(&qn)) {
+    // g divides pn > 0, so it fits int64; -(qn / g) may be 2^63, which
+    // Rational negation holds exactly.
+    auto g = static_cast<int64_t>(
+        std::gcd(static_cast<uint64_t>(pn), 0u - static_cast<uint64_t>(qn)));
+    mp = -Rational(qn / g);
+    mq = Rational(pn / g);
+  } else if (p.is_integer() && q.is_integer()) {
     BigInt g = BigInt::Gcd(p.num(), q.num());
-    if (g.is_one()) {
-      mp = Rational(-q.num());
-      mq = Rational(p.num());
-    } else {
-      mp = Rational(-(q.num() / g));
-      mq = Rational(p.num() / g);
-    }
+    mp = Rational(-(q.num() / g));
+    mq = Rational(p.num() / g);
   } else {
     mp = -q;
     mq = p;

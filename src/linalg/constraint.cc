@@ -31,9 +31,9 @@ uint64_t Mag64(int64_t v) {
 bool TrySmallRowGcd(std::vector<Rational>* coeffs, Rational* constant) {
   uint64_t g = 0;
   auto scan = [&g](const Rational& v) {
-    if (v.is_zero()) return true;
-    if (!v.is_integer() || !v.num().FitsInt64()) return false;
-    g = Gcd64(g, Mag64(v.num().ToInt64()));
+    int64_t n = 0;
+    if (!v.GetInt64(&n)) return false;
+    g = Gcd64(g, Mag64(n));
     return true;
   };
   for (const Rational& c : *coeffs) {
@@ -45,12 +45,13 @@ bool TrySmallRowGcd(std::vector<Rational>* coeffs, Rational* constant) {
   if (g <= 1) return true;
   if (g > static_cast<uint64_t>(INT64_MAX)) return false;  // |entry| == 2^63
   int64_t divisor = static_cast<int64_t>(g);
-  for (Rational& c : *coeffs) {
-    if (!c.is_zero()) c = Rational(c.num().ToInt64() / divisor);
-  }
-  if (!constant->is_zero()) {
-    *constant = Rational(constant->num().ToInt64() / divisor);
-  }
+  auto divide = [divisor](Rational* v) {
+    int64_t n = 0;
+    v->GetInt64(&n);
+    *v = Rational(n / divisor);
+  };
+  for (Rational& c : *coeffs) divide(&c);
+  divide(constant);
   return true;
 }
 

@@ -8,53 +8,9 @@
 
 namespace termilog {
 
-Rational::Rational(BigInt num, BigInt den)
-    : num_(std::move(num)), den_(std::move(den)) {
-  TERMILOG_CHECK_MSG(!den_.is_zero(), "rational with zero denominator");
-  Normalize();
-}
-
-void Rational::Normalize() {
-  if (den_.is_negative()) {
-    num_.Negate();
-    den_.Negate();
-  }
-  if (num_.is_zero()) {
-    den_ = BigInt(1);
-    return;
-  }
-  BigInt g = BigInt::Gcd(num_, den_);
-  if (!g.is_one()) {
-    num_ = num_ / g;
-    den_ = den_ / g;
-  }
-}
-
-Result<Rational> Rational::FromString(std::string_view text) {
-  text = StripWhitespace(text);
-  size_t slash = text.find('/');
-  if (slash == std::string_view::npos) {
-    Result<BigInt> n = BigInt::FromString(text);
-    if (!n.ok()) return n.status();
-    return Rational(std::move(n).value());
-  }
-  Result<BigInt> n = BigInt::FromString(text.substr(0, slash));
-  if (!n.ok()) return n.status();
-  Result<BigInt> d = BigInt::FromString(text.substr(slash + 1));
-  if (!d.ok()) return d.status();
-  if (d->is_zero()) return Status::InvalidArgument("zero denominator");
-  return Rational(std::move(n).value(), std::move(d).value());
-}
-
 namespace {
 
-// True when every component of both operands fits a machine word, making
-// the __int128 fast path exact (|a|,|b| < 2^63 so all cross products and
-// their sums fit comfortably in 128 bits).
-inline bool BothSmall(const Rational& a, const Rational& b) {
-  return a.num().FitsInt64() && a.den().FitsInt64() &&
-         b.num().FitsInt64() && b.den().FitsInt64();
-}
+inline bool FitsInt64(__int128 v) { return v >= INT64_MIN && v <= INT64_MAX; }
 
 inline unsigned __int128 UAbs128(__int128 v) {
   return v < 0 ? -static_cast<unsigned __int128>(v)
@@ -88,9 +44,63 @@ inline unsigned __int128 Gcd128(unsigned __int128 a, unsigned __int128 b) {
 
 }  // namespace
 
+Rational::Rational(BigInt value) { Store(std::move(value), BigInt(1)); }
+
+Rational::Rational(BigInt num, BigInt den) {
+  TERMILOG_CHECK_MSG(!den.is_zero(), "rational with zero denominator");
+  if (den.is_negative()) {
+    num.Negate();
+    den.Negate();
+  }
+  if (num.is_zero()) return;
+  BigInt g = BigInt::Gcd(num, den);
+  if (!g.is_one()) {
+    num = num / g;
+    den = den / g;
+  }
+  Store(std::move(num), std::move(den));
+}
+
+Rational::Rational(int64_t num, int64_t den) {
+  TERMILOG_CHECK_MSG(den != 0, "rational with zero denominator");
+  __int128 n = num, d = den;
+  *this = d < 0 ? FromInt128(-n, -d) : FromInt128(n, d);
+}
+
+void Rational::Store(BigInt num, BigInt den) {
+  if (num.FitsInt64() && den.FitsInt64()) {
+    num_ = num.ToInt64();
+    den_ = den.ToInt64();
+    big_.reset();
+    return;
+  }
+  TERMILOG_DCHECK(den.is_positive() && BigInt::Gcd(num, den).is_one());
+  num_ = 0;
+  den_ = 1;
+  big_ = std::make_unique<Big>(Big{std::move(num), std::move(den)});
+}
+
+void Rational::NegateWide() { Store(-num(), den()); }
+
+Result<Rational> Rational::FromString(std::string_view text) {
+  text = StripWhitespace(text);
+  size_t slash = text.find('/');
+  if (slash == std::string_view::npos) {
+    Result<BigInt> n = BigInt::FromString(text);
+    if (!n.ok()) return n.status();
+    return Rational(std::move(n).value());
+  }
+  Result<BigInt> n = BigInt::FromString(text.substr(0, slash));
+  if (!n.ok()) return n.status();
+  Result<BigInt> d = BigInt::FromString(text.substr(slash + 1));
+  if (!d.ok()) return d.status();
+  if (d->is_zero()) return Status::InvalidArgument("zero denominator");
+  return Rational(std::move(n).value(), std::move(d).value());
+}
+
 Rational Rational::FromInt128(__int128 num, __int128 den) {
-  // Callers guarantee den > 0 (it is a product of positive denominators).
-  if (num == 0) return Rational();
+  Rational out;
+  if (num == 0) return out;
   if (den != 1) {
     unsigned __int128 g =
         Gcd128(UAbs128(num), static_cast<unsigned __int128>(den));
@@ -99,93 +109,102 @@ Rational Rational::FromInt128(__int128 num, __int128 den) {
       den /= static_cast<__int128>(g);
     }
   }
-  return Rational(BigInt::FromInt128(num), BigInt::FromInt128(den),
-                  AlreadyNormalizedTag{});
-}
-
-Rational Rational::operator-() const {
-  Rational out = *this;
-  out.num_.Negate();
+  if (FitsInt64(num) && FitsInt64(den)) {
+    out.num_ = static_cast<int64_t>(num);
+    out.den_ = static_cast<int64_t>(den);
+  } else {
+    out.Store(BigInt::FromInt128(num), BigInt::FromInt128(den));
+  }
   return out;
 }
 
-Rational Rational::operator+(const Rational& other) const {
-  if (BothSmall(*this, other)) {
-    __int128 an = num_.ToInt64(), ad = den_.ToInt64();
-    __int128 bn = other.num_.ToInt64(), bd = other.den_.ToInt64();
-    return FromInt128(an * bd + bn * ad, ad * bd);
+// The general case of each binary operation. Two inline operands compute
+// exact __int128 cross products (|a|, |b| <= 2^63, so every product and sum
+// below fits); a heap operand runs the BigInt formulas, the only arithmetic
+// here that notes limbs.
+Rational Rational::Add(const Rational& other) const {
+  if (!big_ && !other.big_) {
+    return FromInt128(
+        static_cast<__int128>(num_) * other.den_ +
+            static_cast<__int128>(other.num_) * den_,
+        static_cast<__int128>(den_) * other.den_);
   }
-  return Rational(num_ * other.den_ + other.num_ * den_, den_ * other.den_);
+  return Rational(num() * other.den() + other.num() * den(),
+                  den() * other.den());
 }
 
-Rational Rational::operator-(const Rational& other) const {
-  if (BothSmall(*this, other)) {
-    __int128 an = num_.ToInt64(), ad = den_.ToInt64();
-    __int128 bn = other.num_.ToInt64(), bd = other.den_.ToInt64();
-    return FromInt128(an * bd - bn * ad, ad * bd);
+Rational Rational::Sub(const Rational& other) const {
+  if (!big_ && !other.big_) {
+    return FromInt128(
+        static_cast<__int128>(num_) * other.den_ -
+            static_cast<__int128>(other.num_) * den_,
+        static_cast<__int128>(den_) * other.den_);
   }
-  return Rational(num_ * other.den_ - other.num_ * den_, den_ * other.den_);
+  return Rational(num() * other.den() - other.num() * den(),
+                  den() * other.den());
 }
 
-Rational Rational::operator*(const Rational& other) const {
-  if (BothSmall(*this, other)) {
-    __int128 an = num_.ToInt64(), ad = den_.ToInt64();
-    __int128 bn = other.num_.ToInt64(), bd = other.den_.ToInt64();
-    return FromInt128(an * bn, ad * bd);
+Rational Rational::Mul(const Rational& other) const {
+  if (!big_ && !other.big_) {
+    return FromInt128(static_cast<__int128>(num_) * other.num_,
+                      static_cast<__int128>(den_) * other.den_);
   }
-  return Rational(num_ * other.num_, den_ * other.den_);
+  return Rational(num() * other.num(), den() * other.den());
 }
 
 Rational Rational::operator/(const Rational& other) const {
   TERMILOG_CHECK_MSG(!other.is_zero(), "rational division by zero");
-  if (BothSmall(*this, other)) {
-    __int128 an = num_.ToInt64(), ad = den_.ToInt64();
-    __int128 bn = other.num_.ToInt64(), bd = other.den_.ToInt64();
-    __int128 num = an * bd, den = ad * bn;
-    if (den < 0) {
-      num = -num;
-      den = -den;
-    }
-    return FromInt128(num, den);
+  if (!big_ && !other.big_) {
+    __int128 num = static_cast<__int128>(num_) * other.den_;
+    __int128 den = static_cast<__int128>(den_) * other.num_;
+    return den < 0 ? FromInt128(-num, -den) : FromInt128(num, den);
   }
-  return Rational(num_ * other.den_, den_ * other.num_);
+  return Rational(num() * other.den(), den() * other.num());
 }
 
 int Rational::Compare(const Rational& other) const {
   // Sign-only shortcut: denominators are positive, so differing numerator
   // signs settle the comparison without touching any product.
-  int sa = num_.sign();
-  int sb = other.num_.sign();
+  int sa = sign();
+  int sb = other.sign();
   if (sa != sb) return sa < sb ? -1 : 1;
   if (sa == 0) return 0;
-  if (BothSmall(*this, other)) {
-    __int128 lhs = static_cast<__int128>(num_.ToInt64()) * other.den_.ToInt64();
-    __int128 rhs = static_cast<__int128>(other.num_.ToInt64()) * den_.ToInt64();
+  if (!big_ && !other.big_) {
+    __int128 lhs = static_cast<__int128>(num_) * other.den_;
+    __int128 rhs = static_cast<__int128>(other.num_) * den_;
     return lhs < rhs ? -1 : (lhs > rhs ? 1 : 0);
   }
   // Cross-multiply; denominators are positive so ordering is preserved.
-  return (num_ * other.den_).Compare(other.num_ * den_);
+  return (num() * other.den()).Compare(other.num() * den());
 }
 
-Rational Rational::Abs() const {
+Rational Rational::operator-() const {
   Rational out = *this;
-  out.num_ = out.num_.Abs();
+  out.Negate();
   return out;
 }
 
+Rational Rational::Abs() const { return sign() < 0 ? -*this : *this; }
+
 Rational Rational::Inverse() const {
   TERMILOG_CHECK_MSG(!is_zero(), "inverse of zero");
-  return Rational(den_, num_);
+  if (!big_ && num_ != INT64_MIN) {
+    Rational out;
+    out.num_ = num_ < 0 ? -den_ : den_;
+    out.den_ = num_ < 0 ? -num_ : num_;
+    return out;
+  }
+  return Rational(den(), num());
 }
 
 std::string Rational::ToString() const {
-  if (is_integer()) return num_.ToString();
-  return StrCat(num_.ToString(), "/", den_.ToString());
+  if (is_integer()) return num().ToString();
+  return StrCat(num().ToString(), "/", den().ToString());
 }
 
 size_t Rational::Hash() const {
-  size_t h = num_.Hash();
-  h ^= den_.Hash() + 0x9e3779b97f4a7c15u + (h << 6) + (h >> 2);
+  size_t h = num().Hash();
+  h ^= den().Hash() + 0x9e3779b97f4a7c15u + (h << 6) + (h >> 2);
   return h;
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/analyzer.h"
@@ -32,14 +33,15 @@ class Rng {
   uint64_t state_;
 };
 
-// --- Differential fuzz: Rational __int128 fast path vs BigInt slow path ---
+// --- Differential fuzz: Rational machine-word path vs BigInt heap path ---
 //
-// Every Rational operation has two implementations: the __int128 fast path
-// (taken when all four components fit int64) and the BigInt slow path. The
-// fuzzer drives random values concentrated in the bands around ±2^63 and
-// ±2^31 where the paths hand over, and checks each operation against a
-// reference computed with plain BigInt cross-multiplication (which never
-// enters the fast path).
+// Every Rational operation has two implementations: the machine-word path
+// (taken when both operands are inline, i.e. all four components fit
+// int64) and the BigInt path of heap values. The fuzzer drives random
+// values concentrated in the bands around ±2^63 and ±2^31 where the forms
+// hand over, and checks each operation against a reference computed with
+// plain BigInt cross-multiplication (which never enters the machine-word
+// path).
 
 Rational FuzzRefAdd(const Rational& a, const Rational& b) {
   return Rational(a.num() * b.den() + b.num() * a.den(), a.den() * b.den());
@@ -114,6 +116,35 @@ TEST_P(RationalDifferentialFuzz, FastPathAgreesWithBigIntReference) {
     }
     // Hash is path-independent: equal values hash equally.
     ASSERT_EQ(sum.Hash(), FuzzRefAdd(a, b).Hash());
+
+    // Multiply-then-divide chain near ±2^62: the products cross the int64
+    // boundary onto the heap, and dividing the factors back out must
+    // return the exact start value in its inline form.
+    int64_t start = (int64_t{1} << 62) + static_cast<int64_t>(rng.Next() % 4096);
+    if (rng.Next() % 2) start = -start;
+    Rational x(start);
+    std::vector<Rational> factors;
+    for (int step = 0; step < 3; ++step) {
+      Rational f(static_cast<int64_t>(2 + rng.Next() % 7),
+                 static_cast<int64_t>(1 + rng.Next() % 3));
+      if (rng.Next() % 2) f.Negate();
+      Rational up = x * f;
+      ASSERT_EQ(up, FuzzRefMul(x, f)) << x << " * " << f;
+      ASSERT_EQ(up.Hash(), FuzzRefMul(x, f).Hash());
+      x = std::move(up);
+      factors.push_back(std::move(f));
+    }
+    while (!factors.empty()) {
+      Rational down = x / factors.back();
+      ASSERT_EQ(FuzzRefMul(down, factors.back()), x)
+          << x << " / " << factors.back();
+      x = std::move(down);
+      factors.pop_back();
+    }
+    int64_t back = 0;
+    ASSERT_TRUE(x.GetInt64(&back)) << x;
+    ASSERT_EQ(back, start);
+    ASSERT_EQ(x.Hash(), Rational(BigInt(start)).Hash());
   }
 }
 

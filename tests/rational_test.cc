@@ -1,5 +1,8 @@
 #include "rational/rational.h"
 
+#include <cstdint>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -103,8 +106,9 @@ TEST(RationalTest, NegateInPlace) {
 }
 
 // Reference implementations over plain BigInt cross-multiplication: the
-// __int128 fast path must agree with these on every input, in particular
-// around the int64 boundary where BothSmall flips between true and false.
+// machine-word path must agree with these on every input, in particular
+// around the int64 boundary where values move between the inline and the
+// heap form.
 Rational RefAdd(const Rational& a, const Rational& b) {
   return Rational(a.num() * b.den() + b.num() * a.den(), a.den() * b.den());
 }
@@ -119,6 +123,15 @@ Rational RefDiv(const Rational& a, const Rational& b) {
 }
 int RefCompare(const Rational& a, const Rational& b) {
   return (a.num() * b.den()).Compare(b.num() * a.den());
+}
+
+// Rational::Hash in either form: the BigInt hashes of the normalized
+// components, combined. Hashes feed cache keys, so the form must not move
+// them.
+size_t RefHash(const BigInt& num, const BigInt& den) {
+  size_t h = num.Hash();
+  h ^= den.Hash() + 0x9e3779b97f4a7c15u + (h << 6) + (h >> 2);
+  return h;
 }
 
 void CheckWellFormed(const Rational& r) {
@@ -177,6 +190,133 @@ TEST(RationalTest, FastPathMatchesSlowPathAtInt64Boundary) {
       EXPECT_EQ(sum.Hash(), RefAdd(a, b).Hash());
     }
   }
+}
+
+static_assert(sizeof(Rational) <= 24, "Rational must stay three words");
+static_assert(std::is_nothrow_move_constructible_v<Rational> &&
+                  std::is_nothrow_move_assignable_v<Rational>,
+              "vector<Rational> reallocation must move, not copy");
+
+BigInt Big(const char* decimal) { return BigInt::FromString(decimal).value(); }
+
+// Checks `r` against its exact value num/den (decimal strings) and against
+// `ref`, the same value from the BigInt reference: value, rendering, hash
+// and order, plus whether it reads back as an int64 integer (which only an
+// inline integer does).
+void ExpectExact(const Rational& r, const char* num, const char* den,
+                 const Rational& ref, bool int64_integer) {
+  BigInt n = Big(num), d = Big(den);
+  EXPECT_EQ(r.num(), n);
+  EXPECT_EQ(r.den(), d);
+  EXPECT_EQ(r, ref);
+  EXPECT_EQ(r.Compare(ref), 0);
+  EXPECT_EQ(r.ToString(),
+            d.is_one() ? n.ToString() : n.ToString() + "/" + d.ToString());
+  EXPECT_EQ(r.Hash(), RefHash(n, d));
+  EXPECT_EQ(r.Hash(), ref.Hash());
+  for (int64_t probe : {INT64_MIN, int64_t{-1}, int64_t{0}, INT64_MAX}) {
+    EXPECT_EQ(r.Compare(Rational(probe)), RefCompare(r, Rational(probe)))
+        << r << " <=> " << probe;
+  }
+  EXPECT_EQ(r.is_zero(), n.is_zero());
+  EXPECT_EQ(r.sign(), n.sign());
+  EXPECT_EQ(r.is_integer(), d.is_one());
+  int64_t value = 0;
+  EXPECT_EQ(r.GetInt64(&value), int64_integer) << r;
+  if (int64_integer) {
+    EXPECT_EQ(BigInt(value), n);
+  }
+  CheckWellFormed(r);
+}
+
+TEST(RationalTest, ResultsOutsideInt64SpillToTheHeap) {
+  const Rational max(INT64_MAX), min(INT64_MIN), one(1), two(2);
+  ExpectExact(max + one, "9223372036854775808", "1", RefAdd(max, one),
+              false);
+  ExpectExact(max * two, "18446744073709551614", "1", RefMul(max, two),
+              false);
+  ExpectExact(min - one, "-9223372036854775809", "1", RefSub(min, one),
+              false);
+  // -2^63 fits int64 but 2^63 does not: every sign flip of it spills.
+  Rational negated = min;
+  negated.Negate();
+  ExpectExact(negated, "9223372036854775808", "1", RefSub(Rational(), min),
+              false);
+  ExpectExact(-min, "9223372036854775808", "1", RefSub(Rational(), min),
+              false);
+  ExpectExact(min.Abs(), "9223372036854775808", "1", RefSub(Rational(), min),
+              false);
+  ExpectExact(min.Inverse(), "-1", "9223372036854775808",
+              RefDiv(one, min), false);
+  // 1/3 over 2^63 - 1: the reduced denominator 3 * (2^63 - 1) is too wide.
+  Rational third(1, 3);
+  ExpectExact(third / max, "1", "27670116110564327421", RefDiv(third, max),
+              false);
+}
+
+TEST(RationalTest, ResultsInsideInt64ComeBackInline) {
+  const Rational max(INT64_MAX), one(1);
+  Rational wide = max + one;  // 2^63, heap
+  ExpectExact(wide - wide, "0", "1", RefSub(wide, wide), true);
+  ExpectExact(wide * Rational(1, 2), "4611686018427387904", "1",
+              RefMul(wide, Rational(1, 2)), true);
+  Rational wider = wide + Rational(5);
+  ExpectExact(wider - wide, "5", "1", RefSub(wider, wide), true);
+  // A heap value negated to -2^63 is inline again.
+  Rational back = wide;
+  back.Negate();
+  ExpectExact(back, "-9223372036854775808", "1", RefSub(Rational(), wide),
+              true);
+  ExpectExact(Rational(Big("-9223372036854775808"), Big("1")),
+              "-9223372036854775808", "1", Rational(INT64_MIN), true);
+  // The heap form's inverse can fit: 1/2^63 -> 2^63 stays wide, but
+  // -1/2^63 -> -2^63 is inline.
+  Rational tiny = Rational(-1) / wide;
+  ExpectExact(tiny.Inverse(), "-9223372036854775808", "1",
+              RefDiv(one, tiny), true);
+}
+
+TEST(RationalTest, HeapValueCopiesMovesAndSelfAssigns) {
+  const Rational wide = Rational(INT64_MAX) + Rational(1);
+  const char* kWide = "9223372036854775808";
+  Rational copy(wide);
+  ExpectExact(copy, kWide, "1", wide, false);
+  Rational assigned(7);
+  assigned = wide;
+  ExpectExact(assigned, kWide, "1", wide, false);
+  Rational& alias = assigned;
+  assigned = alias;
+  ExpectExact(assigned, kWide, "1", wide, false);
+  Rational moved(std::move(copy));
+  ExpectExact(moved, kWide, "1", wide, false);
+  Rational move_assigned(3, 4);
+  move_assigned = std::move(moved);
+  ExpectExact(move_assigned, kWide, "1", wide, false);
+  Rational& self = move_assigned;
+  move_assigned = std::move(self);
+  ExpectExact(move_assigned, kWide, "1", wide, false);
+  // Assigning an inline value over a heap one releases the heap pair.
+  assigned = Rational(5);
+  ExpectExact(assigned, "5", "1", Rational(5), true);
+  std::vector<Rational> grown;
+  for (int i = 0; i < 33; ++i) grown.push_back(wide + Rational(i));
+  for (int i = 0; i < 33; ++i) {
+    EXPECT_EQ(grown[i] - wide, Rational(i));
+  }
+}
+
+TEST(RationalTest, LimbAccountingMatchesBigIntPath) {
+  // Only BigInt arithmetic notes limbs: two inline operands compute in
+  // machine words and leave the high-water mark alone, while a heap
+  // operand runs the BigInt formulas (2^120 is four 32-bit limbs).
+  const Rational p40(int64_t{1} << 40);
+  BigInt::ResetLimbHighWater();
+  Rational p80 = p40 * p40;
+  EXPECT_EQ(BigInt::LimbHighWater(), 0);
+  BigInt::ResetLimbHighWater();
+  Rational p120 = p80 * p40;
+  EXPECT_EQ(BigInt::LimbHighWater(), 4);
+  EXPECT_EQ(p120.num(), Big("1329227995784915872903807060280344576"));
 }
 
 }  // namespace
