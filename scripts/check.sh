@@ -74,7 +74,11 @@
 # must serve nonzero persisted hits of both record kinds (SCC and
 # inference, appended through the one store path) with byte-identical
 # output, a jobs=1 vs jobs=8 cold byte comparison (the DAG-scheduled
-# parallel inference must be output-invisible), and ASan+TSan passes over
+# parallel inference must be output-invisible), a --metrics run whose
+# LP-caller counters must sum to simplex.solves and whose fixpoint memo
+# must have served transfers and joins, a budgeted manifest (about half
+# its requests trip mid-fixpoint, so the memo declines repeats it cannot
+# afford) byte-identical at jobs=1 and jobs=4, and ASan+TSan passes over
 # the same tests (the snapshot/apply handoff, the pending-inference
 # countdown and the caches' single-flight are the concurrency surface).
 #
@@ -460,18 +464,60 @@ if [[ "${1:-}" == "--inference" ]]; then
     fi
   done
 
-  # --- d. ASan and TSan over the inference regressions -------------------
+  # --- d. LP solves split by caller; the fixpoint memo served repeats -----
+  run_batch ./build/examples/termilog_cli --batch "$manifest" --jobs 4 \
+      --metrics "$workdir/metrics.json" >/dev/null
+  counter() {  # a counter's value in the metrics file, 0 when absent
+    local value
+    value="$(grep -o "\"$1\":[0-9]*" "$workdir/metrics.json" |
+             head -1 | cut -d: -f2 || true)"
+    echo "${value:-0}"
+  }
+  solves="$(counter simplex.solves)"
+  split=0
+  for caller in emptiness prune entailment analyzer; do
+    split=$((split + $(counter "simplex.solves.$caller")))
+  done
+  if [[ "$solves" -eq 0 || "$split" -ne "$solves" ]]; then
+    echo "check.sh: inference harness failed: LP solves by caller sum to" \
+         "$split, simplex.solves is $solves" >&2
+    exit 1
+  fi
+  for hits in inference.transfer_hits inference.join_hits; do
+    if [[ "$(counter "$hits")" -le 0 ]]; then
+      echo "check.sh: inference harness failed: $hits is 0" >&2
+      exit 1
+    fi
+  done
+
+  # --- e. a budgeted manifest: memo declines are output-invisible --------
+  budgeted="$workdir/budget300.jsonl"
+  run ./build/examples/termilog_cli \
+      --gen "5:count=300,sccs=1-3,preds=1-3,mix=0/0/100,budget=300" \
+      --out "$budgeted"
+  run_batch ./build/examples/termilog_cli --batch "$budgeted" --jobs 1 \
+      >"$workdir/budget.j1.jsonl"
+  run_batch ./build/examples/termilog_cli --batch "$budgeted" --jobs 4 \
+      >"$workdir/budget.j4.jsonl"
+  run cmp "$workdir/budget.j1.jsonl" "$workdir/budget.j4.jsonl"
+
+  # --- f. ASan and TSan over the inference regressions -------------------
+  # The regressions live in both the engine and the unit suite
+  # (InferenceTest.*), so both are rebuilt: ctest would otherwise run a
+  # stale unit binary, or none.
   for flavor in address thread; do
     tree="build-asan"
     [[ "$flavor" == "thread" ]] && tree="build-tsan"
     run cmake -B "$tree" -S . -DTERMILOG_SANITIZE="$flavor" -DTERMILOG_OBS=ON
-    run cmake --build "$tree" -j "$JOBS" --target termilog_engine_tests
+    run cmake --build "$tree" -j "$JOBS" \
+        --target termilog_engine_tests termilog_tests
     run ctest --test-dir "$tree" --output-on-failure -j "$JOBS" \
         -R "$INFERENCE_TESTS"
   done
 
   echo "check.sh: inference harness OK (jobs sweep byte-identical," \
-       "warm store skipped recomputation)" >&2
+       "warm store skipped recomputation, LP split sums to the total," \
+       "memo served repeats, budgeted manifest byte-identical)" >&2
   exit 0
 fi
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <unordered_map>
 #include <utility>
 
 #include "graph/digraph.h"
@@ -36,6 +37,139 @@ bool TriviallyImplied(const Constraint& row) {
   }
   return true;
 }
+
+size_t MixHash(size_t h, size_t v) {
+  return h ^ (v + 0x9e3779b97f4a7c15u + (h << 6) + (h >> 2));
+}
+
+// A hash consistent with Polyhedron::Identical. Rows are normalized
+// integers almost always, so machine-word values mix in directly.
+size_t ValueHash(const Polyhedron& polyhedron) {
+  auto value = [](const Rational& r) {
+    int64_t small = 0;
+    return r.GetInt64(&small) ? static_cast<size_t>(small) : r.Hash();
+  };
+  size_t h = MixHash(static_cast<size_t>(polyhedron.num_vars()),
+                     polyhedron.known_empty() ? 1 : 0);
+  for (const Constraint& row : polyhedron.constraints().rows()) {
+    h = MixHash(h, static_cast<size_t>(row.rel));
+    h = MixHash(h, value(row.constant));
+    for (const Rational& c : row.coeffs) h = MixHash(h, value(c));
+  }
+  return h;
+}
+
+// The transfers and joins of one RunScc call, each computed at most once.
+// Both are deterministic functions of their operands' rows (the program,
+// the db and the FmOptions stay fixed for the call), so a repeat takes the
+// stored result. A repeat is charged to the governor at "inference.memo"
+// with the ticks the first computation charged, and only when recomputing
+// could not have tripped: the governor is not exhausted, the work budget
+// covers the ticks, and no limb limit is set (a limb limit is sampled every
+// few ticks, and one lump charge would move the samples, and with them the
+// site and spend a limb trip reports). Otherwise the step is recomputed,
+// and trips exactly where the uncached sweep would. So values, spend.work
+// and trip messages are those of the uncached fixpoint (docs/robustness.md).
+class FixpointMemo {
+ public:
+  explicit FixpointMemo(const ResourceGovernor* governor)
+      : governor_(governor) {}
+
+  // RuleTransfer of program rule `r` under `current`. The key is the rule
+  // and the SCC polyhedra its positive body literals read, in body order.
+  Result<Polyhedron> Transfer(const Program& program, int r,
+                              const std::map<PredId, Polyhedron>& current,
+                              const ArgSizeDb& db, const FmOptions& fm) {
+    TERMILOG_COUNTER("inference.transfers", 1);
+    const Rule& rule = program.rules()[r];
+    std::vector<const Polyhedron*> reads;
+    for (const Literal& lit : rule.body) {
+      if (!lit.positive) continue;
+      auto it = current.find(lit.atom.pred_id());
+      if (it != current.end()) reads.push_back(&it->second);
+    }
+    return Get(r, reads, "inference.transfer_hits", [&] {
+      return ConstraintInference::RuleTransfer(program, rule, current, db,
+                                               fm);
+    });
+  }
+
+  // The join of a predicate's value `left` with a transfer. A join into
+  // bottom is the transfer itself, with nothing to store.
+  Result<Polyhedron> Join(const Polyhedron& left, const Polyhedron& right,
+                          const FmOptions& fm) {
+    if (left.IsEmpty()) return right;
+    TERMILOG_COUNTER("inference.joins", 1);
+    return Get(kJoin, {&left, &right}, "inference.join_hits",
+               [&] { return Polyhedron::ConvexHull(left, right, fm); });
+  }
+
+ private:
+  static constexpr int kJoin = -1;
+
+  struct Entry {
+    int step;  // the rule index of a transfer, kJoin for a join
+    std::vector<Polyhedron> operands;
+    Polyhedron result;
+    int64_t ticks;
+  };
+
+  int64_t Work() const {
+    return governor_ == nullptr ? 0 : governor_->Spend().work;
+  }
+
+  bool CanReplay(int64_t ticks) const {
+    if (governor_ == nullptr) return true;
+    if (governor_->exhausted()) return false;
+    const GovernorLimits& limits = governor_->limits();
+    if (limits.bigint_limb_limit > 0) return false;
+    return limits.work_budget == 0 ||
+           governor_->Spend().work + ticks <= limits.work_budget;
+  }
+
+  template <typename Compute>
+  Result<Polyhedron> Get(int step, const std::vector<const Polyhedron*>& key,
+                         [[maybe_unused]] const char* hit_counter,
+                         Compute compute) {
+    size_t hash = std::hash<int>()(step);
+    for (const Polyhedron* operand : key) {
+      hash = MixHash(hash, ValueHash(*operand));
+    }
+    auto [first, last] = entries_.equal_range(hash);
+    for (auto it = first; it != last; ++it) {
+      const Entry& entry = it->second;
+      if (entry.step != step || !SameOperands(entry.operands, key)) continue;
+      if (!CanReplay(entry.ticks)) return compute();
+      if (governor_ != nullptr) {
+        Status charged = governor_->Charge("inference.memo", entry.ticks);
+        if (!charged.ok()) return charged;
+      }
+      TERMILOG_COUNTER(hit_counter, 1);
+      return entry.result;
+    }
+    const int64_t work_before = Work();
+    Result<Polyhedron> out = compute();
+    if (out.ok()) {
+      Entry entry{step, {}, *out, Work() - work_before};
+      entry.operands.reserve(key.size());
+      for (const Polyhedron* operand : key) entry.operands.push_back(*operand);
+      entries_.emplace(hash, std::move(entry));
+    }
+    return out;
+  }
+
+  static bool SameOperands(const std::vector<Polyhedron>& stored,
+                           const std::vector<const Polyhedron*>& key) {
+    if (stored.size() != key.size()) return false;
+    for (size_t i = 0; i < key.size(); ++i) {
+      if (!stored[i].Identical(*key[i])) return false;
+    }
+    return true;
+  }
+
+  const ResourceGovernor* governor_;
+  std::unordered_multimap<size_t, Entry> entries_;
+};
 
 }  // namespace
 
@@ -168,6 +302,7 @@ Result<SccInferenceResult> ConstraintInference::RunScc(
     for (int r : program.RuleIndicesFor(pred)) rule_indices.push_back(r);
   }
   std::sort(rule_indices.begin(), rule_indices.end());
+  FixpointMemo memo(options.fm.governor);
 
   Status scc_status = Status::Ok();
   for (int sweep = 0; sweep < options.max_sweeps; ++sweep) {
@@ -184,16 +319,15 @@ Result<SccInferenceResult> ConstraintInference::RunScc(
     TERMILOG_COUNTER("inference.sweeps", 1);
     std::map<PredId, Polyhedron> before = current;
     for (int r : rule_indices) {
-      const Rule& rule = program.rules()[r];
-      PredId pred = rule.head.pred_id();
+      PredId pred = program.rules()[r].head.pred_id();
       Result<Polyhedron> transferred =
-          RuleTransfer(program, rule, current, db, options.fm);
+          memo.Transfer(program, r, current, db, options.fm);
       if (!transferred.ok()) {
         scc_status = transferred.status();
         break;
       }
-      Result<Polyhedron> joined = Polyhedron::ConvexHull(
-          current.at(pred), *transferred, options.fm);
+      Result<Polyhedron> joined =
+          memo.Join(current.at(pred), *transferred, options.fm);
       if (!joined.ok()) {
         scc_status = joined.status();
         break;
@@ -246,17 +380,15 @@ Result<SccInferenceResult> ConstraintInference::RunScc(
     }
     bool refine_ok = true;
     for (int r : rule_indices) {
-      const Rule& rule = program.rules()[r];
-      PredId pred = rule.head.pred_id();
+      PredId pred = program.rules()[r].head.pred_id();
       Result<Polyhedron> transferred =
-          ConstraintInference::RuleTransfer(program, rule, current, db,
-                                            options.fm);
+          memo.Transfer(program, r, current, db, options.fm);
       if (!transferred.ok()) {
         refine_ok = false;
         break;
       }
-      Result<Polyhedron> joined = Polyhedron::ConvexHull(
-          refined.at(pred), *transferred, options.fm);
+      Result<Polyhedron> joined =
+          memo.Join(refined.at(pred), *transferred, options.fm);
       if (!joined.ok()) {
         refine_ok = false;
         break;

@@ -229,6 +229,7 @@ Result<ConstraintSystem> FourierMotzkin::Project(
 void FourierMotzkin::LpPruneRedundant(ConstraintSystem* system,
                                       const ResourceGovernor* governor) {
   TERMILOG_TRACE("fm.lp_prune", "fm");
+  TERMILOG_LP_CALLER("simplex.solves.prune");
   std::vector<Constraint>& rows = system->mutable_rows();
   const int n = system->num_vars();
   // Rows are tested from the end (matching the historical erase order, so

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "lp/simplex.h"
+#include "obs/obs.h"
 #include "util/check.h"
 
 namespace termilog {
@@ -35,15 +36,25 @@ void Polyhedron::AddConstraint(Constraint row) {
 bool Polyhedron::IsEmpty() const {
   if (known_empty_) return true;
   if (!empty_cache_.has_value()) {
+    TERMILOG_LP_CALLER("simplex.solves.emptiness");
     std::vector<bool> all_free(system_.num_vars(), true);
     LpResult lp = SimplexSolver::FindFeasible(system_, all_free);
+    // An unanswered LP (a forced pivot trip) is taken as "has a point" but
+    // not cached: the cache, and the marks derived from it, hold proofs.
+    if (lp.status == LpStatus::kPivotLimit) return false;
     empty_cache_ = (lp.status == LpStatus::kInfeasible);
   }
   return *empty_cache_;
 }
 
+void Polyhedron::MarkNonEmpty() {
+  TERMILOG_CHECK_MSG(!known_empty_, "a value built nonempty collapsed");
+  empty_cache_ = false;
+}
+
 bool Polyhedron::Entails(const Constraint& row) const {
   if (IsEmpty()) return true;
+  TERMILOG_LP_CALLER("simplex.solves.entailment");
   std::vector<const Constraint*> rows;
   rows.reserve(system_.size());
   for (const Constraint& r : system_.rows()) rows.push_back(&r);
@@ -63,12 +74,19 @@ bool Polyhedron::Entails(const Constraint& row) const {
 }
 
 bool Polyhedron::Contains(const Polyhedron& other) const {
+  if (Identical(other)) return true;
   if (other.IsEmpty()) return true;
   if (IsEmpty()) return false;
   for (const Constraint& row : system_.rows()) {
     if (!other.Entails(row)) return false;
   }
   return true;
+}
+
+bool Polyhedron::Identical(const Polyhedron& other) const {
+  return num_vars() == other.num_vars() &&
+         known_empty_ == other.known_empty_ &&
+         system_.rows() == other.system_.rows();
 }
 
 bool Polyhedron::Equals(const Polyhedron& other) const {
@@ -86,13 +104,17 @@ Result<Polyhedron> Polyhedron::Project(const std::vector<int>& keep,
   Result<ConstraintSystem> projected =
       FourierMotzkin::Project(system_, keep, options);
   if (!projected.ok()) return projected.status();
-  return Polyhedron::FromSystem(std::move(projected).value());
+  Polyhedron out = Polyhedron::FromSystem(std::move(projected).value());
+  // The projection of a point is a point of the projection.
+  if (known_nonempty()) out.MarkNonEmpty();
+  return out;
 }
 
 Result<Polyhedron> Polyhedron::ConvexHull(const Polyhedron& p,
                                           const Polyhedron& q,
                                           const FmOptions& options) {
   TERMILOG_CHECK(p.num_vars() == q.num_vars());
+  TERMILOG_TRACE("poly.hull", "fm");
   const int n = p.num_vars();
   if (p.IsEmpty()) return q;
   if (q.IsEmpty()) return p;
@@ -146,6 +168,8 @@ Result<Polyhedron> Polyhedron::ConvexHull(const Polyhedron& p,
   if (!projected.ok()) return projected.status();
   Polyhedron hull = Polyhedron::FromSystem(std::move(projected).value());
   hull.Minimize();
+  // The hull contains both operands.
+  if (p.known_nonempty() && q.known_nonempty()) hull.MarkNonEmpty();
   return hull;
 }
 
@@ -185,7 +209,12 @@ Polyhedron Polyhedron::Widen(const Polyhedron& newer) const {
   for (const Constraint& row : newer.system_.rows()) {
     if (row.rel == Relation::kEq && Entails(row)) out.system_.Add(row);
   }
-  out.system_.Simplify();
+  // Both clauses keep only rows `newer` satisfies, so `out` contains it.
+  const bool consistent = out.system_.Simplify();
+  if (newer.known_nonempty()) {
+    TERMILOG_CHECK_MSG(consistent, "a widening of a nonempty value collapsed");
+    out.MarkNonEmpty();
+  }
   return out;
 }
 
@@ -206,6 +235,7 @@ ConstraintSystem Polyhedron::Instantiate(const std::vector<LinearExpr>& images,
 
 void Polyhedron::Minimize() {
   if (known_empty_) return;
+  TERMILOG_TRACE("poly.minimize", "fm");
   if (!system_.Simplify()) {
     known_empty_ = true;
     empty_cache_ = true;

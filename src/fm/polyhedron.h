@@ -40,7 +40,10 @@ class Polyhedron {
   /// Adds one row; invalidates cached emptiness.
   void AddConstraint(Constraint row);
 
-  /// True iff no point satisfies the constraints (exact LP; cached).
+  /// True iff no point satisfies the constraints (exact LP; cached). The
+  /// results of ConvexHull, Widen and Project are nonempty by construction
+  /// when their operands are known to be, and record it, as do copies of
+  /// them: asking those needs no LP (docs/arithmetic.md, section 4).
   bool IsEmpty() const;
 
   /// True when this value is the hard bottom (built by Empty(), or by
@@ -57,8 +60,14 @@ class Polyhedron {
   /// for a kEq row.
   bool Entails(const Constraint& row) const;
 
-  /// True iff `other` is a subset of this polyhedron.
+  /// True iff `other` is a subset of this polyhedron. Identical values
+  /// answer without an LP.
   bool Contains(const Polyhedron& other) const;
+
+  /// True when both are the same value: the same width, the same hard
+  /// bottom marker and the same rows in the same order. Such values are the
+  /// same set, so this needs no LP; cached emptiness is not compared.
+  bool Identical(const Polyhedron& other) const;
 
   /// Set equality (mutual containment).
   bool Equals(const Polyhedron& other) const;
@@ -97,6 +106,13 @@ class Polyhedron {
       const std::function<std::string(int)>* namer = nullptr) const;
 
  private:
+  /// True once the polyhedron is known to have a point: an LP found one,
+  /// or it was built to contain a value that has one.
+  bool known_nonempty() const { return empty_cache_ == false; }
+  /// Records that the polyhedron has a point; checked failure if it was
+  /// found empty.
+  void MarkNonEmpty();
+
   ConstraintSystem system_;
   bool known_empty_ = false;             // hard bottom marker
   mutable std::optional<bool> empty_cache_;

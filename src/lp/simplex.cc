@@ -184,6 +184,10 @@ class Tableau {
   Rational objective_value_;
 };
 
+#ifdef TERMILOG_OBS_ENABLED
+thread_local const char* current_lp_caller = "simplex.solves.analyzer";
+#endif
+
 LpResult SolveMin(const ConstraintSystem& system,
                   const std::vector<Rational>& objective,
                   const std::vector<bool>& is_free,
@@ -231,6 +235,7 @@ LpResult SolveMin(const ConstraintSystem& system,
     const int& pivots;
     ~PivotRecorder() {
       TERMILOG_COUNTER("simplex.solves", 1);
+      TERMILOG_COUNTER(LpCallerScope::Current(), 1);
       TERMILOG_COUNTER("simplex.pivots", pivots);
       TERMILOG_HISTOGRAM("simplex.pivots_per_solve", pivots);
     }
@@ -279,6 +284,17 @@ LpResult SolveMin(const ConstraintSystem& system,
 }
 
 }  // namespace
+
+#ifdef TERMILOG_OBS_ENABLED
+LpCallerScope::LpCallerScope(const char* counter)
+    : saved_(current_lp_caller) {
+  current_lp_caller = counter;
+}
+
+LpCallerScope::~LpCallerScope() { current_lp_caller = saved_; }
+
+const char* LpCallerScope::Current() { return current_lp_caller; }
+#endif
 
 LpResult SimplexSolver::Minimize(const ConstraintSystem& system,
                                  const std::vector<Rational>& objective,

@@ -91,6 +91,35 @@ class SimplexSolver {
                             const ResourceGovernor* governor = nullptr);
 };
 
+#ifdef TERMILOG_OBS_ENABLED
+/// Names the layer that asks for the LPs solved while it is alive, for the
+/// per-caller split of `simplex.solves` (docs/observability.md). Every solve
+/// adds one to `simplex.solves` and one to the counter named by the
+/// innermost scope on its thread, or to `simplex.solves.analyzer` outside
+/// any scope, so the split always sums to the total. Declare it with
+/// TERMILOG_LP_CALLER, which compiles to nothing with TERMILOG_OBS off.
+class LpCallerScope {
+ public:
+  explicit LpCallerScope(const char* counter);
+  ~LpCallerScope();
+  LpCallerScope(const LpCallerScope&) = delete;
+  LpCallerScope& operator=(const LpCallerScope&) = delete;
+
+  /// The counter a solve on this thread adds to.
+  static const char* Current();
+
+ private:
+  const char* saved_;
+};
+
+#define TERMILOG_LP_CALLER(counter) \
+  ::termilog::LpCallerScope termilog_lp_caller_scope(counter)
+#else
+#define TERMILOG_LP_CALLER(counter) \
+  do {                              \
+  } while (0)
+#endif  // TERMILOG_OBS_ENABLED
+
 }  // namespace termilog
 
 #endif  // TERMILOG_LP_SIMPLEX_H_

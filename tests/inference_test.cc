@@ -2,7 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
+
+#include "corpus/corpus.h"
+#include "gen/gen.h"
+#include "obs/obs.h"
 #include "program/parser.h"
+#include "util/governor.h"
+#include "util/string_util.h"
 
 namespace termilog {
 namespace {
@@ -163,6 +173,248 @@ TEST(InferenceTest, RuleTransferOnEmptyBodyPolyhedronIsEmpty) {
       p, p.rules()[0], current, db, FmOptions());
   ASSERT_TRUE(q.ok());
   EXPECT_TRUE(q->IsEmpty());
+}
+
+// --- RunScc against the plain fixpoint -----------------------------------
+
+// Emptiness decided by a fresh LP over the rows, ignoring any mark.
+bool FreshIsEmpty(const Polyhedron& p) {
+  return p.known_empty() || Polyhedron::FromSystem(p.constraints()).IsEmpty();
+}
+
+// Containment decided row by row on fresh copies: no identical-rows
+// shortcut and no marks.
+bool FreshContains(const Polyhedron& outer, const Polyhedron& inner) {
+  if (FreshIsEmpty(inner)) return true;
+  if (FreshIsEmpty(outer)) return false;
+  Polyhedron fresh = Polyhedron::FromSystem(inner.constraints());
+  for (const Constraint& row : outer.constraints().rows()) {
+    if (!fresh.Entails(row)) return false;
+  }
+  return true;
+}
+
+// The fixpoint RunScc computes, written plainly: every transfer and join
+// recomputed in every sweep (ascending sweeps with widening, then one
+// refinement pass), and stability decided by FreshContains.
+Result<SccInferenceResult> ReferenceRunScc(
+    const Program& program, const std::vector<PredId>& scc_preds,
+    const ArgSizeDb& db, const InferenceOptions& options) {
+  SccInferenceResult result;
+  std::map<PredId, Polyhedron> current;
+  for (const PredId& pred : scc_preds) {
+    current.emplace(pred, Polyhedron::Empty(pred.arity));
+  }
+  std::vector<int> rules;
+  for (const PredId& pred : scc_preds) {
+    for (int r : program.RuleIndicesFor(pred)) rules.push_back(r);
+  }
+  std::sort(rules.begin(), rules.end());
+  // One pass of every rule, joining into `into` the transfers under
+  // `from` (the same map in an ascending sweep).
+  auto sweep_rules = [&](const std::map<PredId, Polyhedron>& from,
+                         std::map<PredId, Polyhedron>* into) -> Status {
+    for (int r : rules) {
+      const Rule& rule = program.rules()[r];
+      Result<Polyhedron> transferred = ConstraintInference::RuleTransfer(
+          program, rule, from, db, options.fm);
+      if (!transferred.ok()) return transferred.status();
+      Polyhedron& value = into->at(rule.head.pred_id());
+      Result<Polyhedron> joined =
+          Polyhedron::ConvexHull(value, *transferred, options.fm);
+      if (!joined.ok()) return joined.status();
+      value = std::move(joined).value();
+    }
+    return Status::Ok();
+  };
+
+  Status status = Status::Ok();
+  for (int sweep = 0; sweep < options.max_sweeps; ++sweep) {
+    if (options.fm.governor != nullptr) {
+      status = options.fm.governor->Charge("inference.sweep");
+      if (!status.ok()) break;
+    }
+    ++result.stats.sweeps;
+    std::map<PredId, Polyhedron> before = current;
+    status = sweep_rules(current, &current);
+    if (!status.ok()) break;
+    if (std::all_of(scc_preds.begin(), scc_preds.end(),
+                    [&](const PredId& pred) {
+                      return FreshContains(before.at(pred), current.at(pred));
+                    })) {
+      result.stats.reached_fixpoint = true;
+      break;
+    }
+    if (sweep + 1 >= options.widen_delay) {
+      result.stats.widened = true;
+      for (const PredId& pred : scc_preds) {
+        current.at(pred) = before.at(pred).Widen(current.at(pred));
+      }
+    }
+  }
+  if (status.ok() && !result.stats.reached_fixpoint) {
+    status = Status::ResourceExhausted(
+        StrCat("constraint inference did not converge within ",
+               options.max_sweeps, " sweeps"));
+  }
+  if (!status.ok()) {
+    if (status.code() != StatusCode::kResourceExhausted) return status;
+    result.resource_limited = true;
+    result.trip_message = std::string(status.message());
+    return result;
+  }
+  std::map<PredId, Polyhedron> refined;
+  for (const PredId& pred : scc_preds) {
+    refined.emplace(pred, Polyhedron::Empty(pred.arity));
+  }
+  if (sweep_rules(current, &refined).ok()) current = std::move(refined);
+  for (const PredId& pred : scc_preds) {
+    Polyhedron polyhedron = current.at(pred);
+    polyhedron.Minimize();
+    result.entries.emplace_back(pred, std::move(polyhedron));
+  }
+  return result;
+}
+
+// Runs the reference and RunScc on one SCC, each under a fresh governor
+// with `limits`, and expects the same result and the same spend. Returns
+// RunScc's result and sets *work to its spend.
+SccInferenceResult ExpectSameFixpoint(const Program& program,
+                                      const std::vector<PredId>& preds,
+                                      const ArgSizeDb& db,
+                                      const GovernorLimits& limits,
+                                      const std::string& label,
+                                      int64_t* work = nullptr) {
+  InferenceOptions options;
+  int64_t expected_work = 0;
+  Result<SccInferenceResult> expected = Status::Internal("not run");
+  {
+    ResourceGovernor governor(limits);
+    options.fm.governor = &governor;
+    expected = ReferenceRunScc(program, preds, db, options);
+    expected_work = governor.Spend().work;
+  }
+  ResourceGovernor governor(limits);
+  options.fm.governor = &governor;
+  Result<SccInferenceResult> actual =
+      ConstraintInference::RunScc(program, preds, db, options);
+  if (work != nullptr) *work = governor.Spend().work;
+  EXPECT_EQ(governor.Spend().work, expected_work) << label;
+  EXPECT_EQ(actual.ok(), expected.ok()) << label;
+  if (!actual.ok() || !expected.ok()) {
+    EXPECT_EQ(actual.status().ToString(), expected.status().ToString())
+        << label;
+    return SccInferenceResult();
+  }
+  EXPECT_EQ(actual->resource_limited, expected->resource_limited) << label;
+  EXPECT_EQ(actual->trip_message, expected->trip_message) << label;
+  EXPECT_EQ(actual->stats.sweeps, expected->stats.sweeps) << label;
+  EXPECT_EQ(actual->stats.widened, expected->stats.widened) << label;
+  EXPECT_EQ(actual->stats.reached_fixpoint, expected->stats.reached_fixpoint)
+      << label;
+  EXPECT_EQ(actual->entries.size(), expected->entries.size()) << label;
+  for (size_t i = 0;
+       i < std::min(actual->entries.size(), expected->entries.size()); ++i) {
+    const auto& [pred, polyhedron] = actual->entries[i];
+    const auto& [want_pred, want] = expected->entries[i];
+    EXPECT_TRUE(pred == want_pred) << label;
+    EXPECT_EQ(polyhedron.num_vars(), want.num_vars()) << label;
+    EXPECT_EQ(polyhedron.known_empty(), want.known_empty()) << label;
+    EXPECT_TRUE(polyhedron.constraints().rows() == want.constraints().rows())
+        << label << ": got\n"
+        << polyhedron.ToString() << "want\n"
+        << want.ToString();
+  }
+  return std::move(actual).value();
+}
+
+// Checks every SCC of `source`, filling the db in BuildPlan order as
+// ConstraintInference::Run does.
+void ExpectSameOnEveryScc(const std::string& source,
+                          const std::string& label) {
+  Result<Program> program = ParseProgram(source);
+  ASSERT_TRUE(program.ok()) << label << ": " << program.status().ToString();
+  ArgSizeDb db;
+  for (const InferencePlanNode& node :
+       ConstraintInference::BuildPlan(*program, db).nodes) {
+    SccInferenceResult result = ExpectSameFixpoint(
+        *program, node.preds, db, GovernorLimits(),
+        label + " scc of " + program->PredName(node.preds.front()));
+    if (result.resource_limited) continue;
+    for (auto& [pred, polyhedron] : result.entries) {
+      db.Set(pred, std::move(polyhedron));
+    }
+  }
+}
+
+int64_t Counter(const obs::MetricsSnapshot& snapshot, const char* name) {
+  auto it = snapshot.counters.find(name);
+  return it == snapshot.counters.end() ? 0 : it->second;
+}
+
+TEST(InferenceTest, RunSccMatchesThePlainFixpoint) {
+  // The memo and the emptiness marks change how often a step is computed,
+  // never a value: on every SCC of the corpus and of 300 generated
+  // programs, RunScc returns the plain fixpoint's result and spends the
+  // same governor work.
+  obs::Metrics::Global().Reset();
+  obs::Metrics::Global().Enable();
+  for (const CorpusEntry& entry : Corpus()) {
+    ExpectSameOnEveryScc(entry.source, entry.name);
+  }
+  gen::GenParams params;
+  params.seed = 2026;
+  params.count = 300;
+  for (const gen::GeneratedRequest& request : gen::Generate(params).requests) {
+    ExpectSameOnEveryScc(request.source, request.name);
+  }
+  obs::MetricsSnapshot snapshot = obs::Metrics::Global().Collect();
+  obs::Metrics::Global().Disable();
+  obs::Metrics::Global().Reset();
+  if (!obs::kCompiledIn) return;
+  // Repeats were served, and the LP split by caller adds up.
+  EXPECT_GT(Counter(snapshot, "inference.transfer_hits"), 0);
+  EXPECT_GT(Counter(snapshot, "inference.join_hits"), 0);
+  EXPECT_EQ(Counter(snapshot, "simplex.solves.emptiness") +
+                Counter(snapshot, "simplex.solves.prune") +
+                Counter(snapshot, "simplex.solves.entailment") +
+                Counter(snapshot, "simplex.solves.analyzer"),
+            Counter(snapshot, "simplex.solves"));
+}
+
+TEST(InferenceTest, RunSccMatchesThePlainFixpointAtEveryBudget) {
+  // Under a work budget a repeat is served only when recomputing it would
+  // not trip; otherwise it is recomputed and trips where the plain sweep
+  // does. Every budget up to each SCC's unbudgeted spend must give the
+  // same trip message, spend and values.
+  for (const char* name : {"append", "perm"}) {
+    const CorpusEntry* entry = FindCorpusEntry(name);
+    ASSERT_NE(entry, nullptr) << name;
+    Result<Program> program = ParseProgram(entry->source);
+    ASSERT_TRUE(program.ok()) << program.status().ToString();
+    ArgSizeDb db;
+    for (const InferencePlanNode& node :
+         ConstraintInference::BuildPlan(*program, db).nodes) {
+      const std::string label =
+          StrCat(name, " scc of ", program->PredName(node.preds.front()));
+      int64_t spend = 0;
+      SccInferenceResult result = ExpectSameFixpoint(
+          *program, node.preds, db, GovernorLimits(), label, &spend);
+      ASSERT_GT(spend, 1) << label;
+      int tripped = 0;
+      for (int64_t budget = 1; budget <= spend; ++budget) {
+        GovernorLimits limits;
+        limits.work_budget = budget;
+        tripped += ExpectSameFixpoint(*program, node.preds, db, limits,
+                                      StrCat(label, " budget ", budget))
+                       .resource_limited;
+      }
+      EXPECT_GT(tripped, 0) << label;
+      for (auto& [pred, polyhedron] : result.entries) {
+        db.Set(pred, std::move(polyhedron));
+      }
+    }
+  }
 }
 
 }  // namespace

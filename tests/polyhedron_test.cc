@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "lp/simplex.h"
+#include "obs/obs.h"
 
 namespace termilog {
 namespace {
@@ -68,36 +70,38 @@ bool ReferenceEntails(const Polyhedron& p, const Constraint& row) {
   return (hi.objective + row.constant).sign() == 0;
 }
 
-TEST(PolyhedronTest, EntailsMatchesPrimalMinMaxReference) {
-  // Random polyhedra (empty, bounded and unbounded) against random kGe and
-  // kEq targets, plus targets built to be entailed: relaxed nonnegative
-  // combinations of two rows, and sums of two rows that both hold with
-  // equality.
-  uint64_t state = 31337;
-  auto range = [&state](int64_t lo, int64_t hi) {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return lo + static_cast<int64_t>(state % (hi - lo + 1));
-  };
-  auto random_row = [&](int n, Relation rel) {
+// Seeded source of the random polyhedra below (empty, bounded and
+// unbounded): xorshift rows with small coefficients.
+class RandomPolyhedra {
+ public:
+  explicit RandomPolyhedra(uint64_t seed) : state_(seed) {}
+
+  int64_t Range(int64_t lo, int64_t hi) {
+    state_ ^= state_ << 13;
+    state_ ^= state_ >> 7;
+    state_ ^= state_ << 17;
+    return lo + static_cast<int64_t>(state_ % (hi - lo + 1));
+  }
+
+  Constraint Row(int n, Relation rel) {
     std::vector<int64_t> coeffs;
-    for (int v = 0; v < n; ++v) coeffs.push_back(range(-2, 2));
-    Constraint row = Ge(coeffs, range(-3, 3));
+    for (int v = 0; v < n; ++v) coeffs.push_back(Range(-2, 2));
+    Constraint row = Ge(coeffs, Range(-3, 3));
     row.rel = rel;
     return row;
-  };
-  int counts[2][2] = {};  // [target is kEq][entailed]
-  for (int round = 0; round < 60; ++round) {
-    const int n = static_cast<int>(range(1, 4));
+  }
+
+  // Up to six random rows over `n` variables, in the orthant on even
+  // rounds; every fifth round adds the implicit equality x0 = x1.
+  Polyhedron Next(int round, int n) {
     Polyhedron p = round % 2 == 0 ? Polyhedron::NonNegativeOrthant(n)
                                   : Polyhedron::Universe(n);
-    const int num_rows = static_cast<int>(range(0, 6));
+    const int num_rows = static_cast<int>(Range(0, 6));
     for (int r = 0; r < num_rows; ++r) {
       p.AddConstraint(
-          random_row(n, range(0, 4) == 0 ? Relation::kEq : Relation::kGe));
+          Row(n, Range(0, 4) == 0 ? Relation::kEq : Relation::kGe));
     }
-    if (round % 5 == 4 && n >= 2) {  // an implicit equality x0 = x1
+    if (round % 5 == 4 && n >= 2) {
       std::vector<int64_t> diff(n, 0);
       diff[0] = 1;
       diff[1] = -1;
@@ -106,22 +110,38 @@ TEST(PolyhedronTest, EntailsMatchesPrimalMinMaxReference) {
       diff[1] = 1;
       p.AddConstraint(Ge(diff, 0));
     }
+    return p;
+  }
+
+ private:
+  uint64_t state_;
+};
+
+TEST(PolyhedronTest, EntailsMatchesPrimalMinMaxReference) {
+  // Random polyhedra against random kGe and kEq targets, plus targets built
+  // to be entailed: relaxed nonnegative combinations of two rows, and sums
+  // of two rows that both hold with equality.
+  RandomPolyhedra random(31337);
+  int counts[2][2] = {};  // [target is kEq][entailed]
+  for (int round = 0; round < 60; ++round) {
+    const int n = static_cast<int>(random.Range(1, 4));
+    Polyhedron p = random.Next(round, n);
     std::vector<Constraint> targets;
     for (int t = 0; t < 4; ++t) {
-      targets.push_back(random_row(n, Relation::kGe));
-      targets.push_back(random_row(n, Relation::kEq));
+      targets.push_back(random.Row(n, Relation::kGe));
+      targets.push_back(random.Row(n, Relation::kEq));
     }
     const std::vector<Constraint>& rows = p.constraints().rows();
     for (size_t a = 0; a < rows.size(); ++a) {
       const Constraint& b = rows[(a + 1) % rows.size()];
-      Rational wa(range(0, 2)), wb(range(0, 2));
+      Rational wa(random.Range(0, 2)), wb(random.Range(0, 2));
       Constraint combo;
       combo.rel = Relation::kGe;
       for (int v = 0; v < n; ++v) {
         combo.coeffs.push_back(rows[a].coeffs[v] * wa + b.coeffs[v] * wb);
       }
-      combo.constant =
-          rows[a].constant * wa + b.constant * wb + Rational(range(0, 2));
+      combo.constant = rows[a].constant * wa + b.constant * wb +
+                       Rational(random.Range(0, 2));
       targets.push_back(combo);
       if (rows[a].rel == Relation::kEq && b.rel == Relation::kEq) {
         combo.rel = Relation::kEq;
@@ -148,6 +168,92 @@ TEST(PolyhedronTest, EntailsMatchesPrimalMinMaxReference) {
     EXPECT_GT(by_answer[0], 20);
     EXPECT_GT(by_answer[1], 20);
   }
+}
+
+// Runs `body` with metrics on and returns the simplex solves it made.
+int64_t SolvesDuring(const std::function<void()>& body) {
+  obs::Metrics::Global().Reset();
+  obs::Metrics::Global().Enable();
+  body();
+  obs::MetricsSnapshot snapshot = obs::Metrics::Global().Collect();
+  obs::Metrics::Global().Disable();
+  obs::Metrics::Global().Reset();
+  auto it = snapshot.counters.find("simplex.solves");
+  return it == snapshot.counters.end() ? 0 : it->second;
+}
+
+TEST(PolyhedronTest, ValuesBuiltNonemptyAnswerWithoutAnLp) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "solve counts need TERMILOG_OBS";
+  Polyhedron p = Polyhedron::NonNegativeOrthant(2);
+  p.AddConstraint(Ge({-1, 0}, 4));  // x0 <= 4
+  Polyhedron q = Polyhedron::NonNegativeOrthant(2);
+  q.AddConstraint(Eq({1, -1}, 0));  // x0 = x1
+  ASSERT_FALSE(p.IsEmpty());
+  ASSERT_FALSE(q.IsEmpty());
+  Result<Polyhedron> hull = Polyhedron::ConvexHull(p, q);
+  ASSERT_TRUE(hull.ok());
+  const Polyhedron widened = p.Widen(q);
+  Result<Polyhedron> projected = q.Project({1});
+  ASSERT_TRUE(projected.ok());
+  const Polyhedron widened_copy = widened;
+  const Polyhedron projected_copy = *projected;
+  EXPECT_EQ(SolvesDuring([&] {
+              EXPECT_FALSE(hull->IsEmpty());
+              EXPECT_FALSE(widened.IsEmpty());
+              EXPECT_FALSE(widened_copy.IsEmpty());
+              EXPECT_FALSE(projected->IsEmpty());
+              EXPECT_FALSE(projected_copy.IsEmpty());
+            }),
+            0);
+  // Identical rows are the same set, even with emptiness not yet known;
+  // a fresh value still answers IsEmpty by LP.
+  const Polyhedron a = Polyhedron::FromSystem(hull->constraints());
+  const Polyhedron b = Polyhedron::FromSystem(hull->constraints());
+  EXPECT_TRUE(a.Identical(b));
+  EXPECT_EQ(SolvesDuring([&] { EXPECT_TRUE(a.Contains(b)); }), 0);
+  EXPECT_EQ(SolvesDuring([&] { EXPECT_FALSE(a.IsEmpty()); }), 1);
+}
+
+TEST(PolyhedronTest, BuiltValuesAgreeWithAFreshEmptinessTest) {
+  // Hulls, widenings and projections of random pairs: whatever IsEmpty()
+  // answers for a result, by a mark or by an LP, a fresh LP over its rows
+  // must answer too.
+  RandomPolyhedra random(4242);
+  int nonempty = 0;
+  for (int round = 0; round < 60; ++round) {
+    const int n = static_cast<int>(random.Range(1, 4));
+    const Polyhedron p = random.Next(round, n);
+    const Polyhedron q = random.Next(round + 1, n);
+    std::vector<Polyhedron> built;
+    Result<Polyhedron> hull = Polyhedron::ConvexHull(p, q);
+    ASSERT_TRUE(hull.ok());
+    built.push_back(*hull);
+    built.push_back(p.Widen(q));
+    Result<Polyhedron> projected = q.Project({0});
+    ASSERT_TRUE(projected.ok());
+    built.push_back(*projected);
+    for (const Polyhedron& value : built) {
+      if (value.known_empty()) continue;  // no rows to test afresh
+      const bool empty = value.IsEmpty();
+      EXPECT_EQ(empty, Polyhedron::FromSystem(value.constraints()).IsEmpty())
+          << "round " << round << "\n"
+          << value.ToString();
+      nonempty += empty ? 0 : 1;
+    }
+  }
+  EXPECT_GT(nonempty, 60);
+}
+
+TEST(PolyhedronTest, IdenticalComparesRowsNotSets) {
+  Polyhedron a = Polyhedron::Universe(1);
+  a.AddConstraint(Ge({1}, 0));
+  Polyhedron b = Polyhedron::Universe(1);
+  b.AddConstraint(Ge({2}, 0));
+  EXPECT_TRUE(a.Equals(b));
+  EXPECT_FALSE(a.Identical(b));
+  EXPECT_TRUE(a.Identical(a));
+  EXPECT_FALSE(Polyhedron::Empty(1).Identical(Polyhedron::Universe(1)));
+  EXPECT_FALSE(Polyhedron::Universe(1).Identical(Polyhedron::Universe(2)));
 }
 
 TEST(PolyhedronTest, ContainsPoint) {
