@@ -16,7 +16,8 @@
 //
 //   FILE    program file (Prolog subset; see README)
 //   QUERY   entry pattern, e.g. "perm(b,f)" (b = bound, f = free).
-//           Omitted if the file has a `:- mode(pred(b,f)).` directive.
+//           Omitted if the file has `:- mode(pred(b,f)).` directives:
+//           the run then analyzes one query per directive.
 //
 // Batch mode analyzes many requests through the parallel engine
 // (docs/engine.md). Every input form is read into manifest entries: DIR
@@ -91,12 +92,13 @@
 // reporting recovery and size stats on stderr.
 //
 // Options:
-//   --json                 structured JSON output instead of text (single
-//                          run and multi-mode; --batch is always JSON)
-//   --jobs N               worker threads for --batch / multi-mode (default 1)
-//   --no-cache             disable the engine's content-addressed SCC cache
-//   --store PATH           durable SCC-outcome store (docs/persistence.md):
-//                          warm-starts the cache from PATH (crash recovery
+//   --json                 structured JSON output instead of text, one
+//                          line per query (--batch is always JSON)
+//   --jobs N               engine worker threads, in every mode (default 1)
+//   --no-cache             disable the engine's content-addressed caches
+//   --store PATH           durable SCC and inference outcome store
+//                          (docs/persistence.md), in every mode: warm-starts
+//                          the caches from PATH (crash recovery
 //                          + per-record verification on load) and persists
 //                          new outcomes write-behind; flushed on exit
 //   --serve FIFO|-         serve JSONL requests from FIFO (or stdin) until
@@ -136,7 +138,8 @@
 //                          Eq. 9 rows, deltas, certificate)
 //   --show-constraints     print the inter-argument constraint store
 //   --baselines            also run the three prior-art analyzers
-//   --deadline-ms N        wall-clock budget for the analysis
+//   --deadline-ms N        wall-clock budget; every budget is a limit per
+//                          task (docs/engine.md)
 //   --work-budget N        abstract work-tick budget (FM row combinations,
 //                          simplex pivots, inference sweeps, ...)
 //   --limb-limit N         cap on the largest BigInt (32-bit limbs)
@@ -971,106 +974,92 @@ int main(int argc, char** argv) {
   }
   Program& program = *parsed;
 
-  if (query.empty()) {
-    if (program.mode_decls().empty()) {
-      return Fail("no QUERY given and no :- mode(...) directive in the file");
+  // QUERY as given, else one query per `:- mode(...)` directive (the
+  // capture-rule setting: one proof per bound-free pattern). All of them
+  // run on one engine, so --jobs parallelizes across modes, SCCs shared
+  // between modes are solved once, and --store persists the outcomes.
+  std::vector<std::string> queries;
+  if (!query.empty()) {
+    queries.push_back(query);
+  } else {
+    for (const ModeDecl& decl : program.mode_decls()) {
+      queries.push_back(ModeQueryText(program, decl));
     }
-    if (program.mode_decls().size() > 1) {
-      // Analyze every declared mode (the capture-rule setting: one proof
-      // per bound-free pattern) through the batch engine, so --jobs
-      // parallelizes across modes and shared SCCs are solved once.
-      EngineOptions engine_options;
-      engine_options.jobs = jobs;
-      engine_options.use_cache = use_cache;
-      BatchEngine engine(engine_options);
-      std::vector<BatchRequest> requests;
-      for (const ModeDecl& decl : program.mode_decls()) {
-        BatchRequest request;
-        request.name = ModeQueryText(program, decl);
-        request.program = program;
-        request.query = decl.pred;
-        request.adornment = decl.adornment;
-        request.options = options;
-        requests.push_back(std::move(request));
-      }
-      std::vector<BatchItemResult> results = engine.Run(requests);
-      bool all_proved = true;
-      bool any_limited = false;
-      std::string first_trip;
-      for (size_t i = 0; i < results.size(); ++i) {
-        const ModeDecl& decl = program.mode_decls()[i];
-        const BatchItemResult& item = results[i];
-        if (json) {
-          ReportJsonOptions json_options;
-          json_options.include_spend = true;
-          std::printf("%s\n",
-                      ReportToJsonLine(item.name, item.name, item.status,
-                                       item.report, json_options)
-                          .c_str());
-        } else if (!item.status.ok()) {
-          std::printf("==== mode %s(%s) ====\nanalysis failed: %s\n",
-                      program.symbols().Name(decl.pred.symbol).c_str(),
-                      AdornmentToString(decl.adornment).c_str(),
-                      item.status.ToString().c_str());
-        } else {
-          std::printf("==== mode %s(%s) ====\n%s\n",
-                      program.symbols().Name(decl.pred.symbol).c_str(),
-                      AdornmentToString(decl.adornment).c_str(),
-                      item.report.ToString().c_str());
-        }
-        if (!item.status.ok()) {
-          all_proved = false;
-          continue;
-        }
-        all_proved = all_proved && item.report.proved;
-        if (item.report.resource_limited && !any_limited) {
-          any_limited = true;
-          first_trip = item.report.first_resource_trip;
-        }
-      }
+  }
+  if (queries.empty()) {
+    return Fail("no QUERY given and no :- mode(...) directive in the file");
+  }
+  const std::string name = positional.empty() ? corpus_name : positional[0];
+  std::vector<BatchRequest> requests;
+  for (const std::string& text : queries) {
+    Result<BatchRequest> request =
+        PlanRequest(gen::ManifestEntry(), queries.size() > 1 ? text : name,
+                    program, text, options);
+    if (!request.ok()) return Fail(request.status().ToString().c_str());
+    requests.push_back(std::move(*request));
+  }
+  EngineOptions engine_options;
+  engine_options.jobs = jobs;
+  engine_options.use_cache = use_cache;
+  BatchEngine engine(engine_options);
+  int attach = AttachStoreOrFail(engine, store_path, store_auto_compact);
+  if (attach != 0) return attach;
+  std::vector<BatchItemResult> results = engine.Run(requests);
+  ReportJsonOptions json_options;
+  json_options.include_spend = true;
+
+  if (results.size() > 1) {
+    bool all_proved = true;
+    bool any_limited = false;
+    std::string first_trip;
+    for (size_t i = 0; i < results.size(); ++i) {
+      const BatchItemResult& item = results[i];
       if (json) {
-        std::fprintf(stderr, "%s\n",
-                     EngineStatsToJson(engine.stats(), jobs).c_str());
+        std::printf("%s\n",
+                    ReportToJsonLine(item.name, item.name, item.status,
+                                     item.report, json_options)
+                        .c_str());
+      } else {
+        std::printf("==== mode %s(%s) ====\n",
+                    program.symbols().Name(requests[i].query.symbol).c_str(),
+                    AdornmentToString(requests[i].adornment).c_str());
+        if (item.status.ok()) {
+          std::printf("%s\n", item.report.ToString().c_str());
+        } else {
+          std::printf("analysis failed: %s\n",
+                      item.status.ToString().c_str());
+        }
       }
-      return VerdictExit(all_proved, any_limited, first_trip);
+      if (!item.status.ok()) {
+        all_proved = false;
+        continue;
+      }
+      all_proved = all_proved && item.report.proved;
+      if (item.report.resource_limited && !any_limited) {
+        any_limited = true;
+        first_trip = item.report.first_resource_trip;
+      }
     }
-    query = ModeQueryText(program, program.mode_decls().front());
+    if (json) {
+      std::fprintf(stderr, "%s\n",
+                   EngineStatsToJson(engine.stats(), jobs).c_str());
+    }
+    return FinishStore(engine, VerdictExit(all_proved, any_limited, first_trip),
+                       store_auto_compact);
   }
 
-  TerminationAnalyzer analyzer(options);
-  // Single-run --json goes through the engine at jobs=1 (same verdicts and
-  // certificates as the serial analyzer) so the JSON line can carry the
-  // per-request scc_tasks / cache_hits accounting.
-  int64_t scc_tasks = -1, cache_hits = -1;
-  int64_t inference_tasks = -1, inference_cache_hits = -1;
-  Result<TerminationReport> report = Status::Internal("not yet analyzed");
-  if (json) {
-    Result<std::pair<PredId, Adornment>> parsed_query =
-        ParseQuerySpec(program, query);
-    if (!parsed_query.ok()) {
-      return Fail(parsed_query.status().ToString().c_str());
-    }
-    EngineOptions engine_options;
-    engine_options.use_cache = use_cache;
-    BatchEngine engine(engine_options);
-    std::vector<BatchRequest> requests(1);
-    requests[0].name = positional.empty() ? corpus_name : positional[0];
-    requests[0].program = program;
-    requests[0].query = parsed_query->first;
-    requests[0].adornment = parsed_query->second;
-    requests[0].options = options;
-    BatchItemResult item = std::move(engine.Run(requests)[0]);
-    if (!item.status.ok()) return Fail(item.status.ToString().c_str());
-    report = std::move(item.report);
-    scc_tasks = item.scc_tasks;
-    cache_hits = item.cache_hits;
-    inference_tasks = item.inference_tasks;
-    inference_cache_hits = item.inference_cache_hits;
-  } else {
-    report = analyzer.Analyze(program, query);
+  query = queries.front();
+  BatchItemResult& item = results.front();
+  if (!item.status.ok()) {
+    return FinishStore(engine, Fail(item.status.ToString().c_str()),
+                       store_auto_compact);
   }
-  if (!report.ok()) return Fail(report.status().ToString().c_str());
-  if (reorder && !report->proved) {
+  TerminationReport& report = item.report;
+  json_options.scc_tasks = item.scc_tasks;
+  json_options.cache_hits = item.cache_hits;
+  json_options.inference_tasks = item.inference_tasks;
+  json_options.inference_cache_hits = item.inference_cache_hits;
+  if (reorder && !report.proved) {
     ReorderOptions reorder_options;
     reorder_options.analysis = options;
     Result<ReorderResult> search =
@@ -1083,12 +1072,10 @@ int main(int argc, char** argv) {
         std::printf("  %s\n", line.c_str());
       }
       program = search->program;
-      *report = search->report;
+      report = search->report;
       // The printed report no longer corresponds to the engine run above.
-      scc_tasks = -1;
-      cache_hits = -1;
-      inference_tasks = -1;
-      inference_cache_hits = -1;
+      json_options = ReportJsonOptions();
+      json_options.include_spend = true;
     } else if (search.ok()) {
       std::printf("reordering search exhausted (%d attempts), no "
                   "terminating order found\n",
@@ -1102,24 +1089,18 @@ int main(int argc, char** argv) {
   if (json) {
     // One structured line from the same serializer as --batch, plus the
     // spend counters (single-run output has no byte-identity constraint).
-    ReportJsonOptions json_options;
-    json_options.include_spend = true;
-    json_options.scc_tasks = scc_tasks;
-    json_options.cache_hits = cache_hits;
-    json_options.inference_tasks = inference_tasks;
-    json_options.inference_cache_hits = inference_cache_hits;
-    std::printf("%s\n", ReportToJsonLine(positional.empty() ? corpus_name
-                                                            : positional[0],
-                                         query, Status::Ok(), *report,
+    std::printf("%s\n", ReportToJsonLine(name, query, Status::Ok(), report,
                                          json_options)
                             .c_str());
-    return VerdictExit(report->proved, report->resource_limited,
-                       report->first_resource_trip);
+    return FinishStore(engine,
+                       VerdictExit(report.proved, report.resource_limited,
+                                   report.first_resource_trip),
+                       store_auto_compact);
   }
-  std::printf("query: %s\n%s", query.c_str(), report->ToString().c_str());
+  std::printf("query: %s\n%s", query.c_str(), report.ToString().c_str());
   if (show_constraints) {
     std::printf("\ninter-argument constraints:\n%s",
-                report->arg_sizes.ToString(report->analyzed_program).c_str());
+                report.arg_sizes.ToString(report.analyzed_program).c_str());
   }
 
   if (run_baselines) {
@@ -1163,6 +1144,8 @@ int main(int argc, char** argv) {
                 run->outcome == SldOutcome::kExhausted ? "exhausted"
                                                        : "NOT exhausted");
   }
-  return VerdictExit(report->proved, report->resource_limited,
-                     report->first_resource_trip);
+  return FinishStore(engine,
+                     VerdictExit(report.proved, report.resource_limited,
+                                 report.first_resource_trip),
+                     store_auto_compact);
 }

@@ -8,7 +8,10 @@
 #      check that --batch DIR, a text manifest and --conditions --batch
 #      print the same bytes as --batch over their JSONL twins, and that a
 #      text-mode --conditions error line (unknown corpus entry, missing
-#      file) ends in a newline
+#      file) ends in a newline; and single runs of four corpus entries at
+#      three work budgets, whose text and --json runs must exit alike and
+#      whose repeated text runs must print the same bytes, plus a repeated
+#      single run on one --store that must be served cache hits
 #   2. UBSan pass of the unit and engine suites in build-ubsan/ (the
 #      arithmetic kernel lives in the unit suite; docs/arithmetic.md)
 #   3. ASan+UBSan pass of the unit, engine, obs and condinf suites in
@@ -176,6 +179,48 @@ for target in "--corpus nosuch" "$forms/missing.pl"; do
   fi
 done
 rm -rf "$forms"
+
+# A single run is one engine request whether it prints text or --json, so
+# under a work budget both exit alike, and the text report holds no
+# wall-clock figure: two text runs print the same bytes.
+single="$(mktemp -d)"
+trap 'rm -rf "$single"' EXIT
+for name in nnf perm deriv gcd_subtract; do
+  for budget in 20 300 1000; do
+    echo "== termilog_cli --corpus $name --work-budget $budget [--json]" >&2
+    text_rc=0
+    json_rc=0
+    ./build/examples/termilog_cli --corpus "$name" --work-budget "$budget" \
+        >"$single/text1" 2>/dev/null || text_rc=$?
+    ./build/examples/termilog_cli --corpus "$name" --work-budget "$budget" \
+        >"$single/text2" 2>/dev/null || true
+    ./build/examples/termilog_cli --corpus "$name" --work-budget "$budget" \
+        --json >/dev/null 2>&1 || json_rc=$?
+    if [[ "$text_rc" -ne "$json_rc" ]]; then
+      echo "check.sh: --corpus $name --work-budget $budget exited" \
+           "$text_rc as text and $json_rc with --json" >&2
+      exit 1
+    fi
+    if ! cmp -s "$single/text1" "$single/text2"; then
+      echo "check.sh: --corpus $name --work-budget $budget printed" \
+           "different text on a repeated run" >&2
+      exit 1
+    fi
+  done
+done
+# A single run attaches --store like every other engine surface, so a
+# repeated run is served from the store.
+run ./build/examples/termilog_cli --corpus perm --store "$single/store" \
+    >/dev/null 2>&1
+hits="$(./build/examples/termilog_cli --corpus perm --store "$single/store" \
+    --json 2>/dev/null | grep -o '"engine":{[^}]*' |
+    grep -o '"cache_hits":[0-9]*' | cut -d: -f2 || true)"
+if [[ -z "$hits" || "$hits" -eq 0 ]]; then
+  echo "check.sh: a repeated --corpus perm --store run served no cache" \
+       "hits from the store" >&2
+  exit 1
+fi
+rm -rf "$single"
 
 if [[ "${1:-}" == "--tier1-only" ]]; then
   echo "check.sh: tier-1 OK (sanitizer passes skipped)" >&2

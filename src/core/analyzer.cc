@@ -108,14 +108,6 @@ SccReport TerminationAnalyzer::AnalyzeScc(
     report.notes.push_back(FailpointRegistry::TripMessage("analyzer.scc"));
     return report;
   }
-  // A governor that tripped on an earlier SCC answers this one immediately:
-  // the whole analysis is winding down, but each remaining SCC still gets a
-  // well-formed RESOURCE_LIMIT verdict instead of an error.
-  if (governor != nullptr && !governor->CheckNow("analyzer.scc").ok()) {
-    report.status = SccStatus::kResourceLimit;
-    report.notes.push_back(governor->trip_status().ToString());
-    return report;
-  }
 
   FmOptions fm = options_.fm;
   fm.governor = governor;
@@ -468,94 +460,39 @@ Result<PreparedAnalysis> TerminationAnalyzer::PrepareStructure(
   return prepared;
 }
 
-Result<PreparedAnalysis> TerminationAnalyzer::Prepare(
-    const Program& program, const PredId& query, const Adornment& adornment,
-    const ResourceGovernor* gov) const {
-  Result<PreparedAnalysis> prepared =
-      PrepareStructure(program, query, adornment, gov);
-  if (!prepared.ok()) return prepared;
-  TerminationReport& report = prepared->report;
-  auto note_trip = [&report](const std::string& message) {
-    report.resource_limited = true;
-    if (report.first_resource_trip.empty()) {
-      report.first_resource_trip = message;
-    }
-  };
+namespace {
 
-  if (options_.run_inference) {
-    InferenceOptions inference_options = options_.inference;
-    inference_options.fm.governor = gov;
-    std::vector<std::string> warnings;
-    Status status =
-        ConstraintInference::Run(report.analyzed_program, &report.arg_sizes,
-                                 inference_options, nullptr, &warnings);
-    if (!status.ok()) {
-      // Run degrades resource trips per SCC internally; a non-OK status here
-      // is a real error unless a failpoint forced the whole pass down.
-      if (status.code() != StatusCode::kResourceExhausted) return status;
-      std::string message = StrCat("constraint inference skipped (",
-                                   status.message(),
-                                   "); predicates left unconstrained");
-      report.notes.push_back(message);
-      note_trip(message);
-    }
-    for (const std::string& warning : warnings) {
-      report.notes.push_back(warning);
-      note_trip(warning);
-    }
-    prepared->inference.nodes.clear();
+// Runs one engine request per (predicate, adornment) pair, at jobs=1 with
+// the content cache on, so SCCs shared between the requests are solved
+// once. Results come back in `queries` order.
+std::vector<BatchItemResult> RunOnEngine(const Program& program,
+                                         const AnalysisOptions& options,
+                                         const std::vector<ModeDecl>& queries) {
+  BatchEngine engine(EngineOptions{/*jobs=*/1, /*use_cache=*/true});
+  std::vector<BatchRequest> requests;
+  requests.reserve(queries.size());
+  for (const ModeDecl& query : queries) {
+    BatchRequest request;
+    request.name = StrCat(program.PredName(query.pred), " ",
+                          AdornmentToString(query.adornment));
+    request.program = program;
+    request.query = query.pred;
+    request.adornment = query.adornment;
+    request.options = options;
+    requests.push_back(std::move(request));
   }
-  return prepared;
+  return engine.Run(requests);
 }
+
+}  // namespace
 
 Result<TerminationReport> TerminationAnalyzer::Analyze(
     const Program& program, const PredId& query,
     const Adornment& adornment) const {
-  TERMILOG_TRACE_SPAN(request_span, "request", "engine", 0);
-  if (request_span.active()) {
-    request_span.AddArg("query", program.PredName(query));
-  }
-  // One governor per Analyze call: the deadline clock starts here and every
-  // subsystem (prep and per-SCC analysis) charges the same budget.
-  ResourceGovernor governor(options_.limits);
-  Result<PreparedAnalysis> prepared =
-      Prepare(program, query, adornment, &governor);
-  if (!prepared.ok()) return prepared.status();
-  TerminationReport report = std::move(prepared->report);
-  auto note_trip = [&report](const std::string& message) {
-    report.resource_limited = true;
-    if (report.first_resource_trip.empty()) {
-      report.first_resource_trip = message;
-    }
-  };
-
-  report.proved = true;
-  for (const SccTask& task : prepared->sccs) {
-    if (!task.recursive) {
-      SccReport scc;
-      scc.preds = task.preds;
-      scc.status = SccStatus::kNonRecursive;
-      report.sccs.push_back(std::move(scc));
-      continue;
-    }
-    SccReport scc =
-        AnalyzeScc(report.analyzed_program, task.preds, report.modes,
-                   report.arg_sizes, task.has_conflict, &governor);
-    if (scc.status == SccStatus::kResourceLimit) {
-      // Attach the spend snapshot so a resource-limited verdict says what
-      // was actually consumed, not just that something ran out.
-      scc.notes.push_back(
-          StrCat("resource spend: ", governor.Spend().ToString()));
-      note_trip(scc.notes.front());
-    }
-    if (scc.status != SccStatus::kProved &&
-        scc.status != SccStatus::kNonRecursive) {
-      report.proved = false;
-    }
-    report.sccs.push_back(std::move(scc));
-  }
-  report.spend = governor.Spend();
-  return report;
+  BatchItemResult result = std::move(
+      RunOnEngine(program, options_, {ModeDecl{query, adornment}}).front());
+  if (!result.status.ok()) return result.status;
+  return std::move(result.report);
 }
 
 Result<std::vector<std::pair<ModeDecl, TerminationReport>>>
@@ -564,25 +501,8 @@ TerminationAnalyzer::AnalyzeDeclaredModes(const Program& program) const {
     return Status::InvalidArgument(
         "the program declares no :- mode(...) directives");
   }
-  // Routed through the batch engine: one request per declared mode, so
-  // SCCs shared between modes (common callees analyzed under the same
-  // adornment) are solved once. jobs=1 keeps library-level calls
-  // single-threaded; the CLI drives the engine directly when a --jobs
-  // level is requested.
-  BatchEngine engine(EngineOptions{/*jobs=*/1, /*use_cache=*/true});
-  std::vector<BatchRequest> requests;
-  requests.reserve(program.mode_decls().size());
-  for (const ModeDecl& decl : program.mode_decls()) {
-    BatchRequest request;
-    request.name = StrCat(program.PredName(decl.pred), " ",
-                          AdornmentToString(decl.adornment));
-    request.program = program;
-    request.query = decl.pred;
-    request.adornment = decl.adornment;
-    request.options = options_;
-    requests.push_back(std::move(request));
-  }
-  std::vector<BatchItemResult> results = engine.Run(requests);
+  std::vector<BatchItemResult> results =
+      RunOnEngine(program, options_, program.mode_decls());
 
   std::vector<std::pair<ModeDecl, TerminationReport>> out;
   for (size_t i = 0; i < results.size(); ++i) {

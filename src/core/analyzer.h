@@ -37,11 +37,12 @@ struct AnalysisOptions {
   /// override / pre-empt inference for those predicates.
   std::vector<std::pair<std::string, std::string>> supplied_constraints;
 
-  /// Resource budgets for one Analyze call. Every subsystem (transforms,
-  /// inference, FM, simplex, certificate validation) charges one shared
-  /// governor built from these limits; budget trips degrade the analysis
-  /// (per-SCC kResourceLimit verdicts, untransformed retry) instead of
-  /// failing it. Default: unlimited.
+  /// Resource budgets, each a limit per task: the preparation, every
+  /// inference-plan node and every recursive SCC run under their own
+  /// governor built from these limits (docs/engine.md, "Per-task budget
+  /// semantics"). Budget trips degrade the analysis (per-SCC
+  /// kResourceLimit verdicts, untransformed retry) instead of failing it.
+  /// Default: unlimited.
   GovernorLimits limits;
 
   InferenceOptions inference;
@@ -94,9 +95,9 @@ struct TerminationReport {
   /// The program the verdict refers to (after transformations, if any).
   Program analyzed_program;
   std::vector<std::string> notes;
-  /// Resource spend of the analysis that produced this report. For a serial
-  /// Analyze call this is the shared governor's final snapshot; for the
-  /// batch engine it is the sum over the request's per-task governors.
+  /// Resource spend of the analysis that produced this report: work summed
+  /// and limb high-water maxed over its tasks' governors, and the wall time
+  /// from preparation to the last task.
   GovernorSpend spend;
 
   std::string ToString() const;
@@ -114,18 +115,17 @@ struct SccTask {
   bool has_conflict = false;
 };
 
-/// Everything `Analyze` computes before the per-SCC loop: the transformed
-/// program, modes, inter-argument constraints, and the SCC task list. The
+/// Everything PrepareStructure computes: the transformed program, modes,
+/// supplied constraints, the SCC task list and the inference plan. The
 /// embedded report is a skeleton — `sccs` is empty and `proved` unset —
-/// that the caller (the serial loop or the batch engine) completes by
+/// that the batch engine completes by running the plan into `arg_sizes`,
 /// analyzing each task and merging in condensation order.
 struct PreparedAnalysis {
   TerminationReport report;
   std::vector<SccTask> sccs;
   /// Pending inter-argument inference work, as per-SCC nodes over the
-  /// dependency-graph condensation (callees first). Populated by
-  /// PrepareStructure when `run_inference` is set; empty after Prepare,
-  /// which has already executed the plan into `report.arg_sizes`.
+  /// dependency-graph condensation (callees first). Populated when
+  /// `run_inference` is set.
   InferencePlan inference;
 };
 
@@ -143,7 +143,10 @@ class TerminationAnalyzer {
   const AnalysisOptions& options() const { return options_; }
 
   /// Analyzes top-down termination of `query` (entry predicate + bound/free
-  /// adornment) over `program`.
+  /// adornment) over `program`: one request on a jobs=1 BatchEngine
+  /// (src/engine/), whose tasks each run under their own governor built
+  /// from `options().limits`. The engine analyzes a private copy of the
+  /// program, so the caller's symbol table is never written.
   Result<TerminationReport> Analyze(const Program& program,
                                     const PredId& query,
                                     const Adornment& adornment) const;
@@ -164,27 +167,18 @@ class TerminationAnalyzer {
   Result<std::vector<std::pair<ModeDecl, TerminationReport>>>
   AnalyzeDeclaredModes(const Program& program) const;
 
-  /// Building blocks of Analyze, exposed for the batch engine
-  /// (src/engine/): most callers want Analyze, which runs Prepare and then
-  /// AnalyzeScc over every recursive task under one shared governor.
+  /// Building blocks of Analyze, which the batch engine (src/engine/) runs
+  /// as tasks: most callers want Analyze.
   ///
-  /// Prepare runs everything up to (not including) the per-SCC analysis:
-  /// transformations, mode inference with adornment-conflict cloning,
-  /// supplied constraints, inter-argument constraint inference, and the
-  /// dependency-graph condensation. Prep-phase resource trips are degraded
-  /// into the skeleton report's notes exactly as in Analyze.
-  Result<PreparedAnalysis> Prepare(const Program& program, const PredId& query,
-                                   const Adornment& adornment,
-                                   const ResourceGovernor* governor) const;
-
-  /// Prepare minus the inter-argument inference pass: transformations,
-  /// mode inference with adornment-conflict cloning, supplied constraints,
-  /// the dependency-graph condensation — and, when `run_inference` is set,
-  /// the *plan* of the inference work (`PreparedAnalysis::inference`)
-  /// instead of its execution. The batch engine schedules the plan's nodes
-  /// bottom-up over its worker pool (each under its own governor, results
-  /// content-cached); Prepare is PrepareStructure plus the serial in-order
-  /// execution of the plan under the shared `governor`.
+  /// PrepareStructure runs everything before the inference and the
+  /// per-SCC analysis: transformations, mode inference with
+  /// adornment-conflict cloning, supplied constraints, the dependency-graph
+  /// condensation — and, when `run_inference` is set, the *plan* of the
+  /// inference work (`PreparedAnalysis::inference`). The batch engine
+  /// schedules the plan's nodes bottom-up over its worker pool (each under
+  /// its own governor, results content-cached); ConstraintInference::Run
+  /// executes the same plan serially. Prep-phase resource trips are
+  /// degraded into the skeleton report's notes.
   Result<PreparedAnalysis> PrepareStructure(
       const Program& program, const PredId& query, const Adornment& adornment,
       const ResourceGovernor* governor) const;

@@ -127,8 +127,8 @@ CachedInferenceOutcome DehydrateInferenceResult(
 /// symbol table. Every name must resolve (guaranteed when the outcome was
 /// keyed on the SCC's rules, which mention exactly those names) — a failed
 /// resolution is a checked failure. No-op for resource-limited outcomes
-/// (the predicates stay unconstrained, exactly as the serial path leaves
-/// them).
+/// (the predicates stay unconstrained, exactly as ConstraintInference::Run
+/// leaves them).
 void ApplyInferenceOutcome(const CachedInferenceOutcome& outcome,
                            const Program& program, ArgSizeDb* db);
 

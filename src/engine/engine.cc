@@ -348,8 +348,8 @@ void BatchEngine::Prepare(const StatePtr& state_ptr) {
   }
 
   // Inference phase. The whole-run skip failpoint fires here — once per
-  // request, before any node runs — with the same degraded note as the
-  // serial path; otherwise the plan's source nodes are pushed and the
+  // request, before any node runs — and leaves every predicate
+  // unconstrained; otherwise the plan's source nodes are pushed and the
   // rest schedule themselves as their dependencies complete.
   bool run_inference = request.options.run_inference;
   if (run_inference && TERMILOG_FAILPOINT_HIT("inference.run")) {
@@ -478,10 +478,10 @@ void BatchEngine::RunInferenceTask(const StatePtr& state_ptr, int k) {
   if (state.pending_inference.fetch_sub(1) == 1) FinishInference(state_ptr);
 }
 
-// Merges the inference phase into the skeleton report — exactly the
-// serial Prepare semantics: the first hard error (in plan-node order)
-// fails the request; budget trips degrade to per-node warning notes in
-// plan-node order.
+// Merges the inference phase into the skeleton report: the first hard
+// error (in plan-node order) fails the request; budget trips degrade to
+// per-node warning notes in plan-node order, as ConstraintInference::Run
+// reports them.
 void BatchEngine::FinishInference(const StatePtr& state_ptr) {
   RequestState& state = *state_ptr;
   for (const Status& error : state.inference_errors) {
@@ -547,8 +547,7 @@ void BatchEngine::RunSccTask(const StatePtr& state_ptr, size_t j) {
   TERMILOG_COUNTER("engine.scc_tasks", 1);
   const SccTask& task = state.prepared->sccs[j];
   // All SCC work runs over the report skeleton's analyzed_program (the
-  // post-transformation program whose PredIds the SccTasks reference),
-  // exactly as the serial TerminationAnalyzer::Analyze loop does.
+  // post-transformation program whose PredIds the SccTasks reference).
   const TerminationReport& skeleton = state.prepared->report;
   const Program& program = skeleton.analyzed_program;
   std::vector<PredId> preds = CanonicalSccOrder(program, task.preds);
@@ -592,8 +591,7 @@ void BatchEngine::RunSccTask(const StatePtr& state_ptr, size_t j) {
 }
 
 // Assembles the result on the worker that finished the request's last
-// task — the same assembly the serial Analyze loop does — and hands it to
-// on_done.
+// task and hands it to on_done.
 void BatchEngine::Complete(const StatePtr& state_ptr) {
   RequestState& state = *state_ptr;
   const auto finished = std::chrono::steady_clock::now();

@@ -42,7 +42,7 @@ struct BatchItemResult {
   std::string name;
   /// Non-OK when preparation failed (bad query, unsupported construct);
   /// `report` is then empty. Per-SCC resource trips are not errors — they
-  /// degrade inside the report exactly as in TerminationAnalyzer::Analyze.
+  /// degrade inside the report to RESOURCE_LIMIT verdicts.
   Status status = Status::Ok();
   TerminationReport report;
   /// Recursive SCC tasks this request contributed, and how many of them

@@ -23,11 +23,13 @@ int FailingSccCount(const TerminationReport& report) {
   return failing;
 }
 
-// Maps a (possibly adornment-cloned) predicate of the analyzed program
-// back to the predicate whose rules live in `program`.
-PredId MapToSource(const Program& program, const PredId& pred) {
+// Maps a (possibly adornment-cloned) predicate of `analyzed`, the program
+// a report refers to, back to the predicate whose rules live in `program`.
+// A clone's name is interned only in `analyzed`'s symbol table.
+PredId MapToSource(const Program& program, const Program& analyzed,
+                   const PredId& pred) {
   if (!program.RuleIndicesFor(pred).empty()) return pred;
-  const std::string& name = program.symbols().Name(pred.symbol);
+  const std::string& name = analyzed.symbols().Name(pred.symbol);
   size_t cut = name.rfind("__");
   if (cut == std::string::npos) return pred;
   int base = program.symbols().Lookup(name.substr(0, cut));
@@ -66,7 +68,8 @@ Result<ReorderResult> FindTerminatingOrder(const Program& program,
         continue;
       }
       for (const PredId& pred : scc.preds) {
-        failing.insert(MapToSource(result.program, pred));
+        failing.insert(MapToSource(result.program,
+                                   result.report.analyzed_program, pred));
       }
     }
     for (size_t r = 0;

@@ -21,11 +21,6 @@ int64_t ElapsedMs(std::chrono::steady_clock::time_point start) {
 
 }  // namespace
 
-std::string GovernorSpend::ToString() const {
-  return StrCat("work=", work, " elapsed_ms=", elapsed_ms,
-                " bigint_limbs=", bigint_limb_high_water);
-}
-
 std::string GovernorSpend::DeterministicToString() const {
   return StrCat("work=", work, " bigint_limbs=", bigint_limb_high_water);
 }

@@ -36,8 +36,6 @@ struct GovernorSpend {
   int64_t elapsed_ms = 0;
   int64_t bigint_limb_high_water = 0;
 
-  /// Renders "work=N elapsed_ms=N bigint_limbs=N".
-  std::string ToString() const;
   /// Renders "work=N bigint_limbs=N" — the input-determined dimensions
   /// only. Anything that reaches report bytes (trip messages, notes) must
   /// use this form: elapsed wall time differs run to run and across --jobs
@@ -46,12 +44,13 @@ struct GovernorSpend {
 };
 
 /// A single budget object shared (by const pointer) across every subsystem
-/// of one analysis: Fourier-Motzkin, simplex, constraint inference, the
-/// transform pipeline, and both interpreters all charge the same counter.
-/// When any budget is exceeded the governor trips *stickily*: every later
-/// Charge/CheckNow returns the same structured kResourceExhausted status,
-/// so a whole-program analysis winds down quickly instead of grinding
-/// through the remaining SCCs at full cost.
+/// of one task (the batch engine builds one per task; docs/engine.md):
+/// Fourier-Motzkin, simplex, constraint inference, the transform pipeline,
+/// and both interpreters all charge the same counter. When any budget is
+/// exceeded the governor trips *stickily*: every later Charge/CheckNow
+/// returns the same structured kResourceExhausted status, so the task
+/// winds down quickly instead of grinding through its remaining work at
+/// full cost.
 ///
 /// Charging mutates internal counters through a const reference on purpose
 /// — the governor is threaded as `const ResourceGovernor*` through options

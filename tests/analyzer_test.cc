@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "corpus/corpus.h"
 #include "program/parser.h"
 #include "util/failpoint.h"
 
@@ -208,6 +209,24 @@ TEST(AnalyzerTest, AnalyzeDeclaredModesRunsEachDirective) {
   EXPECT_FALSE((*reports)[2].second.proved);  // fff: nothing bound
 }
 
+TEST(AnalyzerTest, RepeatedAnalyzeIsByteIdentical) {
+  // The transforms of Example A.1 name the split predicates; a second
+  // Analyze of the same Program must name them alike and leave the
+  // caller's symbol table as it was.
+  const CorpusEntry* entry = FindCorpusEntry("example_a1");
+  ASSERT_NE(entry, nullptr);
+  ASSERT_TRUE(entry->needs_transformations);
+  Program p = MustParse(entry->source);
+  const int symbols = p.symbols().size();
+  AnalysisOptions options;
+  options.apply_transformations = true;
+  TerminationReport first = MustAnalyze(p, entry->query.c_str(), options);
+  TerminationReport second = MustAnalyze(p, entry->query.c_str(), options);
+  EXPECT_TRUE(first.proved) << first.ToString();
+  EXPECT_EQ(first.ToString(), second.ToString());
+  EXPECT_EQ(p.symbols().size(), symbols);
+}
+
 TEST(AnalyzerTest, AnalyzeDeclaredModesNeedsDirectives) {
   Program p = MustParse("p(a).");
   TerminationAnalyzer analyzer;
@@ -245,7 +264,7 @@ TEST(AnalyzerDegradation, TinyWorkBudgetProducesValidPartialReport) {
   for (const SccReport& scc : r->sccs) {
     if (scc.status != SccStatus::kResourceLimit) continue;
     ++limited;
-    EXPECT_TRUE(HasNoteContaining(scc.notes, "resource spend:"))
+    EXPECT_TRUE(HasNoteContaining(scc.notes, "task spend:"))
         << r->ToString();
   }
   EXPECT_GE(limited, 1);
@@ -274,7 +293,7 @@ TEST(AnalyzerDegradation, DualBuildTripDegradesOneSccOnly) {
   for (const SccReport& scc : r.sccs) {
     if (scc.status == SccStatus::kResourceLimit) {
       ++limited;
-      EXPECT_TRUE(HasNoteContaining(scc.notes, "resource spend:"))
+      EXPECT_TRUE(HasNoteContaining(scc.notes, "task spend:"))
           << r.ToString();
     }
     if (scc.status == SccStatus::kProved) ++proved;

@@ -161,22 +161,35 @@ TEST(EngineTest, ConcurrentSubmitMatchesRun) {
             static_cast<int64_t>(kThreads * requests.size()));
 }
 
-// The engine must agree with the serial TerminationAnalyzer entry point on
-// every verdict (proved / not / resource-limited) over the corpus.
-TEST(EngineTest, VerdictsMatchSerialAnalyzer) {
+// The engine schedules the inference plan's nodes across its workers; the
+// serial in-order run of the same plan (ConstraintInference::Run) is the
+// reference. Every inferred polyhedron of every corpus request must match.
+TEST(EngineTest, InferredConstraintsMatchSerialPlan) {
   std::vector<BatchRequest> requests = CorpusRequests();
   BatchEngine engine(EngineOptions{/*jobs=*/4, /*use_cache=*/true});
   std::vector<BatchItemResult> results = engine.Run(requests);
 
+  // Freshly parsed programs: the reference's transforms intern new names
+  // into a symbol table no other request shares.
+  std::vector<BatchRequest> private_copies = CorpusRequests();
   for (size_t i = 0; i < requests.size(); ++i) {
-    TerminationAnalyzer analyzer(requests[i].options);
-    Result<TerminationReport> serial = analyzer.Analyze(
-        requests[i].program, requests[i].query, requests[i].adornment);
-    ASSERT_EQ(serial.ok(), results[i].status.ok()) << requests[i].name;
-    if (!serial.ok()) continue;
-    EXPECT_EQ(serial->proved, results[i].report.proved) << requests[i].name;
-    EXPECT_EQ(serial->resource_limited, results[i].report.resource_limited)
-        << requests[i].name;
+    const BatchRequest& request = private_copies[i];
+    ASSERT_TRUE(results[i].status.ok())
+        << request.name << ": " << results[i].status.ToString();
+    TerminationAnalyzer analyzer(request.options);
+    Result<PreparedAnalysis> prepared = analyzer.PrepareStructure(
+        request.program, request.query, request.adornment, nullptr);
+    ASSERT_TRUE(prepared.ok()) << request.name;
+    TerminationReport& serial = prepared->report;
+    ASSERT_TRUE(ConstraintInference::Run(serial.analyzed_program,
+                                         &serial.arg_sizes,
+                                         request.options.inference)
+                    .ok())
+        << request.name;
+    const TerminationReport& report = results[i].report;
+    EXPECT_EQ(report.arg_sizes.ToString(report.analyzed_program),
+              serial.arg_sizes.ToString(serial.analyzed_program))
+        << request.name;
   }
 }
 

@@ -295,7 +295,7 @@ TEST(InferenceEngineTest, WarmRepeatsAtHighJobsDoNotDoubleScheduleNodes) {
 }
 
 // run_inference=false must skip the whole inference DAG: no tasks, no
-// cache traffic, and verdicts that match the serial analyzer under the
+// cache traffic, and verdicts that match a one-request Analyze under the
 // same option.
 TEST(InferenceEngineTest, RunInferenceOffSchedulesNoTasks) {
   std::vector<BatchRequest> requests = CorpusRequests();

@@ -204,7 +204,7 @@ void SweepCorpusUnderBudget(const GovernorLimits& limits,
       EXPECT_TRUE(report->resource_limited) << entry.name;
       bool has_spend = false;
       for (const std::string& note : scc.notes) {
-        if (note.find("resource spend:") != std::string::npos) {
+        if (note.find("task spend:") != std::string::npos) {
           has_spend = true;
         }
       }
