@@ -149,7 +149,7 @@ void BM_CorpusArgMap(benchmark::State& state) {
   }
 }
 
-BENCHMARK(BM_CorpusThisPaper)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CorpusThisPaper)->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_CorpusNaish)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CorpusUvg)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CorpusArgMap)->Unit(benchmark::kMillisecond);

@@ -71,10 +71,11 @@ void BM_AnalyzePermSuppliedConstraints(benchmark::State& state) {
   }
 }
 
-BENCHMARK_CAPTURE(BM_AnalyzeExample, e1_perm, "perm");
-BENCHMARK_CAPTURE(BM_AnalyzeExample, e2_merge, "merge");
-BENCHMARK_CAPTURE(BM_AnalyzeExample, e3_expr_parser, "expr_parser");
-BENCHMARK(BM_AnalyzePermSuppliedConstraints);
+BENCHMARK_CAPTURE(BM_AnalyzeExample, e1_perm, "perm")->UseRealTime();
+BENCHMARK_CAPTURE(BM_AnalyzeExample, e2_merge, "merge")->UseRealTime();
+BENCHMARK_CAPTURE(BM_AnalyzeExample, e3_expr_parser, "expr_parser")
+    ->UseRealTime();
+BENCHMARK(BM_AnalyzePermSuppliedConstraints)->UseRealTime();
 
 }  // namespace
 

@@ -83,11 +83,11 @@ void BM_ScaleRuleCount(benchmark::State& state) {
 }
 
 BENCHMARK(BM_ScaleSccChain)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Complexity()
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_ScaleMutualScc)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Complexity()
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_ScaleRuleCount)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Complexity()
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 

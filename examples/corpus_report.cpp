@@ -9,10 +9,12 @@
 // This paper's column is computed through the parallel batch engine
 // (docs/engine.md): one request per corpus entry, scheduled onto a worker
 // pool with content-addressed SCC memoization. Pass a job count as argv[1]
-// (default 4); the matrix is byte-identical for every value. Aggregate
-// engine statistics (cache hits/misses, total work) print after the
-// matrix.
+// (default 4; a positive integer up to INT_MAX, anything else exits 1);
+// the matrix is byte-identical for every value. Aggregate engine
+// statistics (cache hits/misses, total work) print after the matrix.
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -70,11 +72,17 @@ int main(int argc, char** argv) {
   obs::ObsExport obs_export("", "");
   int jobs = 4;
   if (argc > 1) {
-    jobs = std::atoi(argv[1]);
-    if (jobs < 1) {
+    // termilog_cli's rule for int flags: no trailing characters, nothing
+    // above INT_MAX (std::atoi would narrow or ignore either).
+    char* end = nullptr;
+    errno = 0;
+    long long value = std::strtoll(argv[1], &end, 10);
+    if (end == argv[1] || *end != '\0' || errno == ERANGE || value < 1 ||
+        value > INT_MAX) {
       std::fprintf(stderr, "usage: corpus_report [JOBS]\n");
       return EXIT_FAILURE;
     }
+    jobs = static_cast<int>(value);
   }
 
   // Phase 1: this paper's analyzer over the whole corpus, as one batch.

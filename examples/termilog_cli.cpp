@@ -133,9 +133,13 @@
 //   --supply P/N:SPEC      supply constraints, e.g. --supply "edge/2:a1 >= 1 + a2"
 //   --run GOAL             after analysis, run GOAL under SLD resolution
 //   --reorder              if analysis fails, search for a subgoal order
-//                          that is provably terminating (capture rules)
+//                          that is provably terminating (capture rules);
+//                          every attempt is a request on the run's engine,
+//                          so --jobs, --no-cache and --store apply
 //   --explain              print the full proof trace (Eq. 1 blocks,
-//                          Eq. 9 rows, deltas, certificate)
+//                          Eq. 9 rows, deltas, certificate) of the report
+//                          the run holds (--reorder's, when it succeeds);
+//                          it runs no second analysis
 //   --show-constraints     print the inter-argument constraint store
 //   --baselines            also run the three prior-art analyzers
 //   --deadline-ms N        wall-clock budget; every budget is a limit per
@@ -1059,11 +1063,11 @@ int main(int argc, char** argv) {
   json_options.cache_hits = item.cache_hits;
   json_options.inference_tasks = item.inference_tasks;
   json_options.inference_cache_hits = item.inference_cache_hits;
+  // --reorder searches on this run's engine, whose caches hold the run
+  // above; --explain renders the report this run holds.
   if (reorder && !report.proved) {
-    ReorderOptions reorder_options;
-    reorder_options.analysis = options;
     Result<ReorderResult> search =
-        FindTerminatingOrder(program, query, reorder_options);
+        FindTerminatingOrder(engine, requests.front());
     if (search.ok() && search->proved) {
       std::printf("reordering found a terminating subgoal order "
                   "(%d attempts):\n",
@@ -1073,7 +1077,7 @@ int main(int argc, char** argv) {
       }
       program = search->program;
       report = search->report;
-      // The printed report no longer corresponds to the engine run above.
+      // The task accounting above describes the run, not this report.
       json_options = ReportJsonOptions();
       json_options.include_spend = true;
     } else if (search.ok()) {
@@ -1083,8 +1087,9 @@ int main(int argc, char** argv) {
     }
   }
   if (explain) {
-    Result<std::string> trace = ExplainAnalysis(program, query, options);
-    if (trace.ok()) std::printf("%s\n", trace->c_str());
+    std::printf("%s\n", ExplainAnalysis(report, requests.front().query,
+                                        requests.front().adornment, options)
+                            .c_str());
   }
   if (json) {
     // One structured line from the same serializer as --batch, plus the

@@ -11,7 +11,10 @@
 #      file) ends in a newline; and single runs of four corpus entries at
 #      three work budgets, whose text and --json runs must exit alike and
 #      whose repeated text runs must print the same bytes, plus a repeated
-#      single run on one --store that must be served cache hits
+#      single run on one --store that must be served cache hits; span
+#      counts in --trace output showing that --explain runs no second
+#      analysis and that --reorder's attempts hit the run's caches; and
+#      corpus_report rejecting a malformed JOBS (exit 1)
 #   2. UBSan pass of the unit and engine suites in build-ubsan/ (the
 #      arithmetic kernel lives in the unit suite; docs/arithmetic.md)
 #   3. ASan+UBSan pass of the unit, engine, obs and condinf suites in
@@ -221,6 +224,47 @@ if [[ -z "$hits" || "$hits" -eq 0 ]]; then
   exit 1
 fi
 rm -rf "$single"
+
+# One analysis per run: --explain renders the report the run holds (perm's
+# 3 recursive SCCs analyzed once), and --reorder runs its attempts on the
+# run's engine, so SCCs and inference nodes an attempt leaves unchanged
+# are cache hits (perm_unbound: 11 attempts after the run).
+spans="$(mktemp -d)"
+trap 'rm -rf "$spans"' EXIT
+expect_spans() {  # expect_spans TRACE NAME OP COUNT
+  local got
+  got="$(grep -o "\"name\":\"$2\"" "$1" | wc -l)"
+  if ! [ "$got" "-$3" "$4" ]; then
+    echo "check.sh: $1 records $got $2 spans, want -$3 $4" >&2
+    exit 1
+  fi
+}
+run ./build/examples/termilog_cli --corpus perm --explain \
+    --trace "$spans/explain.json" >/dev/null
+expect_spans "$spans/explain.json" batch.run eq 1
+expect_spans "$spans/explain.json" scc.analyze eq 3
+expect_spans "$spans/explain.json" inference.scc eq 3
+rc=0
+./build/examples/termilog_cli --corpus perm_unbound --reorder \
+    --trace "$spans/reorder.json" >/dev/null 2>&1 || rc=$?
+if [[ "$rc" -ne 2 ]]; then
+  echo "check.sh: --corpus perm_unbound --reorder exited $rc, want 2" >&2
+  exit 1
+fi
+expect_spans "$spans/reorder.json" scc.analyze le 11
+expect_spans "$spans/reorder.json" inference.scc le 14
+rm -rf "$spans"
+
+# corpus_report's JOBS follows termilog_cli's int-flag rule: trailing
+# characters and values above INT_MAX are usage errors.
+for jobs in 4294967298 2x; do
+  rc=0
+  ./build/examples/corpus_report "$jobs" >/dev/null 2>&1 || rc=$?
+  if [[ "$rc" -ne 1 ]]; then
+    echo "check.sh: corpus_report $jobs exited $rc, want 1" >&2
+    exit 1
+  fi
+done
 
 if [[ "${1:-}" == "--tier1-only" ]]; then
   echo "check.sh: tier-1 OK (sanitizer passes skipped)" >&2

@@ -120,48 +120,21 @@ SccReport TerminationAnalyzer::AnalyzeScc(
     return report;
   }
 
-  std::set<PredId> scc_set(scc_preds.begin(), scc_preds.end());
-  RuleSystemBuilder builder(program, modes, db);
-  Result<std::vector<RuleSubgoalSystem>> systems = [&] {
-    TERMILOG_TRACE("scc.rule_system", "analyzer");
-    return builder.BuildForScc(scc_set);
-  }();
-  if (!systems.ok()) {
-    report.status = systems.status().code() == StatusCode::kUnsupported
+  Result<SccDerivation> derivation =
+      DeriveScc(program, scc_preds, modes, db, fm);
+  if (!derivation.ok()) {
+    report.status = derivation.status().code() == StatusCode::kUnsupported
                         ? SccStatus::kUnsupported
                         : SccStatus::kResourceLimit;
-    report.notes.push_back(systems.status().ToString());
+    report.notes.push_back(derivation.status().ToString());
     return report;
   }
-  if (systems->empty()) {
+  if (derivation->systems.empty()) {
     report.status = SccStatus::kNonRecursive;
     return report;
   }
-
-  // Theta space over the bound arguments of the SCC's predicates.
-  std::map<PredId, int> bound_counts;
-  for (const PredId& pred : scc_preds) {
-    int count = 0;
-    for (Mode m : modes.at(pred)) {
-      if (m == Mode::kBound) ++count;
-    }
-    bound_counts[pred] = count;
-  }
-  ThetaSpace space(bound_counts);
-
-  std::vector<DerivedConstraints> derived;
-  {
-    TERMILOG_TRACE("scc.derive", "analyzer");
-    for (const RuleSubgoalSystem& sys : *systems) {
-      Result<DerivedConstraints> d = BuildDerivedConstraints(sys, space, fm);
-      if (!d.ok()) {
-        report.status = SccStatus::kResourceLimit;
-        report.notes.push_back(d.status().ToString());
-        return report;
-      }
-      derived.push_back(std::move(d).value());
-    }
-  }
+  const ThetaSpace& space = derivation->space;
+  const std::vector<DerivedConstraints>& derived = derivation->derived;
 
   const int T = space.total();
   std::function<std::string(int)> namer = [&](int column) {
@@ -196,7 +169,7 @@ SccReport TerminationAnalyzer::AnalyzeScc(
     }
     if (lp.status == LpStatus::kOptimal) {
       for (const PredId& pred : scc_preds) {
-        std::vector<Rational> theta(bound_counts.at(pred));
+        std::vector<Rational> theta(space.CountFor(pred));
         for (size_t k = 0; k < theta.size(); ++k) {
           theta[k] = lp.point[space.Column(pred, static_cast<int>(k))];
         }
@@ -208,8 +181,8 @@ SccReport TerminationAnalyzer::AnalyzeScc(
       if (options_.validate_certificates) {
         Status valid = [&] {
           TERMILOG_TRACE("scc.validate", "analyzer");
-          return ValidateCertificate(*systems, scc_preds, report.certificate,
-                                     governor);
+          return ValidateCertificate(derivation->systems, scc_preds,
+                                     report.certificate, governor);
         }();
         if (!valid.ok()) {
           report.status = SccStatus::kResourceLimit;
@@ -302,7 +275,7 @@ SccReport TerminationAnalyzer::AnalyzeScc(
     }
     if (lp.status == LpStatus::kOptimal) {
       for (const PredId& pred : scc_preds) {
-        std::vector<Rational> theta(bound_counts.at(pred));
+        std::vector<Rational> theta(space.CountFor(pred));
         for (size_t k = 0; k < theta.size(); ++k) {
           theta[k] = lp.point[space.Column(pred, static_cast<int>(k))];
         }
@@ -315,8 +288,8 @@ SccReport TerminationAnalyzer::AnalyzeScc(
       if (options_.validate_certificates) {
         Status valid = [&] {
           TERMILOG_TRACE("scc.validate", "analyzer");
-          return ValidateCertificate(*systems, scc_preds, report.certificate,
-                                     governor);
+          return ValidateCertificate(derivation->systems, scc_preds,
+                                     report.certificate, governor);
         }();
         if (!valid.ok()) {
           report.status = SccStatus::kResourceLimit;
@@ -460,73 +433,16 @@ Result<PreparedAnalysis> TerminationAnalyzer::PrepareStructure(
   return prepared;
 }
 
-namespace {
-
-// Runs one engine request per (predicate, adornment) pair, at jobs=1 with
-// the content cache on, so SCCs shared between the requests are solved
-// once. Results come back in `queries` order.
-std::vector<BatchItemResult> RunOnEngine(const Program& program,
-                                         const AnalysisOptions& options,
-                                         const std::vector<ModeDecl>& queries) {
-  BatchEngine engine(EngineOptions{/*jobs=*/1, /*use_cache=*/true});
-  std::vector<BatchRequest> requests;
-  requests.reserve(queries.size());
-  for (const ModeDecl& query : queries) {
-    BatchRequest request;
-    request.name = StrCat(program.PredName(query.pred), " ",
-                          AdornmentToString(query.adornment));
-    request.program = program;
-    request.query = query.pred;
-    request.adornment = query.adornment;
-    request.options = options;
-    requests.push_back(std::move(request));
-  }
-  return engine.Run(requests);
-}
-
-}  // namespace
-
 Result<TerminationReport> TerminationAnalyzer::Analyze(
     const Program& program, const PredId& query,
     const Adornment& adornment) const {
-  BatchItemResult result = std::move(
-      RunOnEngine(program, options_, {ModeDecl{query, adornment}}).front());
+  BatchRequest request{
+      StrCat(program.PredName(query), " ", AdornmentToString(adornment)),
+      program, query, adornment, options_};
+  BatchEngine engine(EngineOptions{/*jobs=*/1, /*use_cache=*/true});
+  BatchItemResult result = std::move(engine.Run({request}).front());
   if (!result.status.ok()) return result.status;
   return std::move(result.report);
-}
-
-Result<std::vector<std::pair<ModeDecl, TerminationReport>>>
-TerminationAnalyzer::AnalyzeDeclaredModes(const Program& program) const {
-  if (program.mode_decls().empty()) {
-    return Status::InvalidArgument(
-        "the program declares no :- mode(...) directives");
-  }
-  std::vector<BatchItemResult> results =
-      RunOnEngine(program, options_, program.mode_decls());
-
-  std::vector<std::pair<ModeDecl, TerminationReport>> out;
-  for (size_t i = 0; i < results.size(); ++i) {
-    const ModeDecl& decl = program.mode_decls()[i];
-    BatchItemResult& result = results[i];
-    if (!result.status.ok()) {
-      // Isolate the failure to this mode: the other declared modes still
-      // deserve real analyses.
-      TerminationReport failed;
-      failed.analyzed_program = program;
-      failed.proved = false;
-      std::string message = StrCat("analysis of this mode failed: ",
-                                   result.status.ToString());
-      failed.notes.push_back(message);
-      if (result.status.code() == StatusCode::kResourceExhausted) {
-        failed.resource_limited = true;
-        failed.first_resource_trip = message;
-      }
-      out.emplace_back(decl, std::move(failed));
-      continue;
-    }
-    out.emplace_back(decl, std::move(result.report));
-  }
-  return out;
 }
 
 Result<TerminationReport> TerminationAnalyzer::Analyze(

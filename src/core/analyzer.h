@@ -146,7 +146,9 @@ class TerminationAnalyzer {
   /// adornment) over `program`: one request on a jobs=1 BatchEngine
   /// (src/engine/), whose tasks each run under their own governor built
   /// from `options().limits`. The engine analyzes a private copy of the
-  /// program, so the caller's symbol table is never written.
+  /// program, so the caller's symbol table is never written. To analyze
+  /// every `:- mode` directive, plan one request each with EntryQueries and
+  /// PlanRequest (src/engine/serve.h) and run them on one engine.
   Result<TerminationReport> Analyze(const Program& program,
                                     const PredId& query,
                                     const Adornment& adornment) const;
@@ -154,18 +156,6 @@ class TerminationAnalyzer {
   /// Convenience overload taking "pred(b,f,...)" syntax.
   Result<TerminationReport> Analyze(const Program& program,
                                     std::string_view query_spec) const;
-
-  /// Analyzes every `:- mode(...)` directive of the program — the paper's
-  /// capture-rule setting, where "different orders can be chosen for
-  /// different bound-free query patterns" and each pattern needs its own
-  /// termination proof. Fails if the program declares no modes.
-  ///
-  /// A failure while analyzing one mode (including a resource trip that
-  /// escaped degradation) is isolated to that mode: its report carries the
-  /// error in `notes` with proved == false, and the other modes still get
-  /// real analyses.
-  Result<std::vector<std::pair<ModeDecl, TerminationReport>>>
-  AnalyzeDeclaredModes(const Program& program) const;
 
   /// Building blocks of Analyze, which the batch engine (src/engine/) runs
   /// as tasks: most callers want Analyze.

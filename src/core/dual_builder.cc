@@ -1,7 +1,9 @@
 #include "core/dual_builder.h"
 
+#include <set>
 #include <utility>
 
+#include "obs/obs.h"
 #include "util/check.h"
 #include "util/failpoint.h"
 #include "util/string_util.h"
@@ -110,6 +112,40 @@ Result<DerivedConstraints> BuildDerivedConstraints(
     out.rows.push_back(std::move(theta_row));
   }
   return out;
+}
+
+Result<SccDerivation> DeriveScc(const Program& program,
+                                const std::vector<PredId>& scc_preds,
+                                const std::map<PredId, Adornment>& modes,
+                                const ArgSizeDb& db, const FmOptions& fm) {
+  RuleSystemBuilder builder(program, modes, db);
+  Result<std::vector<RuleSubgoalSystem>> systems = [&] {
+    TERMILOG_TRACE("scc.rule_system", "analyzer");
+    return builder.BuildForScc(
+        std::set<PredId>(scc_preds.begin(), scc_preds.end()));
+  }();
+  if (!systems.ok()) return systems.status();
+
+  std::map<PredId, int> bound_counts;
+  for (const PredId& pred : scc_preds) {
+    int count = 0;
+    for (Mode m : modes.at(pred)) {
+      if (m == Mode::kBound) ++count;
+    }
+    bound_counts[pred] = count;
+  }
+  SccDerivation derivation{std::move(systems).value(),
+                           ThetaSpace(bound_counts), {}};
+  if (derivation.systems.empty()) return derivation;
+
+  TERMILOG_TRACE("scc.derive", "analyzer");
+  for (const RuleSubgoalSystem& sys : derivation.systems) {
+    Result<DerivedConstraints> d =
+        BuildDerivedConstraints(sys, derivation.space, fm);
+    if (!d.ok()) return d.status();
+    derivation.derived.push_back(std::move(d).value());
+  }
+  return derivation;
 }
 
 }  // namespace termilog

@@ -66,6 +66,26 @@ Result<DerivedConstraints> BuildDerivedConstraints(
     const RuleSubgoalSystem& sys, const ThetaSpace& space,
     const FmOptions& options = FmOptions());
 
+/// One SCC's termination constraints before the delta assignment
+/// (Sections 3-5): the Eq. 1 system of every (rule, recursive subgoal)
+/// pair, the theta space over the SCC's bound arguments, and each
+/// system's Eq. 9 rows. TerminationAnalyzer::AnalyzeScc solves them;
+/// ExplainAnalysis prints them.
+struct SccDerivation {
+  std::vector<RuleSubgoalSystem> systems;
+  ThetaSpace space;
+  /// derived[k] is BuildDerivedConstraints(systems[k], space, fm).
+  std::vector<DerivedConstraints> derived;
+};
+
+/// Fails with kUnsupported when a needed adornment is missing, and with
+/// kResourceExhausted when an elimination trips `fm`'s row limit or
+/// governor. An SCC without recursive subgoals derives no systems.
+Result<SccDerivation> DeriveScc(const Program& program,
+                                const std::vector<PredId>& scc_preds,
+                                const std::map<PredId, Adornment>& modes,
+                                const ArgSizeDb& db, const FmOptions& fm);
+
 }  // namespace termilog
 
 #endif  // TERMILOG_CORE_DUAL_BUILDER_H_

@@ -1,11 +1,7 @@
 #include "core/explain.h"
 
-#include <set>
-#include <utility>
-
 #include "core/delta.h"
 #include "core/dual_builder.h"
-#include "core/rule_system.h"
 #include "util/string_util.h"
 
 namespace termilog {
@@ -58,17 +54,10 @@ std::string RenderThetaRow(const Program& program, const ThetaSpace& space,
 
 }  // namespace
 
-Result<std::string> ExplainAnalysis(const Program& program,
-                                    const PredId& query,
-                                    const Adornment& adornment,
-                                    const AnalysisOptions& options) {
-  TerminationAnalyzer analyzer(options);
-  Result<TerminationReport> analyzed =
-      analyzer.Analyze(program, query, adornment);
-  if (!analyzed.ok()) return analyzed.status();
-  const TerminationReport& report = *analyzed;
+std::string ExplainAnalysis(const TerminationReport& report,
+                            const PredId& query, const Adornment& adornment,
+                            const AnalysisOptions& options) {
   const Program& prog = report.analyzed_program;
-
   std::string out;
   out += "==================== termination proof trace ====================\n";
   out += StrCat("query: ", prog.PredName(query), " adorned ",
@@ -101,45 +90,29 @@ Result<std::string> ExplainAnalysis(const Program& program,
       out += "  non-recursive: nothing to prove.\n";
       continue;
     }
-    std::set<PredId> scc_set(scc.preds.begin(), scc.preds.end());
-    RuleSystemBuilder builder(prog, report.modes, report.arg_sizes);
-    Result<std::vector<RuleSubgoalSystem>> systems =
-        builder.BuildForScc(scc_set);
-    if (!systems.ok()) {
-      out += StrCat("  (system construction failed: ",
-                    systems.status().ToString(), ")\n");
+    Result<SccDerivation> derivation = DeriveScc(
+        prog, scc.preds, report.modes, report.arg_sizes, options.fm);
+    if (!derivation.ok()) {
+      out += StrCat("  (derivation failed: ",
+                    derivation.status().ToString(), ")\n");
       continue;
     }
-    std::map<PredId, int> bound_counts;
-    for (const PredId& pred : scc.preds) {
-      int count = 0;
-      for (Mode m : report.modes.at(pred)) {
-        if (m == Mode::kBound) ++count;
-      }
-      bound_counts[pred] = count;
-    }
-    ThetaSpace space(bound_counts);
-    std::vector<DerivedConstraints> derived;
-    for (const RuleSubgoalSystem& sys : *systems) {
+    for (size_t k = 0; k < derivation->systems.size(); ++k) {
+      const RuleSubgoalSystem& sys = derivation->systems[k];
       out += StrCat("\nEq. 1 for ", sys.ToString(prog));
-      Result<DerivedConstraints> d = BuildDerivedConstraints(sys, space);
-      if (!d.ok()) {
-        out += StrCat("  (dual derivation failed: ", d.status().ToString(),
-                      ")\n");
-        continue;
-      }
       std::string delta_name =
           StrCat("delta(", prog.symbols().Name(sys.head_pred.symbol), ",",
                  prog.symbols().Name(sys.subgoal_pred.symbol), ")");
       out += "Eq. 9 rows after eliminating w:\n";
-      for (const ThetaRow& row : d->rows) {
-        out += StrCat("  ", RenderThetaRow(prog, space, row,
-                                           delta_name.c_str()),
+      for (const ThetaRow& row : derivation->derived[k].rows) {
+        out += StrCat("  ",
+                      RenderThetaRow(prog, derivation->space, row,
+                                     delta_name.c_str()),
                       "\n");
       }
-      derived.push_back(std::move(d).value());
     }
-    DeltaAssignment assignment = AssignDeltas(derived, scc.preds);
+    DeltaAssignment assignment =
+        AssignDeltas(derivation->derived, scc.preds);
     out += "\ndelta assignment (Section 6.1):\n";
     for (const auto& [edge, value] : assignment.values) {
       out += StrCat("  delta(", prog.symbols().Name(edge.first.symbol), ",",
@@ -176,15 +149,6 @@ Result<std::string> ExplainAnalysis(const Program& program,
   out += report.proved ? "TERMINATES (proved)" : "UNKNOWN";
   out += " ====================\n";
   return out;
-}
-
-Result<std::string> ExplainAnalysis(const Program& program,
-                                    std::string_view query_spec,
-                                    const AnalysisOptions& options) {
-  Result<std::pair<PredId, Adornment>> query =
-      ParseQuerySpec(program, query_spec);
-  if (!query.ok()) return query.status();
-  return ExplainAnalysis(program, query->first, query->second, options);
 }
 
 }  // namespace termilog

@@ -39,19 +39,16 @@ PredId MapToSource(const Program& program, const Program& analyzed,
 
 }  // namespace
 
-Result<ReorderResult> FindTerminatingOrder(const Program& program,
-                                           const PredId& query,
-                                           const Adornment& adornment,
+Result<ReorderResult> FindTerminatingOrder(BatchEngine& engine,
+                                           const BatchRequest& request,
                                            const ReorderOptions& options) {
-  TerminationAnalyzer analyzer(options.analysis);
   ReorderResult result;
-  result.program = program;
+  result.program = request.program;
 
-  Result<TerminationReport> initial =
-      analyzer.Analyze(result.program, query, adornment);
-  if (!initial.ok()) return initial.status();
+  BatchItemResult initial = std::move(engine.Run({request}).front());
+  if (!initial.status.ok()) return initial.status;
   ++result.attempts;
-  result.report = std::move(initial).value();
+  result.report = std::move(initial.report);
   result.proved = result.report.proved;
   if (result.proved) return result;
 
@@ -85,24 +82,23 @@ Result<ReorderResult> FindTerminatingOrder(const Program& program,
       std::iota(order.begin(), order.end(), 0);
       while (std::next_permutation(order.begin(), order.end())) {
         if (result.attempts >= options.max_attempts) break;
-        Program candidate = result.program;
-        Rule& mutated = candidate.mutable_rules()[r];
-        std::vector<Literal> body;
-        body.reserve(body_size);
+        BatchRequest candidate{request.name, result.program, request.query,
+                               request.adornment, request.options};
+        std::vector<Literal>& body = candidate.program.mutable_rules()[r].body;
+        body.clear();
         for (int index : order) body.push_back(rule.body[index]);
-        mutated.body = std::move(body);
 
-        Result<TerminationReport> attempt =
-            analyzer.Analyze(candidate, query, adornment);
+        BatchItemResult attempt = std::move(engine.Run({candidate}).front());
         ++result.attempts;
-        if (!attempt.ok()) continue;  // e.g. blowup on this order: skip
-        int score = FailingSccCount(*attempt);
-        if (attempt->proved || score < best_score) {
-          result.log.push_back(
-              StrCat("reordered rule: ",
-                     candidate.rules()[r].ToString(candidate.symbols())));
-          result.program = std::move(candidate);
-          result.report = std::move(attempt).value();
+        if (!attempt.status.ok()) continue;  // e.g. blowup on this order: skip
+        int score = FailingSccCount(attempt.report);
+        if (attempt.report.proved || score < best_score) {
+          result.log.push_back(StrCat(
+              "reordered rule: ",
+              candidate.program.rules()[r].ToString(
+                  candidate.program.symbols())));
+          result.program = std::move(candidate.program);
+          result.report = std::move(attempt.report);
           result.proved = result.report.proved;
           best_score = score;
           improved = true;
@@ -112,15 +108,6 @@ Result<ReorderResult> FindTerminatingOrder(const Program& program,
     }
   }
   return result;
-}
-
-Result<ReorderResult> FindTerminatingOrder(const Program& program,
-                                           std::string_view query_spec,
-                                           const ReorderOptions& options) {
-  Result<std::pair<PredId, Adornment>> query =
-      ParseQuerySpec(program, query_spec);
-  if (!query.ok()) return query.status();
-  return FindTerminatingOrder(program, query->first, query->second, options);
 }
 
 }  // namespace termilog

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "corpus/corpus.h"
+#include "engine/engine.h"
+#include "engine/serve.h"
+#include "gen/gen.h"
 #include "program/parser.h"
 #include "util/failpoint.h"
 
@@ -21,6 +24,23 @@ TerminationReport MustAnalyze(const Program& program, const char* query,
   Result<TerminationReport> report = analyzer.Analyze(program, query);
   EXPECT_TRUE(report.ok()) << report.status().ToString();
   return std::move(report).value();
+}
+
+// One engine request per `:- mode` directive, planned as the CLI, --batch
+// and serve plan them, run on one engine; results in directive order.
+std::vector<BatchItemResult> RunDeclaredModes(const Program& program) {
+  const gen::ManifestEntry entry;
+  Result<std::vector<std::string>> queries = EntryQueries(entry, program);
+  EXPECT_TRUE(queries.ok()) << queries.status().ToString();
+  std::vector<BatchRequest> requests;
+  for (const std::string& query : *queries) {
+    Result<BatchRequest> request =
+        PlanRequest(entry, query, program, query, AnalysisOptions());
+    EXPECT_TRUE(request.ok()) << request.status().ToString();
+    requests.push_back(std::move(request).value());
+  }
+  BatchEngine engine;
+  return engine.Run(requests);
 }
 
 TEST(AnalyzerTest, AppendProved) {
@@ -189,7 +209,7 @@ TEST(AnalyzerTest, BoundArgumentChoiceMatters) {
   EXPECT_FALSE(with_second.proved);
 }
 
-TEST(AnalyzerTest, AnalyzeDeclaredModesRunsEachDirective) {
+TEST(AnalyzerTest, DeclaredModesRunEachDirective) {
   // append terminates with the first argument bound AND with the third
   // bound (different adornments, different certificates); with all free it
   // enumerates forever.
@@ -200,13 +220,15 @@ TEST(AnalyzerTest, AnalyzeDeclaredModesRunsEachDirective) {
     append([], Ys, Ys).
     append([X|Xs], Ys, [X|Zs]) :- append(Xs, Ys, Zs).
   )");
-  TerminationAnalyzer analyzer;
-  auto reports = analyzer.AnalyzeDeclaredModes(p);
-  ASSERT_TRUE(reports.ok()) << reports.status().ToString();
-  ASSERT_EQ(reports->size(), 3u);
-  EXPECT_TRUE((*reports)[0].second.proved);   // bff: first arg descends
-  EXPECT_TRUE((*reports)[1].second.proved);   // ffb: third arg descends
-  EXPECT_FALSE((*reports)[2].second.proved);  // fff: nothing bound
+  std::vector<BatchItemResult> results = RunDeclaredModes(p);
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_EQ(results[0].name, "append(b,f,f)");
+  for (const BatchItemResult& result : results) {
+    EXPECT_TRUE(result.status.ok()) << result.status.ToString();
+  }
+  EXPECT_TRUE(results[0].report.proved);   // bff: first arg descends
+  EXPECT_TRUE(results[1].report.proved);   // ffb: third arg descends
+  EXPECT_FALSE(results[2].report.proved);  // fff: nothing bound
 }
 
 TEST(AnalyzerTest, RepeatedAnalyzeIsByteIdentical) {
@@ -227,10 +249,9 @@ TEST(AnalyzerTest, RepeatedAnalyzeIsByteIdentical) {
   EXPECT_EQ(p.symbols().size(), symbols);
 }
 
-TEST(AnalyzerTest, AnalyzeDeclaredModesNeedsDirectives) {
+TEST(AnalyzerTest, DeclaredModesNeedDirectives) {
   Program p = MustParse("p(a).");
-  TerminationAnalyzer analyzer;
-  EXPECT_FALSE(analyzer.AnalyzeDeclaredModes(p).ok());
+  EXPECT_FALSE(EntryQueries(gen::ManifestEntry(), p).ok());
 }
 
 bool HasNoteContaining(const std::vector<std::string>& notes,
@@ -353,17 +374,14 @@ TEST(AnalyzerDegradation, DeclaredModesIsolateResourceTrips) {
     append([X|Xs], Ys, [X|Zs]) :- append(Xs, Ys, Zs).
   )");
   ScopedFailpoint fp("analyzer.scc", /*max_fails=*/1);
-  TerminationAnalyzer analyzer;
-  auto reports = analyzer.AnalyzeDeclaredModes(p);
-  ASSERT_TRUE(reports.ok()) << reports.status().ToString();
-  ASSERT_EQ(reports->size(), 2u);
+  std::vector<BatchItemResult> results = RunDeclaredModes(p);
+  ASSERT_EQ(results.size(), 2u);
   // The forced trip lands on the first mode's only SCC; the second mode's
-  // analysis is untouched.
-  EXPECT_FALSE((*reports)[0].second.proved);
-  EXPECT_TRUE((*reports)[0].second.resource_limited);
-  EXPECT_TRUE((*reports)[1].second.proved)
-      << (*reports)[1].second.ToString();
-  EXPECT_FALSE((*reports)[1].second.resource_limited);
+  // request is untouched.
+  EXPECT_FALSE(results[0].report.proved);
+  EXPECT_TRUE(results[0].report.resource_limited);
+  EXPECT_TRUE(results[1].report.proved) << results[1].report.ToString();
+  EXPECT_FALSE(results[1].report.resource_limited);
 }
 
 #endif  // TERMILOG_FAILPOINTS_ENABLED
