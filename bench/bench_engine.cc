@@ -89,7 +89,6 @@ struct StoreRunResult {
   int64_t persisted_loaded = 0;
   int64_t persisted_hits = 0;
   persist::StoreStats store_stats;
-  int64_t store_entries = 0;
   bool attach_ok = true;
 };
 
@@ -129,10 +128,7 @@ StoreRunResult RunWithStore(const std::vector<BatchRequest>& requests,
   }
   result.persisted_loaded = engine.stats().persisted_loaded;
   result.persisted_hits = engine.stats().persisted_hits;
-  if (engine.store() != nullptr) {
-    result.store_stats = engine.store()->stats();
-    result.store_entries = engine.store()->size();
-  }
+  if (engine.store() != nullptr) result.store_stats = engine.store()->stats();
   return result;
 }
 
@@ -197,7 +193,7 @@ std::string StoreChaosRounds(const std::vector<BatchRequest>& requests,
     RemoveStoreFiles(store_path);
     StoreRunResult cold = RunWithStore(requests, store_path, "");
     StoreRunResult warm = RunWithStore(requests, store_path, "");
-    full_entries = warm.store_entries;
+    full_entries = warm.store_stats.records_loaded;
     bool verdicts_ok =
         cold.lines == baseline.lines && warm.lines == baseline.lines;
     bool ok = cold.attach_ok && warm.attach_ok && verdicts_ok &&
@@ -242,7 +238,7 @@ std::string StoreChaosRounds(const std::vector<BatchRequest>& requests,
     std::filesystem::resize_file(store_path, cut);
     StoreRunResult warm = RunWithStore(requests, store_path, "");
     bool detected = warm.store_stats.tail_bytes_truncated > 0 ||
-                    warm.persisted_loaded < full_entries;
+                    warm.store_stats.records_loaded < full_entries;
     bool verdicts_ok = warm.lines == baseline.lines;
     bool ok = cold.attach_ok && warm.attach_ok && detected && verdicts_ok &&
               warm.errors == 0;

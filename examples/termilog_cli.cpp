@@ -89,7 +89,9 @@
 //
 // Store maintenance (--compact PATH) rewrites the persistent store's
 // append-only log to its live-entry minimum (docs/persistence.md),
-// reporting recovery and size stats on stderr.
+// reporting recovery and size stats on stderr. A store attached to a run
+// never gains a duplicate (a key it holds is served as a hit, never
+// appended again), so only quarantined frames leave anything to reclaim.
 //
 // Options:
 //   --json                 structured JSON output instead of text, one
@@ -100,7 +102,8 @@
 //                          (docs/persistence.md), in every mode: warm-starts
 //                          the caches from PATH (crash recovery
 //                          + per-record verification on load) and persists
-//                          new outcomes write-behind; flushed on exit
+//                          new outcomes write-behind; flushed on exit, with
+//                          a {"store":...} stats line on stderr
 //   --serve FIFO|-         serve JSONL requests from FIFO (or stdin) until
 //                          EOF instead of running a batch
 //   --conditions           termination-condition sweep instead of a
@@ -119,10 +122,6 @@
 //                          (no bytes, no request in flight; default off)
 //   --max-line-bytes N     serve/listen request line cap (default 1 MiB);
 //                          longer lines answer with a structured error
-//   --store-auto-compact R compact the --store when its dead-record
-//                          fraction (shadowed + quarantined bytes) reaches
-//                          R (0 < R <= 1), checked at open and after the
-//                          final flush; manual --compact PATH still works
 //   --check-expect         with --batch over a JSONL manifest: compare each
 //                          plain verdict against its "expect" field and
 //                          each sweep against its "expect_modes" sets
@@ -338,8 +337,7 @@ Result<std::vector<BatchInput>> ReadBatch(const std::string& path,
 // BatchEngine::SelfCheck. Returns 0 on success, EXIT_FAILURE when the
 // filesystem refuses the path, kExitSelfCheck when the warm-started cache
 // fails its audit (the store is suspect; nothing was analyzed).
-int AttachStoreOrFail(BatchEngine& engine, const std::string& store_path,
-                      double auto_compact_ratio) {
+int AttachStoreOrFail(BatchEngine& engine, const std::string& store_path) {
   if (store_path.empty()) return 0;
   Result<std::unique_ptr<persist::PersistentStore>> store =
       persist::PersistentStore::Open(store_path);
@@ -350,20 +348,6 @@ int AttachStoreOrFail(BatchEngine& engine, const std::string& store_path,
   }
   for (const std::string& note : (*store)->stats().notes) {
     std::fprintf(stderr, "termilog_cli: store recovery: %s\n", note.c_str());
-  }
-  // --store-auto-compact: shed accumulated dead bytes before the cache
-  // warm-starts, so a long-lived store converges to its live minimum
-  // without a manual --compact pass.
-  Result<bool> compacted =
-      (*store)->AutoCompactIfNeeded(auto_compact_ratio);
-  if (!compacted.ok()) {
-    std::fprintf(stderr, "termilog_cli: --store-auto-compact: %s\n",
-                 compacted.status().ToString().c_str());
-    return EXIT_FAILURE;
-  }
-  if (*compacted) {
-    std::fprintf(stderr, "termilog_cli: %s\n",
-                 (*store)->stats().notes.back().c_str());
   }
   Status attached = engine.AttachStore(std::move(*store));
   if (!attached.ok()) {
@@ -379,40 +363,26 @@ int AttachStoreOrFail(BatchEngine& engine, const std::string& store_path,
 // write degrades to a future cache miss, the printed verdicts stand); a
 // failed self-check overrides `code` with kExitSelfCheck because the
 // verdict/provenance bookkeeping itself is no longer trustworthy.
-int FinishStore(BatchEngine& engine, int code,
-                double auto_compact_ratio = 0.0) {
+int FinishStore(BatchEngine& engine, int code) {
   if (engine.store() == nullptr) return code;
   Status flushed = engine.FlushStore();
   if (!flushed.ok()) {
     std::fprintf(stderr, "termilog_cli: store flush failed: %s\n",
                  flushed.ToString().c_str());
   }
-  // Post-flush auto-compaction: a long serve/batch run appends shadowed
-  // duplicates; reclaim them now if the dead fraction crossed the bar.
-  Result<bool> compacted =
-      engine.store()->AutoCompactIfNeeded(auto_compact_ratio);
-  if (!compacted.ok()) {
-    std::fprintf(stderr, "termilog_cli: --store-auto-compact: %s\n",
-                 compacted.status().ToString().c_str());
-  } else if (*compacted) {
-    std::fprintf(stderr, "termilog_cli: %s\n",
-                 engine.store()->stats().notes.back().c_str());
-  }
+  // The store holds records_loaded + appends records: a key it holds is
+  // a cache hit, so it is never appended again.
   persist::StoreStats stats = engine.store()->stats();
   std::fprintf(stderr,
                "{\"store\":{\"path\":\"%s\",\"records_loaded\":%lld,"
                "\"records_quarantined\":%lld,\"tail_bytes_truncated\":%lld,"
-               "\"appends\":%lld,\"append_failures\":%lld,"
-               "\"entries\":%lld,\"inference_entries\":%lld}}\n",
-               engine.store()->path().c_str(),
+               "\"appends\":%lld,\"append_failures\":%lld}}\n",
+               JsonEscape(engine.store()->path()).c_str(),
                static_cast<long long>(stats.records_loaded),
                static_cast<long long>(stats.records_quarantined),
                static_cast<long long>(stats.tail_bytes_truncated),
                static_cast<long long>(stats.appends),
-               static_cast<long long>(stats.append_failures),
-               static_cast<long long>(engine.store()->size()),
-               static_cast<long long>(
-                   engine.store()->entries<CachedInferenceOutcome>().size()));
+               static_cast<long long>(stats.append_failures));
   Status audit = engine.SelfCheck();
   if (!audit.ok()) {
     std::fprintf(stderr, "termilog_cli: cache self-check failed: %s\n",
@@ -429,8 +399,7 @@ int FinishStore(BatchEngine& engine, int code,
 // from engine workers while BatchEngine::Run streams the plain requests.
 // Returns the process exit code.
 int RunBatch(const std::vector<BatchInput>& inputs, bool text, int jobs,
-             bool use_cache, bool check_expect, const std::string& store_path,
-             double auto_compact) {
+             bool use_cache, bool check_expect, const std::string& store_path) {
   std::vector<std::optional<std::string>> lines;  // one slot per output line
   std::vector<BatchRequest> requests;
   struct Planned {  // per request: its slot, query text and declaration
@@ -483,7 +452,7 @@ int RunBatch(const std::vector<BatchInput>& inputs, bool text, int jobs,
   engine_options.jobs = jobs;
   engine_options.use_cache = use_cache;
   BatchEngine engine(engine_options);
-  int attach = AttachStoreOrFail(engine, store_path, auto_compact);
+  int attach = AttachStoreOrFail(engine, store_path);
   if (attach != 0) return attach;
 
   // Sweeps finish on engine workers, so the slots and the tallies are
@@ -596,12 +565,12 @@ int RunBatch(const std::vector<BatchInput>& inputs, bool text, int jobs,
       code = EXIT_SUCCESS;
     }
   }
-  return FinishStore(engine, code, auto_compact);
+  return FinishStore(engine, code);
 }
 
 // Offline store maintenance (--compact PATH): replay the log with the
 // usual recovery rules, rewrite it to its live-entry minimum, report
-// what recovery found and how many bytes compaction reclaimed.
+// what recovery found, the records written and the bytes reclaimed.
 int RunCompact(const std::string& path) {
   namespace fs = std::filesystem;
   Result<std::unique_ptr<persist::PersistentStore>> store =
@@ -617,10 +586,13 @@ int RunCompact(const std::string& path) {
   std::error_code ec;
   uintmax_t size = fs::file_size(path, ec);
   const long long bytes_before = ec ? -1 : static_cast<long long>(size);
-  Status compacted = (*store)->Compact();
-  if (!compacted.ok()) {
+  // Compact replays the file itself: free what Open decoded before it
+  // decodes a second copy.
+  (*store)->TakeRecovered();
+  Result<int64_t> written = (*store)->Compact();
+  if (!written.ok()) {
     std::fprintf(stderr, "termilog_cli: --compact failed: %s\n",
-                 compacted.ToString().c_str());
+                 written.status().ToString().c_str());
     return EXIT_FAILURE;
   }
   size = fs::file_size(path, ec);
@@ -631,7 +603,7 @@ int RunCompact(const std::string& path) {
                "\"records_loaded\":%lld,\"records_quarantined\":%lld,"
                "\"tail_bytes_truncated\":%lld,\"bytes_before\":%lld,"
                "\"bytes_after\":%lld}}\n",
-               path.c_str(), static_cast<long long>((*store)->size()),
+               JsonEscape(path).c_str(), static_cast<long long>(*written),
                static_cast<long long>(stats.records_loaded),
                static_cast<long long>(stats.records_quarantined),
                static_cast<long long>(stats.tail_bytes_truncated),
@@ -648,13 +620,12 @@ int RunServer(const std::string& serve_path,
               const std::vector<std::string>& listen_specs,
               const AnalysisOptions& options, int jobs, bool use_cache,
               int queue_limit, int64_t max_line_bytes,
-              int64_t idle_timeout_ms, const std::string& store_path,
-              double auto_compact) {
+              int64_t idle_timeout_ms, const std::string& store_path) {
   EngineOptions engine_options;
   engine_options.jobs = jobs;
   engine_options.use_cache = use_cache;
   BatchEngine engine(engine_options);
-  int attach = AttachStoreOrFail(engine, store_path, auto_compact);
+  int attach = AttachStoreOrFail(engine, store_path);
   if (attach != 0) return attach;
 
   net::NetServerOptions net_options;
@@ -695,8 +666,7 @@ int RunServer(const std::string& serve_path,
   std::fprintf(stderr, "%s\n", server.stats().ToJson().c_str());
   std::fprintf(stderr, "%s\n",
                EngineStatsToJson(engine.stats(), jobs).c_str());
-  return FinishStore(engine, ran.ok() ? EXIT_SUCCESS : EXIT_FAILURE,
-                     auto_compact);
+  return FinishStore(engine, ran.ok() ? EXIT_SUCCESS : EXIT_FAILURE);
 }
 
 // Load-client mode (--connect): replay a JSONL manifest against a
@@ -759,7 +729,6 @@ int main(int argc, char** argv) {
   int window = 8;
   int64_t idle_timeout_ms = 0;
   int64_t max_line_bytes = 1 << 20;
-  double store_auto_compact = 0.0;
   std::string corpus_name, batch_path, trace_path, metrics_path;
   std::string gen_spec, out_path, store_path, serve_path, compact_path;
   std::string connect_spec;
@@ -810,14 +779,6 @@ int main(int argc, char** argv) {
       if (!ParseInt64Flag(argv[++i], &max_line_bytes) ||
           max_line_bytes < 1) {
         return Fail("--max-line-bytes wants a positive integer");
-      }
-    } else if (arg == "--store-auto-compact" && i + 1 < argc) {
-      char* end = nullptr;
-      store_auto_compact = std::strtod(argv[++i], &end);
-      // Negated, so NaN (which fails every comparison) is rejected too.
-      if (end == argv[i] || *end != '\0' ||
-          !(store_auto_compact > 0.0 && store_auto_compact <= 1.0)) {
-        return Fail("--store-auto-compact wants a ratio in (0, 1]");
       }
     } else if (arg == "--gen" && i + 1 < argc) {
       gen_spec = argv[++i];
@@ -903,8 +864,7 @@ int main(int argc, char** argv) {
 
   if (!serve_path.empty() || !listen_specs.empty()) {
     return RunServer(serve_path, listen_specs, options, jobs, use_cache,
-                     queue_limit, max_line_bytes, idle_timeout_ms, store_path,
-                     store_auto_compact);
+                     queue_limit, max_line_bytes, idle_timeout_ms, store_path);
   }
 
   if (!connect_spec.empty()) {
@@ -941,8 +901,7 @@ int main(int argc, char** argv) {
     if (conditions) {
       for (BatchInput& input : inputs) input.entry.kind = "conditions";
     }
-    return RunBatch(inputs, text, jobs, use_cache, check_expect, store_path,
-                    store_auto_compact);
+    return RunBatch(inputs, text, jobs, use_cache, check_expect, store_path);
   }
 
   if (!corpus_name.empty()) {
@@ -979,26 +938,20 @@ int main(int argc, char** argv) {
   Program& program = *parsed;
 
   // QUERY as given, else one query per `:- mode(...)` directive (the
-  // capture-rule setting: one proof per bound-free pattern). All of them
-  // run on one engine, so --jobs parallelizes across modes, SCCs shared
-  // between modes are solved once, and --store persists the outcomes.
-  std::vector<std::string> queries;
-  if (!query.empty()) {
-    queries.push_back(query);
-  } else {
-    for (const ModeDecl& decl : program.mode_decls()) {
-      queries.push_back(ModeQueryText(program, decl));
-    }
-  }
-  if (queries.empty()) {
-    return Fail("no QUERY given and no :- mode(...) directive in the file");
-  }
+  // capture-rule setting: one proof per bound-free pattern), planned as
+  // --batch plans an entry. All of them run on one engine, so --jobs
+  // parallelizes across modes, SCCs shared between modes are solved once,
+  // and --store persists the outcomes.
+  gen::ManifestEntry entry;
+  entry.query = query;
+  Result<std::vector<std::string>> queries = EntryQueries(entry, program);
+  if (!queries.ok()) return Fail(queries.status().message().c_str());
   const std::string name = positional.empty() ? corpus_name : positional[0];
   std::vector<BatchRequest> requests;
-  for (const std::string& text : queries) {
+  for (const std::string& text : *queries) {
     Result<BatchRequest> request =
-        PlanRequest(gen::ManifestEntry(), queries.size() > 1 ? text : name,
-                    program, text, options);
+        PlanRequest(entry, queries->size() > 1 ? text : name, program, text,
+                    options);
     if (!request.ok()) return Fail(request.status().ToString().c_str());
     requests.push_back(std::move(*request));
   }
@@ -1006,7 +959,7 @@ int main(int argc, char** argv) {
   engine_options.jobs = jobs;
   engine_options.use_cache = use_cache;
   BatchEngine engine(engine_options);
-  int attach = AttachStoreOrFail(engine, store_path, store_auto_compact);
+  int attach = AttachStoreOrFail(engine, store_path);
   if (attach != 0) return attach;
   std::vector<BatchItemResult> results = engine.Run(requests);
   ReportJsonOptions json_options;
@@ -1048,15 +1001,14 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n",
                    EngineStatsToJson(engine.stats(), jobs).c_str());
     }
-    return FinishStore(engine, VerdictExit(all_proved, any_limited, first_trip),
-                       store_auto_compact);
+    return FinishStore(engine,
+                       VerdictExit(all_proved, any_limited, first_trip));
   }
 
-  query = queries.front();
+  query = queries->front();
   BatchItemResult& item = results.front();
   if (!item.status.ok()) {
-    return FinishStore(engine, Fail(item.status.ToString().c_str()),
-                       store_auto_compact);
+    return FinishStore(engine, Fail(item.status.ToString().c_str()));
   }
   TerminationReport& report = item.report;
   json_options.scc_tasks = item.scc_tasks;
@@ -1099,8 +1051,7 @@ int main(int argc, char** argv) {
                             .c_str());
     return FinishStore(engine,
                        VerdictExit(report.proved, report.resource_limited,
-                                   report.first_resource_trip),
-                       store_auto_compact);
+                                   report.first_resource_trip));
   }
   std::printf("query: %s\n%s", query.c_str(), report.ToString().c_str());
   if (show_constraints) {
@@ -1151,6 +1102,5 @@ int main(int argc, char** argv) {
   }
   return FinishStore(engine,
                      VerdictExit(report.proved, report.resource_limited,
-                                 report.first_resource_trip),
-                     store_auto_compact);
+                                 report.first_resource_trip));
 }

@@ -3,18 +3,22 @@
 #   1. tier-1 verify: configure + build + full ctest in build/ (includes
 #      the stress-labelled smoke at its default 200-request size), plus
 #      CLI checks that out-of-range flag values are rejected (exit 1)
-#      rather than narrowed or saturated: an int flag above INT_MAX, an
-#      int64 flag past the int64 range, and a NaN ratio; and a cross-form
-#      check that --batch DIR, a text manifest and --conditions --batch
-#      print the same bytes as --batch over their JSONL twins, and that a
-#      text-mode --conditions error line (unknown corpus entry, missing
-#      file) ends in a newline; and single runs of four corpus entries at
-#      three work budgets, whose text and --json runs must exit alike and
-#      whose repeated text runs must print the same bytes, plus a repeated
-#      single run on one --store that must be served cache hits; span
-#      counts in --trace output showing that --explain runs no second
-#      analysis and that --reorder's attempts hit the run's caches; and
-#      corpus_report rejecting a malformed JOBS (exit 1)
+#      rather than narrowed or saturated: an int flag above INT_MAX and an
+#      int64 flag past the int64 range; and a cross-form check that
+#      --batch DIR, a text manifest and --conditions --batch print the
+#      same bytes as --batch over their JSONL twins, and that a text-mode
+#      --conditions error line (unknown corpus entry, missing file) ends
+#      in a newline; and single runs of four corpus entries at three work
+#      budgets, whose text and --json runs must exit alike and whose
+#      repeated text runs must print the same bytes, plus a repeated
+#      single run on one --store that must be served cache hits; a store
+#      that gains no duplicate (a repeated --batch appends nothing, and
+#      --compact after a --conditions sweep on it reclaims no byte), and
+#      {"store":...} and {"compact":...} stats lines that stay JSON for a
+#      path holding '"' and '\'; span counts in --trace output showing
+#      that --explain runs no second analysis and that --reorder's
+#      attempts hit the run's caches; and corpus_report rejecting a
+#      malformed JOBS (exit 1)
 #   2. UBSan pass of the unit and engine suites in build-ubsan/ (the
 #      arithmetic kernel lives in the unit suite; docs/arithmetic.md)
 #   3. ASan+UBSan pass of the unit, engine, obs and condinf suites in
@@ -117,8 +121,7 @@ run cmake --build build -j "$JOBS"
 run ctest --test-dir build --output-on-failure -j "$JOBS"
 # An out-of-range flag value is a usage error, not a wrapped, saturated
 # or ignored value.
-for flag in "--jobs 4294967298" "--deadline-ms 99999999999999999999999" \
-            "--store-auto-compact nan"; do
+for flag in "--jobs 4294967298" "--deadline-ms 99999999999999999999999"; do
   rc=0
   # Unquoted on purpose: "--flag value" splits into two words.
   ./build/examples/termilog_cli $flag --corpus perm >/dev/null 2>&1 || rc=$?
@@ -223,6 +226,50 @@ if [[ -z "$hits" || "$hits" -eq 0 ]]; then
        "hits from the store" >&2
   exit 1
 fi
+# The store is a log with no duplicate: a key it holds is served as a hit
+# and never appended again, so a repeated --batch appends nothing, a
+# --conditions sweep adds only new keys, and --compact drops no byte.
+run ./build/examples/termilog_cli --gen "5:count=300,mix=70/25/5" \
+    --out "$single/gen.jsonl"
+for pass in 1 2; do
+  run ./build/examples/termilog_cli --batch "$single/gen.jsonl" \
+      --check-expect --store "$single/log.store" >/dev/null \
+      2>"$single/batch$pass.err"
+done
+if ! grep -q '^{"store":{.*"appends":0,' "$single/batch2.err"; then
+  echo "check.sh: a repeated --batch on one --store appended records" >&2
+  grep '^{"store"' "$single/batch2.err" >&2
+  exit 1
+fi
+run ./build/examples/termilog_cli --conditions --store "$single/log.store" \
+    >/dev/null 2>&1
+run ./build/examples/termilog_cli --compact "$single/log.store" \
+    2>"$single/compact.err"
+# The stats lines are JSON whatever the path holds.
+esc="$single/a\"b\\c.store"
+run ./build/examples/termilog_cli --corpus perm --store "$esc" >/dev/null \
+    2>"$single/esc.err"
+run ./build/examples/termilog_cli --compact "$esc" 2>"$single/esc.compact.err"
+run python3 - "$single/compact.err" "$single/esc.err" \
+    "$single/esc.compact.err" <<'PY'
+import json
+import sys
+
+
+def stats(path, kind):
+    for line in open(path):
+        if line.startswith('{"%s":' % kind):
+            return json.loads(line)[kind]
+    sys.exit("check.sh: %s holds no {\"%s\":...} line" % (path, kind))
+
+
+compact = stats(sys.argv[1], "compact")
+if compact["bytes_after"] != compact["bytes_before"]:
+    sys.exit("check.sh: --compact reclaimed bytes from a store that should "
+             "hold no duplicate: %s" % compact)
+stats(sys.argv[2], "store")
+stats(sys.argv[3], "compact")
+PY
 rm -rf "$single"
 
 # One analysis per run: --explain renders the report the run holds (perm's

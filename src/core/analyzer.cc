@@ -1,6 +1,7 @@
 #include "core/analyzer.h"
 
 #include <algorithm>
+#include <climits>
 #include <set>
 #include <utility>
 
@@ -90,6 +91,39 @@ Digraph BuildDependencyGraph(const Program& program,
   return graph;
 }
 
+// The certificate tail both LP paths of AnalyzeScc share once their LP is
+// feasible; the caller has filled the certificate's deltas. Reads θ off
+// the LP point, validates the certificate on the primal side when
+// `validate` is set (noting `validated_note`), and settles the status.
+void FinishCertificate(const SccDerivation& derivation,
+                       const std::vector<PredId>& scc_preds,
+                       const std::vector<Rational>& point, bool validate,
+                       const char* validated_note,
+                       const ResourceGovernor* governor, SccReport* report) {
+  for (const PredId& pred : scc_preds) {
+    std::vector<Rational> theta(derivation.space.CountFor(pred));
+    for (size_t k = 0; k < theta.size(); ++k) {
+      theta[k] = point[derivation.space.Column(pred, static_cast<int>(k))];
+    }
+    report->certificate.theta.emplace(pred, std::move(theta));
+  }
+  if (validate) {
+    Status valid = [&] {
+      TERMILOG_TRACE("scc.validate", "analyzer");
+      return ValidateCertificate(derivation.systems, scc_preds,
+                                 report->certificate, governor);
+    }();
+    if (!valid.ok()) {
+      report->status = SccStatus::kResourceLimit;
+      report->notes.push_back(
+          StrCat("certificate validation failed: ", valid.ToString()));
+      return;
+    }
+    report->notes.push_back(validated_note);
+  }
+  report->status = SccStatus::kProved;
+}
+
 }  // namespace
 
 SccReport TerminationAnalyzer::AnalyzeScc(
@@ -168,31 +202,13 @@ SccReport TerminationAnalyzer::AnalyzeScc(
       return report;
     }
     if (lp.status == LpStatus::kOptimal) {
-      for (const PredId& pred : scc_preds) {
-        std::vector<Rational> theta(space.CountFor(pred));
-        for (size_t k = 0; k < theta.size(); ++k) {
-          theta[k] = lp.point[space.Column(pred, static_cast<int>(k))];
-        }
-        report.certificate.theta.emplace(pred, std::move(theta));
-      }
       for (const auto& [edge, value] : assignment.values) {
         report.certificate.delta.emplace(edge, Rational(value));
       }
-      if (options_.validate_certificates) {
-        Status valid = [&] {
-          TERMILOG_TRACE("scc.validate", "analyzer");
-          return ValidateCertificate(derivation->systems, scc_preds,
-                                     report.certificate, governor);
-        }();
-        if (!valid.ok()) {
-          report.status = SccStatus::kResourceLimit;
-          report.notes.push_back(
-              StrCat("certificate validation failed: ", valid.ToString()));
-          return report;
-        }
-        report.notes.push_back("certificate validated on the primal side");
-      }
-      report.status = SccStatus::kProved;
+      FinishCertificate(*derivation, scc_preds, lp.point,
+                        options_.validate_certificates,
+                        "certificate validated on the primal side", governor,
+                        &report);
       return report;
     }
   } else {
@@ -274,33 +290,14 @@ SccReport TerminationAnalyzer::AnalyzeScc(
       return report;
     }
     if (lp.status == LpStatus::kOptimal) {
-      for (const PredId& pred : scc_preds) {
-        std::vector<Rational> theta(space.CountFor(pred));
-        for (size_t k = 0; k < theta.size(); ++k) {
-          theta[k] = lp.point[space.Column(pred, static_cast<int>(k))];
-        }
-        report.certificate.theta.emplace(pred, std::move(theta));
-      }
       for (const auto& [edge, dcol] : delta_col) {
         report.certificate.delta.emplace(edge, lp.point[dcol]);
       }
       report.used_negative_deltas = true;
-      if (options_.validate_certificates) {
-        Status valid = [&] {
-          TERMILOG_TRACE("scc.validate", "analyzer");
-          return ValidateCertificate(derivation->systems, scc_preds,
-                                     report.certificate, governor);
-        }();
-        if (!valid.ok()) {
-          report.status = SccStatus::kResourceLimit;
-          report.notes.push_back(
-              StrCat("certificate validation failed: ", valid.ToString()));
-          return report;
-        }
-        report.notes.push_back(
-            "certificate (negative-delta mode) validated on the primal side");
-      }
-      report.status = SccStatus::kProved;
+      FinishCertificate(
+          *derivation, scc_preds, lp.point, options_.validate_certificates,
+          "certificate (negative-delta mode) validated on the primal side",
+          governor, &report);
       return report;
     }
   }
@@ -375,7 +372,13 @@ Result<PreparedAnalysis> TerminationAnalyzer::PrepareStructure(
     report.notes.push_back(conflict);
   }
 
-  // Inter-argument constraints: supplied first, then inference.
+  // Inter-argument constraints: supplied first, then inference. A spec for
+  // a predicate the program never mentions constrains nothing, so it is
+  // skipped with a note rather than given a polyhedron of its arity.
+  std::set<PredId> mentioned;
+  if (!options_.supplied_constraints.empty()) {
+    mentioned = analyzed.AllPredicates();
+  }
   for (const auto& [pred_spec, constraint_spec] :
        options_.supplied_constraints) {
     size_t slash = pred_spec.find('/');
@@ -383,16 +386,23 @@ Result<PreparedAnalysis> TerminationAnalyzer::PrepareStructure(
       return Status::InvalidArgument(
           StrCat("bad predicate spec '", pred_spec, "', want name/arity"));
     }
-    PredId pred;
-    pred.symbol = report.analyzed_program.symbols().Intern(
-        pred_spec.substr(0, slash));
-    pred.arity = 0;
-    for (char digit : pred_spec.substr(slash + 1)) {
-      if (digit < '0' || digit > '9') {
-        return Status::InvalidArgument(
-            StrCat("bad arity in '", pred_spec, "'"));
-      }
+    PredId pred{analyzed.symbols().Lookup(pred_spec.substr(0, slash)), 0};
+    const std::string digits = pred_spec.substr(slash + 1);
+    bool arity_ok = !digits.empty();
+    for (char digit : digits) {
+      arity_ok = digit >= '0' && digit <= '9' &&
+                 pred.arity <= (INT_MAX - (digit - '0')) / 10;
+      if (!arity_ok) break;
       pred.arity = pred.arity * 10 + (digit - '0');
+    }
+    if (!arity_ok) {
+      return Status::InvalidArgument(StrCat("bad arity in '", pred_spec, "'"));
+    }
+    if (mentioned.count(pred) == 0) {
+      report.notes.push_back(StrCat("supplied constraints for ", pred_spec,
+                                    " skipped: the program never mentions "
+                                    "that predicate"));
+      continue;
     }
     Result<Polyhedron> parsed =
         ArgSizeDb::ParseSpec(pred.arity, constraint_spec);

@@ -227,13 +227,17 @@ Status BatchEngine::AttachStore(
     std::unique_ptr<persist::PersistentStore> store) {
   TERMILOG_CHECK_MSG(store != nullptr, "AttachStore wants a store");
   TERMILOG_CHECK_MSG(store_ == nullptr, "a store is already attached");
-  for (const auto& [key, outcome] : store->entries<CachedSccOutcome>()) {
-    cache_.Preload(key, outcome);
-  }
-  for (const auto& [key, outcome] :
-       store->entries<CachedInferenceOutcome>()) {
-    inference_cache_.Preload(key, outcome);
-  }
+  // The caches take the one in-memory copy of each recovered outcome; a
+  // record leaves the store's set as it enters its cache.
+  auto preload = [](auto& cache, auto& records) {
+    while (!records.empty()) {
+      auto record = records.extract(records.begin());
+      cache.Preload(record.key(), std::move(record.mapped()));
+    }
+  };
+  persist::PersistentStore::LiveSets recovered = store->TakeRecovered();
+  preload(cache_, recovered.sccs);
+  preload(inference_cache_, recovered.inferences);
   // Automatic post-warm-start audit (docs/persistence.md): a store whose
   // recovered entries do not form structurally sound caches must not be
   // served from. Preload screens each record, so in practice this only

@@ -145,13 +145,13 @@ class BatchEngine {
   BatchEngine& operator=(const BatchEngine&) = delete;
 
   /// Attaches a durable store (docs/persistence.md): every recovered
-  /// entry warm-starts the cache of its kind (each already passed the
-  /// store's per-record CRC and decode validation; Preload re-screens
-  /// it), both caches are audited with SelfCheck, and a write-behind
-  /// thread persists newly computed outcomes of both kinds without
-  /// blocking workers. A SelfCheck failure is returned (the CLI maps it
-  /// to exit code 5) and the store stays detached. Call before the first
-  /// Submit or Run.
+  /// entry moves into the cache of its kind, so the store keeps no copy
+  /// (each already passed the store's per-record CRC and decode
+  /// validation; Preload re-screens it), both caches are audited with
+  /// SelfCheck, and a write-behind thread persists newly computed
+  /// outcomes of both kinds without blocking workers. A SelfCheck failure
+  /// is returned (the CLI maps it to exit code 5) and the store stays
+  /// detached. Call before the first Submit or Run.
   Status AttachStore(std::unique_ptr<persist::PersistentStore> store);
 
   /// Blocks until every queued write-behind entry is on disk and the

@@ -99,10 +99,13 @@ class ConstraintSystem {
   /// Appends all rows of `other` (same width required).
   void Append(const ConstraintSystem& other);
 
-  /// Normalizes all rows, drops satisfied constant rows and exact
-  /// duplicates (also drops a kGe row when the same kEq row is present and
-  /// a kGe row dominated by another with same coeffs but weaker constant).
-  /// Returns false if a constant row is violated (system trivially empty).
+  /// Normalizes all rows and drops satisfied constant rows and duplicate
+  /// kEq rows. Of the kGe rows with the same coefficients it keeps one, in
+  /// the first one's place, with the smallest (strongest) constant. kEq and
+  /// kGe rows are deduplicated apart: a kGe row stays even when a kEq row
+  /// with the same coefficients is present. Returns false if a constant
+  /// row is violated or two kEq rows with the same coefficients disagree
+  /// (system trivially empty).
   bool Simplify();
 
   /// True when `point` satisfies every row.

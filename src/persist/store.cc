@@ -5,6 +5,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <utility>
 
 #include "util/failpoint.h"
@@ -323,6 +324,99 @@ Result<std::pair<std::string, CachedInferenceOutcome>> DecodeInferenceRecord(
   return std::make_pair(std::move(key), std::move(outcome));
 }
 
+namespace {
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::string();
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+// Magic and header CRC; the version is checked apart so Open can say which
+// one failed.
+bool HeaderIntact(std::string_view bytes) {
+  return bytes.size() >= kHeaderSize &&
+         std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) == 0 &&
+         GetU32(bytes.data() + 12) == Crc32(bytes.substr(0, 12));
+}
+
+uint32_t HeaderVersion(std::string_view bytes) {
+  return bytes.size() >= kHeaderSize ? GetU32(bytes.data() + 8) : 0;
+}
+
+// Applies one decoded record to the live set of its kind, last write
+// winning; a decode failure passes through for the caller to quarantine.
+template <typename Outcome>
+Status Apply(Result<std::pair<std::string, Outcome>> record,
+             std::map<std::string, Outcome>* live) {
+  if (!record.ok()) return record.status();
+  live->insert_or_assign(std::move(record->first), std::move(record->second));
+  return Status::Ok();
+}
+
+// The frame walk Open and Compact share, over a log whose header is
+// intact: applies every good record to `live`, quarantines a record whose
+// payload fails its CRC or decode (the scan continues at the next frame),
+// and stops at a torn or untrustworthy frame header, noting each event in
+// `stats`. Returns the end of the last intact frame, where appends resume.
+size_t ReplayFrames(std::string_view bytes, PersistentStore::LiveSets* live,
+                    StoreStats* stats) {
+  size_t valid_end = kHeaderSize;
+  size_t pos = kHeaderSize;
+  while (pos < bytes.size()) {
+    if (pos + kFrameHeaderSize > bytes.size()) {
+      stats->notes.push_back(StrCat("torn frame header at offset ", pos,
+                                    "; tail truncated"));
+      break;  // torn tail: a frame header was mid-write at the crash
+    }
+    uint32_t len = GetU32(bytes.data() + pos);
+    uint32_t len_crc = GetU32(bytes.data() + pos + 4);
+    uint32_t payload_crc = GetU32(bytes.data() + pos + 8);
+    if (len_crc != Crc32(bytes.substr(pos, 4)) || len > kMaxPayloadLen) {
+      // The length itself is untrustworthy, so there is no way to find
+      // the next frame boundary: everything from here is tail loss.
+      stats->notes.push_back(StrCat("corrupt frame header at offset ", pos,
+                                    "; tail truncated"));
+      break;
+    }
+    if (pos + kFrameHeaderSize + len > bytes.size()) {
+      stats->notes.push_back(StrCat("torn frame payload at offset ", pos,
+                                    "; tail truncated"));
+      break;
+    }
+    std::string_view payload = bytes.substr(pos + kFrameHeaderSize, len);
+    const size_t offset = pos;
+    pos += kFrameHeaderSize + len;
+    valid_end = pos;  // framing is intact, whatever the payload holds
+    if (Crc32(payload) != payload_crc) {
+      ++stats->records_quarantined;
+      stats->notes.push_back(StrCat("record at offset ", offset,
+                                    " failed its checksum; quarantined"));
+      continue;
+    }
+    // Dispatch on the record-type byte. Each decoder validates its own
+    // type byte again; anything else (including types from the future)
+    // lands in DecodeRecord's "unknown record type" rejection and is
+    // quarantined per-record — the forward-compatibility contract that
+    // let the inference record type ship without a version bump.
+    Status applied =
+        !payload.empty() &&
+                static_cast<uint8_t>(payload[0]) == kRecordTypeInference
+            ? Apply(DecodeInferenceRecord(payload), &live->inferences)
+            : Apply(DecodeRecord(payload), &live->sccs);
+    if (!applied.ok()) {
+      ++stats->records_quarantined;
+      stats->notes.push_back(StrCat("record at offset ", offset, ": ",
+                                    applied.message(), "; quarantined"));
+    }
+  }
+  return valid_end;
+}
+
+}  // namespace
+
 PersistentStore::PersistentStore(std::string path, std::FILE* file)
     : path_(std::move(path)), file_(file) {}
 
@@ -336,15 +430,6 @@ PersistentStore::~PersistentStore() {
   }
 }
 
-template <typename Outcome>
-Status PersistentStore::Replay(Result<std::pair<std::string, Outcome>> record,
-                               int64_t frame_size) {
-  if (!record.ok()) return record.status();
-  TrackLiveLocked(record->first, frame_size);
-  std::get<LiveSet<Outcome>>(live_)[record->first] = std::move(record->second);
-  return Status::Ok();
-}
-
 Result<std::unique_ptr<PersistentStore>> PersistentStore::Open(
     const std::string& path) {
   namespace fs = std::filesystem;
@@ -352,28 +437,15 @@ Result<std::unique_ptr<PersistentStore>> PersistentStore::Open(
   // recovery has settled where appends resume.
   std::unique_ptr<PersistentStore> store(new PersistentStore(path, nullptr));
   StoreStats& stats = store->stats_;
-  std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (in) {
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
-      bytes = buffer.str();
-    }
-  }
+  std::string bytes = ReadFileBytes(path);
 
   bool fresh = bytes.empty();
   if (!fresh) {
     // Header validation: magic, version, header CRC. Anything off means
     // the file is not ours to decode — set it aside whole and start
     // empty (its entries degrade to cache misses; nothing is deleted).
-    bool header_ok =
-        bytes.size() >= kHeaderSize &&
-        std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) == 0 &&
-        GetU32(bytes.data() + 12) ==
-            Crc32(std::string_view(bytes.data(), 12));
-    uint32_t version = bytes.size() >= kHeaderSize ? GetU32(bytes.data() + 8)
-                                                   : 0;
+    bool header_ok = HeaderIntact(bytes);
+    uint32_t version = HeaderVersion(bytes);
     if (!header_ok || version != kStoreFormatVersion) {
       std::string aside = path + ".quarantined";
       std::error_code ec;
@@ -396,66 +468,10 @@ Result<std::unique_ptr<PersistentStore>> PersistentStore::Open(
 
   size_t valid_end = kHeaderSize;
   if (!fresh) {
-    size_t pos = kHeaderSize;
-    while (pos < bytes.size()) {
-      if (pos + kFrameHeaderSize > bytes.size()) {
-        stats.notes.push_back(StrCat("torn frame header at offset ", pos,
-                                     "; tail truncated"));
-        break;  // torn tail: a frame header was mid-write at the crash
-      }
-      uint32_t len = GetU32(bytes.data() + pos);
-      uint32_t len_crc = GetU32(bytes.data() + pos + 4);
-      uint32_t payload_crc = GetU32(bytes.data() + pos + 8);
-      if (len_crc != Crc32(std::string_view(bytes.data() + pos, 4)) ||
-          len > kMaxPayloadLen) {
-        // The length itself is untrustworthy, so there is no way to find
-        // the next frame boundary: everything from here is tail loss.
-        stats.notes.push_back(StrCat("corrupt frame header at offset ", pos,
-                                     "; tail truncated"));
-        break;
-      }
-      if (pos + kFrameHeaderSize + len > bytes.size()) {
-        stats.notes.push_back(StrCat("torn frame payload at offset ", pos,
-                                     "; tail truncated"));
-        break;
-      }
-      std::string_view payload(bytes.data() + pos + kFrameHeaderSize, len);
-      pos += kFrameHeaderSize + len;
-      // Every intact frame occupies log bytes whether or not its record
-      // survives validation; only the last frame per key stays live. The
-      // difference is what AutoCompactIfNeeded weighs.
-      const int64_t frame_size =
-          static_cast<int64_t>(kFrameHeaderSize) + static_cast<int64_t>(len);
-      store->record_bytes_total_ += frame_size;
-      if (Crc32(payload) != payload_crc) {
-        ++stats.records_quarantined;
-        stats.notes.push_back(StrCat("record at offset ",
-                                     pos - kFrameHeaderSize - len,
-                                     " failed its checksum; quarantined"));
-        valid_end = pos;  // framing is intact, keep scanning
-        continue;
-      }
-      // Dispatch on the record-type byte. Each decoder validates its own
-      // type byte again; anything else (including types from the future)
-      // lands in DecodeRecord's "unknown record type" rejection and is
-      // quarantined per-record — the forward-compatibility contract that
-      // let the inference record type ship without a version bump.
-      Status replayed =
-          !payload.empty() &&
-                  static_cast<uint8_t>(payload[0]) == kRecordTypeInference
-              ? store->Replay(DecodeInferenceRecord(payload), frame_size)
-              : store->Replay(DecodeRecord(payload), frame_size);
-      if (!replayed.ok()) {
-        ++stats.records_quarantined;
-        stats.notes.push_back(StrCat("record at offset ",
-                                     pos - kFrameHeaderSize - len, ": ",
-                                     replayed.message(), "; quarantined"));
-      }
-      valid_end = pos;
-    }
+    valid_end = ReplayFrames(bytes, &store->recovered_, &stats);
     stats.tail_bytes_truncated =
         static_cast<int64_t>(bytes.size() - valid_end);
-    stats.records_loaded = store->size();
+    stats.records_loaded = store->recovered_.size();
   }
 
   std::FILE* file = nullptr;
@@ -488,6 +504,11 @@ Result<std::unique_ptr<PersistentStore>> PersistentStore::Open(
 
   store->file_ = file;
   return store;
+}
+
+PersistentStore::LiveSets PersistentStore::TakeRecovered() {
+  std::lock_guard<std::mutex> lock(mu_);
+  return std::exchange(recovered_, LiveSets());
 }
 
 template <typename Outcome>
@@ -524,9 +545,6 @@ Status PersistentStore::Append(const std::string& key,
     return Status::Internal("store: short write; handle marked broken");
   }
   ++stats_.appends;
-  record_bytes_total_ += static_cast<int64_t>(frame.size());
-  TrackLiveLocked(key, static_cast<int64_t>(frame.size()));
-  std::get<LiveSet<Outcome>>(live_)[key] = outcome;
   return Status::Ok();
 }
 
@@ -534,16 +552,6 @@ template Status PersistentStore::Append(const std::string&,
                                         const CachedSccOutcome&);
 template Status PersistentStore::Append(const std::string&,
                                         const CachedInferenceOutcome&);
-
-void PersistentStore::TrackLiveLocked(const std::string& key,
-                                      int64_t frame_size) {
-  auto [it, inserted] = frame_bytes_.try_emplace(key, frame_size);
-  if (!inserted) {
-    record_bytes_live_ -= it->second;
-    it->second = frame_size;
-  }
-  record_bytes_live_ += frame_size;
-}
 
 Status PersistentStore::Flush() {
   std::lock_guard<std::mutex> lock(mu_);
@@ -557,8 +565,20 @@ Status PersistentStore::Flush() {
   return Status::Ok();
 }
 
-Status PersistentStore::Compact() {
+Result<int64_t> PersistentStore::Compact() {
   std::lock_guard<std::mutex> lock(mu_);
+  // Replay what this handle has written, so flush its buffer first; what
+  // a failed flush leaves out is lost like any unflushed write.
+  if (file_ != nullptr && std::fflush(file_) != 0) broken_ = true;
+  const std::string bytes = ReadFileBytes(path_);
+  if (!HeaderIntact(bytes) || HeaderVersion(bytes) != kStoreFormatVersion) {
+    return Status::Internal(
+        StrCat("store: ", path_, " lost its header; not compacted"));
+  }
+  LiveSets live;
+  StoreStats replayed;  // Open has already reported what recovery drops
+  ReplayFrames(bytes, &live, &replayed);
+
   const std::string tmp = path_ + ".tmp";
   std::FILE* out = std::fopen(tmp.c_str(), "wb");
   if (out == nullptr) {
@@ -566,14 +586,14 @@ Status PersistentStore::Compact() {
   }
   std::string header = HeaderBytes();
   bool ok = std::fwrite(header.data(), 1, header.size(), out) == header.size();
-  auto write_live_set = [&ok, out](const auto& live) {
-    for (auto it = live.begin(); ok && it != live.end(); ++it) {
+  auto write_live_set = [&ok, out](const auto& records) {
+    for (auto it = records.begin(); ok && it != records.end(); ++it) {
       std::string frame = FrameBytes(EncodeRecord(it->first, it->second));
       ok = std::fwrite(frame.data(), 1, frame.size(), out) == frame.size();
     }
   };
-  write_live_set(entries<CachedSccOutcome>());
-  write_live_set(entries<CachedInferenceOutcome>());
+  write_live_set(live.sccs);
+  write_live_set(live.inferences);
   ok = ok && std::fflush(out) == 0 && ::fsync(fileno(out)) == 0;
   std::fclose(out);
   if (!ok) {
@@ -585,8 +605,7 @@ Status PersistentStore::Compact() {
     return Status::Internal("store: compaction rename failed");
   }
   // The old append handle now points at the unlinked pre-compaction
-  // inode; swap it for the new file. Compaction also heals a handle
-  // broken by a torn write, since the new file is rebuilt from memory.
+  // inode; swap it for the new file, which holds only whole frames.
   if (file_ != nullptr) std::fclose(file_);
   file_ = std::fopen(path_.c_str(), "ab");
   if (file_ == nullptr) {
@@ -594,53 +613,12 @@ Status PersistentStore::Compact() {
     return Status::Internal("store: cannot reopen after compaction");
   }
   broken_ = false;
-  // The rewritten log holds exactly the live set: re-encoding is
-  // deterministic, so the per-key frame sizes are unchanged and nothing
-  // is dead anymore.
-  record_bytes_total_ = record_bytes_live_;
-  return Status::Ok();
-}
-
-Result<bool> PersistentStore::AutoCompactIfNeeded(double ratio) {
-  if (ratio <= 0.0) return false;
-  int64_t dead = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    dead = record_bytes_total_ - record_bytes_live_;
-    if (dead <= 0 ||
-        static_cast<double>(dead) <
-            ratio * static_cast<double>(record_bytes_total_)) {
-      return false;
-    }
-  }
-  Status compacted = Compact();
-  if (!compacted.ok()) return compacted;
-  std::lock_guard<std::mutex> lock(mu_);
-  stats_.notes.push_back(StrCat("auto-compaction reclaimed ", dead,
-                                " dead record bytes (ratio threshold ",
-                                ratio, ")"));
-  return true;
-}
-
-int64_t PersistentStore::dead_record_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return record_bytes_total_ - record_bytes_live_;
-}
-
-int64_t PersistentStore::total_record_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return record_bytes_total_;
+  return live.size();
 }
 
 StoreStats PersistentStore::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
-}
-
-int64_t PersistentStore::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int64_t>(entries<CachedSccOutcome>().size() +
-                              entries<CachedInferenceOutcome>().size());
 }
 
 }  // namespace persist

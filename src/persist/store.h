@@ -8,7 +8,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -84,7 +83,8 @@ struct StoreStats {
 /// Append-only, checksummed, versioned on-disk store of SCC analysis
 /// outcomes keyed by CanonicalSccKey text, and of inter-argument
 /// inference outcomes keyed by CanonicalInferenceKey text
-/// (docs/persistence.md).
+/// (docs/persistence.md). The file is the store: past Open the handle
+/// holds no decoded outcome.
 ///
 /// Layout: a 16-byte header (magic, format version, header CRC) followed
 /// by length-prefixed frames `[len u32][len_crc u32][payload_crc u32]
@@ -106,6 +106,18 @@ struct StoreStats {
 /// write-behind thread and a foreground Flush may overlap.
 class PersistentStore {
  public:
+  /// The live set of each record kind: the last write per key. The two
+  /// kinds share one log but address disjoint key spaces (SCC keys open
+  /// with "scc:", inference keys with "inference-scc:").
+  struct LiveSets {
+    std::map<std::string, CachedSccOutcome> sccs;
+    std::map<std::string, CachedInferenceOutcome> inferences;
+
+    int64_t size() const {
+      return static_cast<int64_t>(sccs.size() + inferences.size());
+    }
+  };
+
   /// Opens `path` (creating it if absent), replays the log with the
   /// recovery rules above, and leaves the file positioned for appends.
   /// Fails only when the filesystem itself refuses (unwritable path);
@@ -117,79 +129,42 @@ class PersistentStore {
   PersistentStore(const PersistentStore&) = delete;
   PersistentStore& operator=(const PersistentStore&) = delete;
 
-  template <typename Outcome>
-  using LiveSet = std::map<std::string, Outcome>;
+  /// Hands over the live sets Open recovered and keeps nothing, so the
+  /// caller holds the one in-memory copy (BatchEngine::AttachStore moves
+  /// each record into its cache). A second call returns empty sets.
+  LiveSets TakeRecovered();
 
-  /// The live set (last write per key) of one record kind, Outcome being
-  /// CachedSccOutcome or CachedInferenceOutcome. The two kinds share one
-  /// log but address disjoint key spaces (SCC keys open with "scc:",
-  /// inference keys with "inference-scc:"). Stable until Append.
-  template <typename Outcome>
-  const LiveSet<Outcome>& entries() const {
-    return std::get<LiveSet<Outcome>>(live_);
-  }
-
-  /// Appends one record of either kind. An empty key, and an outcome the
-  /// caches would not retain (CacheTraits<Outcome>::Retainable), are
-  /// refused: a starved outcome must not survive a restart. Failpoint
-  /// "persist.append" simulates a crash mid-write: half the frame reaches
-  /// the file and the handle goes broken (later appends are counted as
-  /// failures, not retried), so tests can replay a kill -9 between the
-  /// bytes of a frame.
+  /// Encodes one record of either kind and appends its frame; the handle
+  /// keeps nothing of it. An empty key, and an outcome the caches would
+  /// not retain (CacheTraits<Outcome>::Retainable), are refused: a starved
+  /// outcome must not survive a restart. Failpoint "persist.append"
+  /// simulates a crash mid-write: half the frame reaches the file and the
+  /// handle goes broken (later appends are counted as failures, not
+  /// retried), so tests can replay a kill -9 between the bytes of a frame.
   template <typename Outcome>
   Status Append(const std::string& key, const Outcome& outcome);
 
   /// Durability point: flushes stdio buffers and fsyncs the file.
   Status Flush();
 
-  /// Rewrites the live set to PATH.tmp and atomically renames it over
-  /// PATH, dropping shadowed duplicates and quarantined frames.
-  Status Compact();
-
-  /// Automatic compaction policy (docs/persistence.md): compacts when the
-  /// dead fraction of the log — shadowed duplicates plus quarantined
-  /// frames, as a share of the file's record bytes — reaches `ratio`
-  /// (0 < ratio <= 1). Called by the CLI at open and after flush when
-  /// `--store-auto-compact` is set; a non-positive ratio disables it.
-  /// Returns whether a compaction ran; compaction errors pass through.
-  Result<bool> AutoCompactIfNeeded(double ratio);
-
-  /// Bytes of record frames in the log that no longer serve the live set
-  /// (shadowed last-write-wins duplicates, quarantined frames), and the
-  /// total record-frame bytes the log holds. dead == total - live.
-  int64_t dead_record_bytes() const;
-  int64_t total_record_bytes() const;
+  /// Rebuilds the live sets by replaying the file with Open's recovery
+  /// rules, writes them to PATH.tmp and atomically renames it over PATH,
+  /// dropping shadowed duplicates and quarantined frames. A torn tail is
+  /// not replayed, so compaction also heals a handle a torn write broke.
+  /// Returns the number of records written.
+  Result<int64_t> Compact();
 
   StoreStats stats() const;
   const std::string& path() const { return path_; }
-  /// Live entry count over both record kinds.
-  int64_t size() const;
 
  private:
   PersistentStore(std::string path, std::FILE* file);
-
-  // Open's replay of one decoded record into the live set of its kind; a
-  // decode failure passes through for the caller to quarantine.
-  template <typename Outcome>
-  Status Replay(Result<std::pair<std::string, Outcome>> record,
-                int64_t frame_size);
-  // Dead-bytes bookkeeping: credits `frame_size` to `key`'s live frame
-  // (debiting the frame it shadows, if any).
-  void TrackLiveLocked(const std::string& key, int64_t frame_size);
 
   const std::string path_;
   mutable std::mutex mu_;
   std::FILE* file_ = nullptr;  // append handle; null once broken
   bool broken_ = false;
-  std::tuple<LiveSet<CachedSccOutcome>, LiveSet<CachedInferenceOutcome>>
-      live_;
-  // Per-key frame size of the live record, and the running totals behind
-  // dead_record_bytes(): every intact frame scanned or appended counts
-  // toward `record_bytes_total_`; only the latest frame per key counts
-  // toward `record_bytes_live_`.
-  std::map<std::string, int64_t> frame_bytes_;
-  int64_t record_bytes_total_ = 0;
-  int64_t record_bytes_live_ = 0;
+  LiveSets recovered_;  // what Open replayed, until TakeRecovered
   StoreStats stats_;
 };
 

@@ -116,6 +116,41 @@ TEST(AnalyzerTest, SuppliedConstraintsWithoutInference) {
   EXPECT_TRUE(r.proved) << r.ToString();
 }
 
+TEST(AnalyzerTest, SuppliedArityMustBeDigitsWithinInt) {
+  Program p = MustParse("app([], L, L). app([H|T], L, [H|R]) :- app(T, L, R).");
+  for (const char* spec : {"app/", "app/4294967299", "app/2147483648"}) {
+    AnalysisOptions options;
+    options.supplied_constraints = {{spec, "a1 = 7"}};
+    Result<TerminationReport> report =
+        TerminationAnalyzer(options).Analyze(p, "app(b,f,f)");
+    ASSERT_FALSE(report.ok()) << spec;
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument) << spec;
+  }
+}
+
+TEST(AnalyzerTest, SuppliedConstraintsForAnUnmentionedPredicateAreSkipped) {
+  Program p = MustParse("app([], L, L). app([H|T], L, [H|R]) :- app(T, L, R).");
+  AnalysisOptions options;
+  // Valid specs, but no app/5 and no nosuch/1 occur: a polyhedron for
+  // either would constrain nothing (and one of a large arity N holds N^2
+  // rationals).
+  options.supplied_constraints = {{"app/5", "a1 = 7"},
+                                  {"nosuch/1", "a1 >= 0"}};
+  TerminationReport r = MustAnalyze(p, "app(b,f,f)", options);
+  EXPECT_TRUE(r.proved) << r.ToString();
+  int skipped = 0;
+  for (const std::string& note : r.notes) {
+    if (note.find("skipped: the program never mentions") !=
+        std::string::npos) {
+      ++skipped;
+    }
+  }
+  EXPECT_EQ(skipped, 2);
+  const std::string constraints = r.arg_sizes.ToString(r.analyzed_program);
+  EXPECT_EQ(constraints.find("app/5"), std::string::npos) << constraints;
+  EXPECT_EQ(constraints.find("nosuch"), std::string::npos) << constraints;
+}
+
 TEST(AnalyzerTest, UnknownEdbNotProved) {
   Program p = MustParse(R"(
     tc(X, Y) :- edge(X, Y).

@@ -76,14 +76,12 @@ bool OutcomesEqual(const CachedSccOutcome& a, const CachedSccOutcome& b) {
   return persist::EncodeRecord("k", a) == persist::EncodeRecord("k", b);
 }
 
-// The store's live sets, by record kind.
-const PersistentStore::LiveSet<CachedSccOutcome>& SccEntries(
-    const PersistentStore& store) {
-  return store.entries<CachedSccOutcome>();
-}
-const PersistentStore::LiveSet<CachedInferenceOutcome>& InferenceEntries(
-    const PersistentStore& store) {
-  return store.entries<CachedInferenceOutcome>();
+// Opens `path` and returns what replaying its log recovered.
+PersistentStore::LiveSets Recover(const std::string& path) {
+  auto store = PersistentStore::Open(path);
+  EXPECT_TRUE(store.ok());
+  if (!store.ok()) return PersistentStore::LiveSets();
+  return (*store)->TakeRecovered();
 }
 
 std::string ReadFile(const std::string& path) {
@@ -147,15 +145,18 @@ TEST(PersistStoreTest, AppendThenReopenRecoversEverything) {
   BuildStore(path, 4);
   auto store = PersistentStore::Open(path);
   ASSERT_TRUE(store.ok());
-  EXPECT_EQ((*store)->size(), 4);
   EXPECT_EQ((*store)->stats().records_loaded, 4);
   EXPECT_EQ((*store)->stats().records_quarantined, 0);
   EXPECT_EQ((*store)->stats().tail_bytes_truncated, 0);
+  PersistentStore::LiveSets live = (*store)->TakeRecovered();
+  EXPECT_EQ(live.size(), 4);
   for (int i = 0; i < 4; ++i) {
-    auto it = SccEntries(**store).find("key" + std::to_string(i));
-    ASSERT_NE(it, SccEntries(**store).end());
+    auto it = live.sccs.find("key" + std::to_string(i));
+    ASSERT_NE(it, live.sccs.end());
     EXPECT_TRUE(OutcomesEqual(it->second, SampleOutcome(i)));
   }
+  // The handle hands its recovered records over once and keeps none.
+  EXPECT_EQ((*store)->TakeRecovered().size(), 0);
   RemoveStoreFiles(path);
 }
 
@@ -168,10 +169,9 @@ TEST(PersistStoreTest, DuplicateKeysResolveLastWriteWins) {
     ASSERT_TRUE((*store)->Append("k", SampleOutcome(0)).ok());
     ASSERT_TRUE((*store)->Append("k", SampleOutcome(1)).ok());
   }
-  auto store = PersistentStore::Open(path);
-  ASSERT_TRUE(store.ok());
-  EXPECT_EQ((*store)->size(), 1);
-  EXPECT_TRUE(OutcomesEqual(SccEntries(**store).at("k"), SampleOutcome(1)));
+  PersistentStore::LiveSets live = Recover(path);
+  EXPECT_EQ(live.size(), 1);
+  EXPECT_TRUE(OutcomesEqual(live.sccs.at("k"), SampleOutcome(1)));
   RemoveStoreFiles(path);
 }
 
@@ -191,8 +191,9 @@ TEST(PersistStoreTest, TruncationAtEveryOffsetRecoversAPrefix) {
     auto store = PersistentStore::Open(path);
     ASSERT_TRUE(store.ok()) << "cut=" << cut;
     persist::StoreStats stats = (*store)->stats();
+    PersistentStore::LiveSets live = (*store)->TakeRecovered();
     // Every recovered record must be one we wrote, byte for byte.
-    for (const auto& [key, outcome] : SccEntries(**store)) {
+    for (const auto& [key, outcome] : live.sccs) {
       auto it = expected.find(key);
       ASSERT_NE(it, expected.end()) << "cut=" << cut;
       EXPECT_TRUE(OutcomesEqual(outcome, it->second)) << "cut=" << cut;
@@ -233,7 +234,8 @@ TEST(PersistStoreTest, BitFlipAtEveryOffsetNeverYieldsWrongData) {
     auto store = PersistentStore::Open(path);
     ASSERT_TRUE(store.ok()) << "offset=" << offset;
     persist::StoreStats stats = (*store)->stats();
-    for (const auto& [key, outcome] : SccEntries(**store)) {
+    PersistentStore::LiveSets live = (*store)->TakeRecovered();
+    for (const auto& [key, outcome] : live.sccs) {
       auto it = expected.find(key);
       ASSERT_NE(it, expected.end()) << "offset=" << offset;
       EXPECT_TRUE(OutcomesEqual(outcome, it->second)) << "offset=" << offset;
@@ -263,7 +265,7 @@ TEST(PersistStoreTest, UnknownVersionQuarantinesWholeFile) {
   auto store = PersistentStore::Open(path);
   ASSERT_TRUE(store.ok());
   EXPECT_TRUE((*store)->stats().file_quarantined);
-  EXPECT_EQ((*store)->size(), 0);
+  EXPECT_EQ((*store)->stats().records_loaded, 0);
   EXPECT_TRUE(fs::exists(path + ".quarantined"));
   // The quarantined copy is the evidence: bytes preserved, not deleted.
   EXPECT_EQ(ReadFile(path + ".quarantined"), future);
@@ -286,66 +288,24 @@ TEST(PersistStoreTest, CompactDropsShadowedRecordsAndKeepsLiveSet) {
     }
     ASSERT_TRUE((*store)->Flush().ok());
     int64_t before = static_cast<int64_t>(fs::file_size(path));
-    ASSERT_TRUE((*store)->Compact().ok());
+    Result<int64_t> written = (*store)->Compact();
+    ASSERT_TRUE(written.ok());
+    EXPECT_EQ(*written, 3);
     EXPECT_LT(static_cast<int64_t>(fs::file_size(path)), before);
+    // Compaction replays what the handle wrote, unflushed appends too.
+    ASSERT_TRUE((*store)->Append("key3", SampleOutcome(3)).ok());
+    written = (*store)->Compact();
+    ASSERT_TRUE(written.ok());
+    EXPECT_EQ(*written, 4);
   }
-  auto store = PersistentStore::Open(path);
-  ASSERT_TRUE(store.ok());
-  EXPECT_EQ((*store)->size(), 3);
+  PersistentStore::LiveSets live = Recover(path);
+  EXPECT_EQ(live.size(), 4);
+  EXPECT_TRUE(OutcomesEqual(live.sccs.at("key3"), SampleOutcome(3)));
   for (int i = 0; i < 3; ++i) {
     // Last write wins: the round-2 values survive compaction.
-    EXPECT_TRUE(OutcomesEqual(SccEntries(**store).at("key" + std::to_string(i)),
+    EXPECT_TRUE(OutcomesEqual(live.sccs.at("key" + std::to_string(i)),
                               SampleOutcome(i + 2)));
   }
-  RemoveStoreFiles(path);
-}
-
-TEST(PersistStoreTest, AutoCompactTriggersOnDeadFractionOnly) {
-  std::string path = TempStorePath("persist_autocompact.store");
-  RemoveStoreFiles(path);
-  auto store = PersistentStore::Open(path);
-  ASSERT_TRUE(store.ok());
-
-  // One live record: nothing is dead, no ratio can trigger.
-  ASSERT_TRUE((*store)->Append("key", SampleOutcome(0)).ok());
-  EXPECT_EQ((*store)->dead_record_bytes(), 0);
-  const int64_t first_frame = (*store)->total_record_bytes();
-  Result<bool> ran = (*store)->AutoCompactIfNeeded(0.01);
-  ASSERT_TRUE(ran.ok());
-  EXPECT_FALSE(*ran);
-
-  // Shadow it: exactly the first frame is now dead, roughly half the log.
-  ASSERT_TRUE((*store)->Append("key", SampleOutcome(1)).ok());
-  ASSERT_TRUE((*store)->Flush().ok());
-  const int64_t dead = (*store)->dead_record_bytes();
-  EXPECT_EQ(dead, first_frame);
-  EXPECT_GT((*store)->total_record_bytes(), dead);
-
-  // A threshold above the dead fraction must not compact...
-  ran = (*store)->AutoCompactIfNeeded(0.9);
-  ASSERT_TRUE(ran.ok());
-  EXPECT_FALSE(*ran);
-  EXPECT_EQ((*store)->dead_record_bytes(), dead);
-
-  // ...one at/below it must, and the compacted log has no dead bytes, so
-  // an immediate retry is a no-op (the policy converges, never loops).
-  const int64_t before = static_cast<int64_t>(fs::file_size(path));
-  ran = (*store)->AutoCompactIfNeeded(0.3);
-  ASSERT_TRUE(ran.ok());
-  EXPECT_TRUE(*ran);
-  EXPECT_LT(static_cast<int64_t>(fs::file_size(path)), before);
-  EXPECT_EQ((*store)->dead_record_bytes(), 0);
-  ran = (*store)->AutoCompactIfNeeded(0.3);
-  ASSERT_TRUE(ran.ok());
-  EXPECT_FALSE(*ran);
-  // The survivor is the last write.
-  EXPECT_TRUE(OutcomesEqual(SccEntries(**store).at("key"), SampleOutcome(1)));
-
-  // Non-positive ratio disables the policy outright.
-  ASSERT_TRUE((*store)->Append("key", SampleOutcome(2)).ok());
-  ran = (*store)->AutoCompactIfNeeded(0.0);
-  ASSERT_TRUE(ran.ok());
-  EXPECT_FALSE(*ran);
   RemoveStoreFiles(path);
 }
 
@@ -363,8 +323,11 @@ TEST(PersistStoreTest, TornWriteFailpointIsRecoveredOnReopen) {
     // bytes after a half-written frame.
     EXPECT_FALSE((*store)->Append("after", SampleOutcome(2)).ok());
     EXPECT_GE((*store)->stats().append_failures, 2);
-    // Compaction heals the handle from the in-memory live set.
-    ASSERT_TRUE((*store)->Compact().ok());
+    // Compaction heals the handle: replay stops at the torn frame, so the
+    // rewritten log holds only whole frames.
+    Result<int64_t> written = (*store)->Compact();
+    ASSERT_TRUE(written.ok());
+    EXPECT_EQ(*written, 1);
     EXPECT_TRUE((*store)->Append("after", SampleOutcome(2)).ok());
   }
   {
@@ -380,10 +343,10 @@ TEST(PersistStoreTest, TornWriteFailpointIsRecoveredOnReopen) {
   }
   auto reopened = PersistentStore::Open(path);
   ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ((*reopened)->size(), 1);
   EXPECT_GT((*reopened)->stats().tail_bytes_truncated, 0);
-  EXPECT_TRUE(
-      OutcomesEqual(SccEntries(**reopened).at("good"), SampleOutcome(0)));
+  PersistentStore::LiveSets live = (*reopened)->TakeRecovered();
+  EXPECT_EQ(live.size(), 1);
+  EXPECT_TRUE(OutcomesEqual(live.sccs.at("good"), SampleOutcome(0)));
   RemoveStoreFiles(path);
 }
 
@@ -396,7 +359,7 @@ TEST(PersistStoreTest, RejectsResourceLimitAndEmptyKeyAppends) {
   starved.status = SccStatus::kResourceLimit;
   EXPECT_FALSE((*store)->Append("k", starved).ok());
   EXPECT_FALSE((*store)->Append("", SampleOutcome(0)).ok());
-  EXPECT_EQ((*store)->size(), 0);
+  EXPECT_EQ((*store)->stats().appends, 0);
   RemoveStoreFiles(path);
 }
 
@@ -497,7 +460,7 @@ TEST(PersistInferenceTest, StoreRejectsNonRetainableAppends) {
   errored.error = Status::Internal("fixpoint failed");
   EXPECT_FALSE((*store)->Append("k", errored).ok());
   EXPECT_FALSE((*store)->Append("", SampleInference(0)).ok());
-  EXPECT_EQ((*store)->size(), 0);
+  EXPECT_EQ((*store)->stats().appends, 0);
   RemoveStoreFiles(path);
 }
 
@@ -510,7 +473,6 @@ TEST(PersistInferenceTest, DecodeRejectsTrailingBytes) {
 TEST(PersistInferenceTest, MixedRecordKindsRecoverIntoDisjointMaps) {
   std::string path = TempStorePath("persist_mixed.store");
   RemoveStoreFiles(path);
-  int64_t dead_written = 0, total_written = 0;
   {
     auto store = PersistentStore::Open(path);
     ASSERT_TRUE(store.ok());
@@ -520,32 +482,32 @@ TEST(PersistInferenceTest, MixedRecordKindsRecoverIntoDisjointMaps) {
     ASSERT_TRUE((*store)->Append("inference-scc:b", SampleInference(1)).ok());
     // Last write wins within the inference key space too.
     ASSERT_TRUE((*store)->Append("inference-scc:a", SampleInference(2)).ok());
-    dead_written = (*store)->dead_record_bytes();
-    total_written = (*store)->total_record_bytes();
-    EXPECT_GT(dead_written, 0);
+    EXPECT_EQ((*store)->stats().appends, 5);
   }
   auto store = PersistentStore::Open(path);
   ASSERT_TRUE(store.ok());
-  // Replay on open rebuilds the same dead/live byte accounting the
-  // appending handle kept, over both record kinds.
-  EXPECT_EQ((*store)->dead_record_bytes(), dead_written);
-  EXPECT_EQ((*store)->total_record_bytes(), total_written);
-  EXPECT_EQ((*store)->size(), 4);
-  EXPECT_EQ(SccEntries(**store).size(), 2u);
-  EXPECT_EQ(InferenceEntries(**store).size(), 2u);
+  EXPECT_EQ((*store)->stats().records_loaded, 4);
   EXPECT_EQ((*store)->stats().records_quarantined, 0);
-  EXPECT_TRUE(InferenceEqual(InferenceEntries(**store).at("inference-scc:a"),
+  PersistentStore::LiveSets live = (*store)->TakeRecovered();
+  EXPECT_EQ(live.sccs.size(), 2u);
+  EXPECT_EQ(live.inferences.size(), 2u);
+  EXPECT_TRUE(InferenceEqual(live.inferences.at("inference-scc:a"),
                              SampleInference(2)));
-  EXPECT_TRUE(InferenceEqual(InferenceEntries(**store).at("inference-scc:b"),
+  EXPECT_TRUE(InferenceEqual(live.inferences.at("inference-scc:b"),
                              SampleInference(1)));
-  // Compaction keeps both kinds.
-  ASSERT_TRUE((*store)->Compact().ok());
+  // Compaction replays the file, not memory (the handle has handed its
+  // records over): it keeps both kinds and drops the shadowed frame.
+  const int64_t before = static_cast<int64_t>(fs::file_size(path));
+  Result<int64_t> written = (*store)->Compact();
+  ASSERT_TRUE(written.ok());
+  EXPECT_EQ(*written, 4);
+  EXPECT_LT(static_cast<int64_t>(fs::file_size(path)), before);
   store->reset();
-  auto compacted = PersistentStore::Open(path);
-  ASSERT_TRUE(compacted.ok());
-  EXPECT_EQ(SccEntries(**compacted).size(), 2u);
-  EXPECT_EQ(InferenceEntries(**compacted).size(), 2u);
-  EXPECT_EQ((*compacted)->dead_record_bytes(), 0);
+  PersistentStore::LiveSets compacted = Recover(path);
+  EXPECT_EQ(compacted.sccs.size(), 2u);
+  EXPECT_EQ(compacted.inferences.size(), 2u);
+  EXPECT_TRUE(InferenceEqual(compacted.inferences.at("inference-scc:a"),
+                             SampleInference(2)));
   RemoveStoreFiles(path);
 }
 
@@ -565,12 +527,12 @@ TEST(PersistInferenceTest, TornInferenceWriteIsRecoveredOnReopen) {
   }
   auto reopened = PersistentStore::Open(path);
   ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ((*reopened)->size(), 2);
   EXPECT_GT((*reopened)->stats().tail_bytes_truncated, 0);
-  EXPECT_EQ(InferenceEntries(**reopened).count("inference-scc:torn"), 0u);
-  EXPECT_TRUE(InferenceEqual(
-      InferenceEntries(**reopened).at("inference-scc:good"),
-      SampleInference(0)));
+  PersistentStore::LiveSets live = (*reopened)->TakeRecovered();
+  EXPECT_EQ(live.size(), 2);
+  EXPECT_EQ(live.inferences.count("inference-scc:torn"), 0u);
+  EXPECT_TRUE(InferenceEqual(live.inferences.at("inference-scc:good"),
+                             SampleInference(0)));
   RemoveStoreFiles(path);
 }
 
@@ -607,9 +569,10 @@ TEST(PersistInferenceTest, UnknownRecordTypeIsQuarantinedPerRecord) {
   ASSERT_TRUE(store.ok());
   EXPECT_EQ((*store)->stats().records_quarantined, 1);
   EXPECT_FALSE((*store)->stats().file_quarantined);
-  EXPECT_EQ(SccEntries(**store).size(), 1u);
-  ASSERT_EQ(InferenceEntries(**store).size(), 1u);
-  EXPECT_TRUE(InferenceEqual(InferenceEntries(**store).at("inference-scc:x"),
+  PersistentStore::LiveSets live = (*store)->TakeRecovered();
+  EXPECT_EQ(live.sccs.size(), 1u);
+  ASSERT_EQ(live.inferences.size(), 1u);
+  EXPECT_TRUE(InferenceEqual(live.inferences.at("inference-scc:x"),
                              SampleInference(3)));
   RemoveStoreFiles(path);
 }
@@ -627,8 +590,11 @@ TEST(StoreWriterTest, InferenceEnqueueIsWrittenBehind) {
     ASSERT_TRUE(writer.Drain().ok());
     EXPECT_EQ(writer.written(), 2);
   }
-  EXPECT_EQ(SccEntries(*store).size(), 1u);
-  EXPECT_EQ(InferenceEntries(*store).size(), 1u);
+  EXPECT_EQ(store->stats().appends, 2);
+  opened->reset();
+  PersistentStore::LiveSets live = Recover(path);
+  EXPECT_EQ(live.sccs.size(), 1u);
+  EXPECT_EQ(live.inferences.size(), 1u);
   RemoveStoreFiles(path);
 }
 
@@ -655,14 +621,45 @@ TEST(StoreWriterTest, ConcurrentEnqueueDrainsEverythingWritten) {
     // Drops are legal under overload (they degrade to future cache
     // misses) but everything accepted must be on disk after Drain.
     EXPECT_EQ(writer.written() + writer.dropped(), kThreads * kPerThread);
-    EXPECT_EQ(store->size(), writer.written());
+    EXPECT_EQ(store->stats().appends, writer.written());
   }
-  int64_t written = store->size();
+  int64_t written = store->stats().appends;
   opened->reset();
+  // Every key is distinct, so replay recovers each appended record.
   auto reopened = PersistentStore::Open(path);
   ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ((*reopened)->size(), written);
+  EXPECT_EQ((*reopened)->stats().records_loaded, written);
+  EXPECT_EQ((*reopened)->TakeRecovered().size(), written);
   EXPECT_EQ((*reopened)->stats().records_quarantined, 0);
+  RemoveStoreFiles(path);
+}
+
+// The caches hold the one in-memory copy of each outcome: AttachStore
+// moves every record Open recovered into the cache of its kind, and the
+// store keeps none of them.
+TEST(PersistEngineTest, AttachStoreLeavesNoRecoveredRecordInTheStore) {
+  std::string path = TempStorePath("persist_attach.store");
+  RemoveStoreFiles(path);
+  {
+    auto store = PersistentStore::Open(path);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->Append("scc:a", SampleOutcome(0)).ok());
+    ASSERT_TRUE((*store)->Append("scc:b", SampleOutcome(1)).ok());
+    ASSERT_TRUE((*store)->Append("inference-scc:a", SampleInference(0)).ok());
+    ASSERT_TRUE((*store)->Append("scc:a", SampleOutcome(2)).ok());  // shadows
+  }
+  auto store = PersistentStore::Open(path);
+  ASSERT_TRUE(store.ok());
+  BatchEngine engine(EngineOptions{/*jobs=*/1, /*use_cache=*/true});
+  ASSERT_TRUE(engine.AttachStore(std::move(*store)).ok());
+  EXPECT_EQ(engine.store()->TakeRecovered().size(), 0);
+  const int64_t records_loaded = engine.store()->stats().records_loaded;
+  EXPECT_EQ(records_loaded, 3);
+  EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.persisted_loaded, 2);
+  EXPECT_EQ(stats.inference_persisted_loaded, 1);
+  EXPECT_EQ(stats.persisted_loaded + stats.inference_persisted_loaded,
+            records_loaded);
   RemoveStoreFiles(path);
 }
 
