@@ -3,12 +3,15 @@
 // elimination is simple and adequate"; this benchmark quantifies that on
 // random systems and on the analyzer's own dual systems, ablates the
 // LP-based redundancy pruning, and times the pruning kernel on the largest
-// systems the corpus hands it.
+// systems the corpus hands it and the hull on every lifted system it
+// builds.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "fm_fixture.h"
 #include "termilog/termilog.h"
@@ -140,6 +143,27 @@ void BM_LpPruneHarvested(benchmark::State& state, const NamedSystem* input) {
   state.counters["rows_out"] = static_cast<double>(survivors);
 }
 
+// What ConvexHull runs past its lifting, Project and then Minimize, on
+// every lifted system one corpus entry's analysis builds
+// (tests/data/hull_inputs.txt); registered per entry in main.
+void BM_ConvexHullHarvested(benchmark::State& state,
+                            const std::vector<const NamedSystem*>* inputs) {
+  size_t rows_out = 0;
+  for (auto _ : state) {
+    rows_out = 0;
+    for (const NamedSystem* input : *inputs) {
+      Polyhedron hull = Polyhedron::FromSystem(
+          FourierMotzkin::Project(input->system, HullKeep(input->system))
+              .value());
+      hull.Minimize();
+      rows_out += hull.constraints().size();
+    }
+    benchmark::DoNotOptimize(rows_out);
+  }
+  state.counters["systems"] = static_cast<double>(inputs->size());
+  state.counters["rows_out"] = static_cast<double>(rows_out);
+}
+
 BENCHMARK(BM_ProjectRandom)
     ->Args({3, 6})
     ->Args({4, 8})
@@ -181,6 +205,21 @@ int main(int argc, char** argv) {
   for (const NamedSystem& input : harvested) {
     benchmark::RegisterBenchmark(("BM_LpPruneHarvested/" + input.name).c_str(),
                                  BM_LpPruneHarvested, &input)
+        ->Unit(benchmark::kMillisecond);
+  }
+  // One benchmark per corpus entry, over its hulls in call order.
+  static const std::vector<NamedSystem> hulls = LoadHullInputs();
+  static std::vector<std::pair<std::string, std::vector<const NamedSystem*>>>
+      by_entry;
+  for (const NamedSystem& input : hulls) {
+    if (by_entry.empty() || by_entry.back().first != input.name) {
+      by_entry.emplace_back(input.name, std::vector<const NamedSystem*>());
+    }
+    by_entry.back().second.push_back(&input);
+  }
+  for (const auto& [name, inputs] : by_entry) {
+    benchmark::RegisterBenchmark(("BM_ConvexHullHarvested/" + name).c_str(),
+                                 BM_ConvexHullHarvested, &inputs)
         ->Unit(benchmark::kMillisecond);
   }
   benchmark::Initialize(&argc, argv);

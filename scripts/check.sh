@@ -17,8 +17,9 @@
 #      {"store":...} and {"compact":...} stats lines that stay JSON for a
 #      path holding '"' and '\'; span counts in --trace output showing
 #      that --explain runs no second analysis and that --reorder's
-#      attempts hit the run's caches; and corpus_report rejecting a
-#      malformed JOBS (exit 1)
+#      attempts hit the run's caches; corpus_report rejecting a
+#      malformed JOBS (exit 1); and --corpus nnf metrics showing that the
+#      FM history filter fires and keeps the prune LPs at or below 450
 #   2. UBSan pass of the unit and engine suites in build-ubsan/ (the
 #      arithmetic kernel lives in the unit suite; docs/arithmetic.md)
 #   3. ASan+UBSan pass of the unit, engine, obs and condinf suites in
@@ -312,6 +313,25 @@ for jobs in 4294967298 2x; do
     exit 1
   fi
 done
+
+# FourierMotzkin::Project's history filter (docs/arithmetic.md, section 5)
+# drops rows of nnf's hull projections without an LP: it must fire, and the
+# prune LPs must stay at or below 450 (1,010 without the filter).
+fm_metrics="$(mktemp)"
+run ./build/examples/termilog_cli --corpus nnf --metrics "$fm_metrics" \
+    >/dev/null
+run python3 - "$fm_metrics" <<'PY'
+import json
+import sys
+
+counters = json.load(open(sys.argv[1]))["counters"]
+filtered = counters.get("fm.rows_filtered", 0)
+prune = counters.get("simplex.solves.prune", 0)
+if filtered <= 0 or prune > 450:
+    sys.exit("check.sh: --corpus nnf has fm.rows_filtered %d (want > 0) and "
+             "simplex.solves.prune %d (want <= 450)" % (filtered, prune))
+PY
+rm -f "$fm_metrics"
 
 if [[ "${1:-}" == "--tier1-only" ]]; then
   echo "check.sh: tier-1 OK (sanitizer passes skipped)" >&2

@@ -88,7 +88,7 @@ class ContentCache {
   /// a non-retainable outcome, or a key that is already present —
   /// defensive layering on top of the store's own decode validation, so
   /// even a hostile store file can only ever produce cache misses.
-  bool Preload(const std::string& key, Outcome outcome);
+  bool Preload(std::string key, Outcome outcome);
 
   /// Registers a callback invoked (outside the cache lock, on the
   /// computing worker's thread) for every freshly computed outcome that
@@ -188,15 +188,16 @@ Outcome ContentCache<Outcome>::GetOrCompute(
 }
 
 template <typename Outcome>
-bool ContentCache<Outcome>::Preload(const std::string& key, Outcome outcome) {
+bool ContentCache<Outcome>::Preload(std::string key, Outcome outcome) {
   if (key.empty() || !Traits::Retainable(outcome)) return false;
   std::lock_guard<std::mutex> lock(mu_);
-  if (entries_.count(key) > 0) return false;
+  auto [it, inserted] = entries_.try_emplace(std::move(key));
+  if (!inserted) return false;
   auto entry = std::make_shared<Entry>();
   entry->ready = true;
   entry->from_store = true;
   entry->outcome = std::move(outcome);
-  entries_.emplace(key, std::move(entry));
+  it->second = std::move(entry);
   ++stats_.persisted_loaded;
   TERMILOG_COUNTER(Traits::kCounters.persisted_loaded, 1);
   return true;

@@ -232,7 +232,7 @@ Status BatchEngine::AttachStore(
   auto preload = [](auto& cache, auto& records) {
     while (!records.empty()) {
       auto record = records.extract(records.begin());
-      cache.Preload(record.key(), std::move(record.mapped()));
+      cache.Preload(std::move(record.key()), std::move(record.mapped()));
     }
   };
   persist::PersistentStore::LiveSets recovered = store->TakeRecovered();

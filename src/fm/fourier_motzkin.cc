@@ -1,6 +1,7 @@
 #include "fm/fourier_motzkin.h"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <optional>
 #include <utility>
@@ -57,70 +58,77 @@ Constraint CombineGe(const Constraint& pos, const Constraint& neg, int var) {
 // Substitutes an equality row (pivot) into `row` so that `row` no longer
 // mentions x_var. The pivot is scaled by a signed factor, which is legal
 // because it is an equality.
-Constraint SubstituteEq(const Constraint& row, const Constraint& pivot,
-                        int var) {
-  const Rational& c = row.coeffs[var];
-  if (c.is_zero()) return row;
+void SubstituteEq(Constraint* row, const Constraint& pivot, int var) {
+  const Rational& c = row->coeffs[var];
+  if (c.is_zero()) return;
   Rational factor = -(c / pivot.coeffs[var]);
-  Constraint out = row;
-  for (size_t i = 0; i < out.coeffs.size(); ++i) {
-    out.coeffs[i] = out.coeffs[i] + pivot.coeffs[i] * factor;
+  for (size_t i = 0; i < row->coeffs.size(); ++i) {
+    row->coeffs[i] = row->coeffs[i] + pivot.coeffs[i] * factor;
   }
-  out.constant = out.constant + pivot.constant * factor;
-  TERMILOG_CHECK(out.coeffs[var].is_zero());
-  return out;
+  row->constant = row->constant + pivot.constant * factor;
+  TERMILOG_CHECK(row->coeffs[var].is_zero());
 }
 
-}  // namespace
+// Which input rows each working row of an elimination combines (Chernikov
+// 1965; Kohler 1967; docs/arithmetic.md, section 5). Bit i of a tag is row
+// i of the system at the last reset; rows past 64 carry no bit.
+// After `steps` plain FM steps a kGe row built from more than steps + 1 of
+// them is entailed by the rows that remain, so the step drops it without
+// an LP. An uncounted row only makes a count smaller, so the rule fires
+// less often but never wrongly.
+struct History {
+  std::vector<uint64_t> tags;
+  size_t steps = 0;
 
-Status FourierMotzkin::EliminateVariable(ConstraintSystem* system, int var,
-                                         const FmOptions& options) {
+  explicit History(size_t rows) { Reset(rows); }
+  void Reset(size_t rows) {
+    tags.resize(rows);
+    for (size_t i = 0; i < rows; ++i) tags[i] = i < 64 ? uint64_t{1} << i : 0;
+    steps = 0;
+  }
+};
+
+// FourierMotzkin::EliminateVariable, keeping `history` with the rows. A
+// Gaussian step and a pruning reset it: the substituted or pruned system is
+// a fresh input.
+Status Eliminate(ConstraintSystem* system, int var, const FmOptions& options,
+                 History* history) {
   TERMILOG_CHECK(var >= 0 && var < system->num_vars());
   TERMILOG_FAILPOINT("fm.eliminate");
   TERMILOG_TRACE("fm.eliminate", "fm");
   TERMILOG_COUNTER("fm.eliminations", 1);
+  std::vector<Constraint>& rows = system->mutable_rows();
 
   // Prefer a Gaussian step on an equality row mentioning the variable.
-  int pivot_index = -1;
-  for (size_t i = 0; i < system->rows().size(); ++i) {
-    const Constraint& row = system->rows()[i];
-    if (row.rel == Relation::kEq && !row.coeffs[var].is_zero()) {
-      pivot_index = static_cast<int>(i);
-      break;
-    }
-  }
-  if (pivot_index >= 0) {
+  auto pivot =
+      std::find_if(rows.begin(), rows.end(), [var](const Constraint& row) {
+        return row.rel == Relation::kEq && !row.coeffs[var].is_zero();
+      });
+  if (pivot != rows.end()) {
     TERMILOG_COUNTER("fm.gauss_steps", 1);
     if (options.governor != nullptr) {
       Status charged = options.governor->Charge(
-          "fm.eliminate", static_cast<int64_t>(system->rows().size()));
+          "fm.eliminate", static_cast<int64_t>(rows.size()));
       if (!charged.ok()) return charged;
     }
-    Constraint pivot = system->rows()[pivot_index];
-    std::vector<Constraint> next;
-    next.reserve(system->rows().size() - 1);
-    for (size_t i = 0; i < system->rows().size(); ++i) {
-      if (static_cast<int>(i) == pivot_index) continue;
-      next.push_back(SubstituteEq(system->rows()[i], pivot, var));
-    }
-    system->mutable_rows() = std::move(next);
+    Constraint eq = std::move(*pivot);
+    rows.erase(pivot);
+    for (Constraint& row : rows) SubstituteEq(&row, eq, var);
     system->Simplify();
+    history->Reset(system->size());
     return Status::Ok();
   }
 
-  // Plain FM on the inequality rows.
-  std::vector<Constraint> zero, pos, neg;
-  for (const Constraint& row : system->rows()) {
-    int sign = row.coeffs[var].sign();
-    if (sign == 0) {
-      zero.push_back(row);
-    } else if (sign > 0) {
-      pos.push_back(row);
-    } else {
-      neg.push_back(row);
-    }
+  // Plain FM on the inequality rows: the rows without the variable move
+  // across, then each (pos, neg) pair of the split is combined.
+  std::vector<size_t> pos, neg;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    int sign = rows[i].coeffs[var].sign();
+    if (sign > 0) pos.push_back(i);
+    if (sign < 0) neg.push_back(i);
   }
-  size_t projected = zero.size() + pos.size() * neg.size();
+  size_t projected = rows.size() - pos.size() - neg.size() +
+                     pos.size() * neg.size();
   TERMILOG_COUNTER("fm.rows_generated",
                    static_cast<std::int64_t>(pos.size() * neg.size()));
   TERMILOG_COUNTER("fm.rows_eliminated",
@@ -138,18 +146,58 @@ Status FourierMotzkin::EliminateVariable(ConstraintSystem* system, int var,
         "fm.eliminate", static_cast<int64_t>(projected) + 1);
     if (!charged.ok()) return charged;
   }
-  std::vector<Constraint> next = std::move(zero);
-  for (const Constraint& p : pos) {
-    for (const Constraint& n : neg) {
-      next.push_back(CombineGe(p, n, var));
+  std::vector<uint64_t>& tags = history->tags;
+  std::vector<Constraint> next;
+  std::vector<uint64_t> next_tags;
+  next.reserve(projected);
+  next_tags.reserve(projected);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (!rows[i].coeffs[var].is_zero()) continue;
+    next.push_back(std::move(rows[i]));
+    next_tags.push_back(tags[i]);
+  }
+  for (size_t p : pos) {
+    for (size_t n : neg) {
+      next.push_back(CombineGe(rows[p], rows[n], var));
+      next_tags.push_back(tags[p] | tags[n]);
     }
   }
-  system->mutable_rows() = std::move(next);
-  system->Simplify();
+  rows = std::move(next);
+  tags = std::move(next_tags);
+  ++history->steps;
+  system->Simplify(&tags);
+  // Drop the kGe rows whose history proves them redundant.
+  size_t kept = 0;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (rows[i].rel == Relation::kGe &&
+        static_cast<size_t>(std::popcount(tags[i])) > history->steps + 1) {
+      continue;
+    }
+    if (kept != i) {
+      rows[kept] = std::move(rows[i]);
+      tags[kept] = tags[i];
+    }
+    ++kept;
+  }
+  if (kept < rows.size()) {
+    TERMILOG_COUNTER("fm.rows_filtered",
+                     static_cast<std::int64_t>(rows.size() - kept));
+    rows.resize(kept);
+    tags.resize(kept);
+  }
   if (options.lp_prune && system->size() > options.lp_prune_threshold) {
-    LpPruneRedundant(system, options.governor);
+    FourierMotzkin::LpPruneRedundant(system, options.governor);
+    history->Reset(system->size());
   }
   return Status::Ok();
+}
+
+}  // namespace
+
+Status FourierMotzkin::EliminateVariable(ConstraintSystem* system, int var,
+                                         const FmOptions& options) {
+  History fresh(system->size());
+  return Eliminate(system, var, options, &fresh);
 }
 
 Result<ConstraintSystem> FourierMotzkin::Project(
@@ -163,6 +211,7 @@ Result<ConstraintSystem> FourierMotzkin::Project(
   }
   ConstraintSystem work = system;
   work.Simplify();
+  History history(work.size());
 
   // Repeatedly eliminate the cheapest remaining variable: equality pivots
   // are free, otherwise minimize the pos*neg pairing growth.
@@ -206,7 +255,7 @@ Result<ConstraintSystem> FourierMotzkin::Project(
       }
     }
     if (best_var < 0) break;
-    Status status = EliminateVariable(&work, best_var, options);
+    Status status = Eliminate(&work, best_var, options, &history);
     if (!status.ok()) return status;
   }
 

@@ -12,13 +12,16 @@ namespace termilog {
 /// Tuning knobs for Fourier-Motzkin elimination. The paper (Section 4)
 /// notes FM is "simple and adequate in practice"; the row limit is a safety
 /// valve against its worst-case doubling, and LP-based pruning keeps
-/// intermediate systems minimal on the larger corpus programs.
+/// intermediate systems minimal on the larger corpus programs. Project's
+/// history filter has no knob: it drops only rows it proves redundant, so
+/// it runs on every call.
 struct FmOptions {
   /// Abort with kResourceExhausted if an elimination step would exceed this
   /// many rows.
   size_t row_limit = 50000;
   /// Run LpPruneRedundant when the row count after an elimination step
-  /// exceeds lp_prune_threshold. Both knobs are part of the canonical cache
+  /// (and, in Project, after its history filter) exceeds
+  /// lp_prune_threshold. Both knobs are part of the canonical cache
   /// keys (src/engine/canonical.cc), so changing either misses every
   /// persisted entry; the pruning algorithm itself is not, because it
   /// decides the same exact facts whichever LP form it solves.
@@ -47,7 +50,13 @@ class FourierMotzkin {
   /// Projects the system onto the variables in `keep` (in the given order):
   /// eliminates all others, then rewrites columns so the result has exactly
   /// keep.size() variables. Elimination order is chosen greedily to
-  /// minimize the pairing product at each step.
+  /// minimize the pairing product at each step. Each working row carries
+  /// the history of input rows it combines; after k plain steps since the
+  /// last reset (the start, a Gaussian step, a prune) a kGe row built from
+  /// more than k + 1 of them is dropped without an LP, counted as
+  /// fm.rows_filtered (Chernikov/Kohler; docs/arithmetic.md, section 5).
+  /// EliminateVariable is the same step on fresh histories, which never
+  /// filters.
   static Result<ConstraintSystem> Project(const ConstraintSystem& system,
                                           const std::vector<int>& keep,
                                           const FmOptions& options =

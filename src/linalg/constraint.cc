@@ -1,7 +1,7 @@
 #include "linalg/constraint.h"
 
 #include <algorithm>
-#include <map>
+#include <bit>
 #include <utility>
 
 #include "util/check.h"
@@ -53,6 +53,23 @@ bool TrySmallRowGcd(std::vector<Rational>* coeffs, Rational* constant) {
   for (Rational& c : *coeffs) divide(&c);
   divide(constant);
   return true;
+}
+
+// Simplify's duplicate key: the relation and coefficients of a normalized
+// row, whose entries are machine-word integers almost always.
+uint64_t RowKeyHash(const Constraint& row) {
+  uint64_t h = static_cast<uint64_t>(row.rel) + 0x9e3779b97f4a7c15u;
+  for (const Rational& c : row.coeffs) {
+    int64_t small = 0;
+    uint64_t v = c.GetInt64(&small) ? static_cast<uint64_t>(small) : c.Hash();
+    h = (h ^ v) * 0x100000001b3u;
+  }
+  // Finalizer of MurmurHash3: spreads every input bit into the low bits
+  // that index the table.
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdu;
+  h ^= h >> 33;
+  return h;
 }
 
 }  // namespace
@@ -213,42 +230,75 @@ void ConstraintSystem::Append(const ConstraintSystem& other) {
   for (const Constraint& row : other.rows_) rows_.push_back(row);
 }
 
-bool ConstraintSystem::Simplify() {
-  std::vector<Constraint> kept;
-  // Map from coefficient vector to (best kGe constant, has kEq) for
-  // dominance pruning: among kGe rows with identical coefficients only the
-  // one with the smallest constant matters (it implies the others).
-  std::map<std::vector<Rational>, size_t> ge_best;      // index into kept
-  std::map<std::vector<Rational>, size_t> eq_present;   // index into kept
-  for (Constraint row : rows_) {
-    row.Normalize();
-    if (row.IsConstantRow()) {
-      if (!row.ConstantRowHolds()) return false;
-      continue;
-    }
-    if (row.rel == Relation::kEq) {
-      auto [it, inserted] = eq_present.try_emplace(row.coeffs, kept.size());
-      if (!inserted) {
-        // Same coefficients: either duplicate or contradictory constants.
-        if (kept[it->second].constant != row.constant) return false;
-        continue;
-      }
-      kept.push_back(std::move(row));
-      continue;
-    }
-    auto it = ge_best.find(row.coeffs);
-    if (it != ge_best.end()) {
-      // Keep the stronger (larger constant means weaker since
-      // coeffs.x + constant >= 0 -> smaller constant is stronger).
-      if (row.constant < kept[it->second].constant) {
-        kept[it->second].constant = row.constant;
-      }
-      continue;
-    }
-    ge_best.emplace(row.coeffs, kept.size());
-    kept.push_back(std::move(row));
+bool ConstraintSystem::Simplify(std::vector<uint64_t>* tags) {
+  TERMILOG_DCHECK(tags == nullptr || tags->size() == rows_.size());
+  // A false return leaves the rows as they were. A positive scale keeps a
+  // constant row's sign, so a violated one is found before normalizing; a
+  // kEq clash shows only once rows are normalized, so two or more kEq rows
+  // are worth a copy to restore.
+  size_t eq_rows = 0;
+  for (const Constraint& row : rows_) {
+    if (row.IsConstantRow() && !row.ConstantRowHolds()) return false;
+    eq_rows += row.rel == Relation::kEq;
   }
-  rows_ = std::move(kept);
+  std::vector<Constraint> saved_rows;
+  std::vector<uint64_t> saved_tags;
+  if (eq_rows > 1) {
+    saved_rows = rows_;
+    if (tags != nullptr) saved_tags = *tags;
+  }
+  // Rows are normalized and compacted in place. An open-addressing table
+  // over (relation, coefficients) finds each row's first copy among the
+  // kept rows: a slot holds a kept index + 1, and 0 marks it free.
+  size_t mask = 15;
+  while (mask < 2 * rows_.size()) mask = 2 * mask + 1;
+  std::vector<uint32_t> slots(mask + 1, 0);
+  std::vector<uint64_t> hashes;
+  hashes.reserve(rows_.size());
+  size_t kept = 0;
+  for (size_t i = 0; i < rows_.size(); ++i) {
+    Constraint& row = rows_[i];
+    row.Normalize();
+    if (row.IsConstantRow()) continue;  // it holds: checked above
+    const uint64_t hash = RowKeyHash(row);
+    size_t slot = hash & mask;
+    for (; slots[slot] != 0; slot = (slot + 1) & mask) {
+      const size_t j = slots[slot] - 1;
+      if (hashes[j] == hash && rows_[j].rel == row.rel &&
+          rows_[j].coeffs == row.coeffs) {
+        break;
+      }
+    }
+    if (slots[slot] == 0) {
+      slots[slot] = static_cast<uint32_t>(kept + 1);
+      hashes.push_back(hash);
+      if (kept != i) {
+        rows_[kept] = std::move(row);
+        if (tags != nullptr) (*tags)[kept] = (*tags)[i];
+      }
+      ++kept;
+      continue;
+    }
+    const size_t j = slots[slot] - 1;
+    Constraint& first = rows_[j];
+    if (row.rel == Relation::kEq) {
+      if (first.constant == row.constant) continue;  // a duplicate
+      rows_ = std::move(saved_rows);  // same coefficients, another constant
+      if (tags != nullptr) *tags = std::move(saved_tags);
+      return false;
+    }
+    // Among kGe rows with the same coefficients the smallest constant is
+    // the strongest (coeffs.x + constant >= 0) and implies the others.
+    const int cmp = row.constant.Compare(first.constant);
+    if (cmp < 0) first.constant = std::move(row.constant);
+    if (tags != nullptr &&
+        (cmp < 0 || (cmp == 0 && std::popcount((*tags)[i]) <
+                                     std::popcount((*tags)[j])))) {
+      (*tags)[j] = (*tags)[i];
+    }
+  }
+  rows_.resize(kept);
+  if (tags != nullptr) tags->resize(kept);
   return true;
 }
 

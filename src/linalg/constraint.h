@@ -1,6 +1,7 @@
 #ifndef TERMILOG_LINALG_CONSTRAINT_H_
 #define TERMILOG_LINALG_CONSTRAINT_H_
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -103,10 +104,15 @@ class ConstraintSystem {
   /// kEq rows. Of the kGe rows with the same coefficients it keeps one, in
   /// the first one's place, with the smallest (strongest) constant. kEq and
   /// kGe rows are deduplicated apart: a kGe row stays even when a kEq row
-  /// with the same coefficients is present. Returns false if a constant
-  /// row is violated or two kEq rows with the same coefficients disagree
-  /// (system trivially empty).
-  bool Simplify();
+  /// with the same coefficients is present. Returns false, leaving the rows
+  /// as they were, if a constant row is violated or two kEq rows with the
+  /// same coefficients disagree (system trivially empty).
+  ///
+  /// `tags`, when given, holds one value per row and moves with its row. A
+  /// merged kGe row keeps the tag of the copy whose constant survives, and
+  /// on equal constants the tag with fewer set bits (the FM row histories
+  /// of docs/arithmetic.md, section 5).
+  bool Simplify(std::vector<uint64_t>* tags = nullptr);
 
   /// True when `point` satisfies every row.
   bool SatisfiedBy(const std::vector<Rational>& point) const;

@@ -1,6 +1,8 @@
 #include "linalg/constraint.h"
 
+#include <bit>
 #include <limits>
+#include <map>
 
 #include <gtest/gtest.h>
 
@@ -102,6 +104,125 @@ TEST(ConstraintSystemTest, SimplifyDetectsEqContradiction) {
   sys.Add(MakeEq({1}, 0));
   sys.Add(MakeEq({1}, 5));  // x0 = 0 and x0 = -5
   EXPECT_FALSE(sys.Simplify());
+}
+
+// ConstraintSystem::Simplify as it was written with two ordered maps keyed
+// on coefficient vectors, plus the tag rule of a merged kGe row: the tag of
+// the copy whose constant survives, on equal constants the one with fewer
+// bits. Leaves `rows` and `tags` alone when it returns false.
+bool ReferenceSimplify(std::vector<Constraint>* rows,
+                       std::vector<uint64_t>* tags) {
+  std::vector<Constraint> kept;
+  std::vector<uint64_t> kept_tags;
+  std::map<std::vector<Rational>, size_t> ge_best;
+  std::map<std::vector<Rational>, size_t> eq_present;
+  for (size_t i = 0; i < rows->size(); ++i) {
+    Constraint row = (*rows)[i];
+    const uint64_t tag = (*tags)[i];
+    row.Normalize();
+    if (row.IsConstantRow()) {
+      if (!row.ConstantRowHolds()) return false;
+      continue;
+    }
+    if (row.rel == Relation::kEq) {
+      auto [it, inserted] = eq_present.try_emplace(row.coeffs, kept.size());
+      if (!inserted) {
+        if (kept[it->second].constant != row.constant) return false;
+        continue;
+      }
+      kept.push_back(std::move(row));
+      kept_tags.push_back(tag);
+      continue;
+    }
+    auto it = ge_best.find(row.coeffs);
+    if (it != ge_best.end()) {
+      const size_t j = it->second;
+      if (row.constant < kept[j].constant) {
+        kept[j].constant = row.constant;
+        kept_tags[j] = tag;
+      } else if (row.constant == kept[j].constant &&
+                 std::popcount(tag) < std::popcount(kept_tags[j])) {
+        kept_tags[j] = tag;
+      }
+      continue;
+    }
+    ge_best.emplace(row.coeffs, kept.size());
+    kept.push_back(std::move(row));
+    kept_tags.push_back(tag);
+  }
+  *rows = std::move(kept);
+  *tags = std::move(kept_tags);
+  return true;
+}
+
+TEST(ConstraintTest, SimplifyMatchesOrderedMapReference) {
+  // Random systems built to hit every rule: duplicates, positive and (for
+  // kEq rows) negative scalings, weaker and stronger kGe copies, kEq pairs
+  // that clash, held and violated constant rows, and tags of every weight.
+  uint64_t state = 2463534242u;
+  auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  auto range = [&next](int64_t lo, int64_t hi) {
+    return lo + static_cast<int64_t>(next() % static_cast<uint64_t>(hi - lo + 1));
+  };
+  int failures = 0, merges = 0;
+  for (int round = 0; round < 3000; ++round) {
+    const int num_vars = static_cast<int>(range(1, 4));
+    const int num_rows = static_cast<int>(range(0, 60));
+    ConstraintSystem sys(num_vars);
+    std::vector<uint64_t> tags;
+    for (int r = 0; r < num_rows; ++r) {
+      const int64_t kind = range(0, 39);
+      Constraint row;
+      if (kind < 16 && r > 0) {  // a scaled copy of an earlier row
+        row = sys.rows()[range(0, r - 1)];
+        Rational scale(range(1, 3), range(1, 2));
+        if (row.rel == Relation::kEq && range(0, 1) == 1) scale.Negate();
+        row = row.Scaled(scale);
+        if (kind < 6) row.constant += Rational(range(-1, 1));
+      } else if (kind == 16) {  // a constant row, held or violated
+        row = MakeGe(std::vector<int64_t>(num_vars, 0), range(-1, 1));
+        if (range(0, 3) == 0) row.rel = Relation::kEq;
+      } else {
+        std::vector<int64_t> coeffs;
+        for (int v = 0; v < num_vars; ++v) coeffs.push_back(range(-2, 2));
+        row = MakeGe(coeffs, range(-3, 3));
+        if (range(0, 4) == 0) row.rel = Relation::kEq;
+      }
+      sys.Add(std::move(row));
+      // Tags of 0 to about 20 bits, often equal in weight.
+      tags.push_back(next() & next() & next() & (range(0, 1) ? ~0ull : 0xffull));
+    }
+    std::vector<Constraint> expected_rows = sys.rows();
+    std::vector<uint64_t> expected_tags = tags;
+    const bool expected = ReferenceSimplify(&expected_rows, &expected_tags);
+    ConstraintSystem untagged = sys;
+    const std::vector<Constraint> input_rows = sys.rows();
+    const std::vector<uint64_t> input_tags = tags;
+    const std::string label = "round " + std::to_string(round) + "\n" +
+                              sys.ToString();
+    ASSERT_EQ(sys.Simplify(&tags), expected) << label;
+    ASSERT_EQ(untagged.Simplify(), expected) << label;
+    if (!expected) {
+      ++failures;
+      // A false return leaves rows and tags as they were.
+      EXPECT_TRUE(sys.rows() == input_rows) << label;
+      EXPECT_EQ(tags, input_tags) << label;
+      EXPECT_TRUE(untagged.rows() == input_rows) << label;
+      continue;
+    }
+    merges += static_cast<int>(input_rows.size() - expected_rows.size());
+    EXPECT_TRUE(sys.rows() == expected_rows) << label;
+    EXPECT_EQ(tags, expected_tags) << label;
+    EXPECT_TRUE(untagged.rows() == expected_rows) << label;
+  }
+  // Both outcomes were exercised, many times.
+  EXPECT_GT(failures, 100);
+  EXPECT_GT(merges, 10000);
 }
 
 TEST(ConstraintSystemTest, ResizePadsRows) {

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
+#include "fm/polyhedron.h"
 #include "fm_fixture.h"
 #include "lp/simplex.h"
+#include "obs/obs.h"
 
 namespace termilog {
 namespace {
@@ -412,6 +415,165 @@ TEST(FourierMotzkinTest, LpPruneMatchesReferenceOnHarvestedCorpusSystems) {
     EXPECT_LT(pruned.size(), input.system.size()) << input.name;
     ExpectPruneMatchesReference(input.system, input.name);
   }
+}
+
+// Project without the history filter: a loop of EliminateVariable, whose
+// every step starts from fresh histories (and one step never filters),
+// eliminating the variable of least pairing growth first.
+Result<ConstraintSystem> SingleStepProject(const ConstraintSystem& system,
+                                           const std::vector<int>& keep,
+                                           const FmOptions& options) {
+  std::vector<bool> keep_mask(system.num_vars(), false);
+  for (int var : keep) keep_mask[var] = true;
+  ConstraintSystem work = system;
+  work.Simplify();
+  while (true) {
+    int best = -1;
+    int64_t best_cost = 0;
+    for (int v = 0; v < work.num_vars(); ++v) {
+      if (keep_mask[v]) continue;
+      int64_t pos = 0, neg = 0;
+      bool in_eq = false;
+      for (const Constraint& row : work.rows()) {
+        const int sign = row.coeffs[v].sign();
+        in_eq |= sign != 0 && row.rel == Relation::kEq;
+        pos += sign > 0;
+        neg += sign < 0;
+      }
+      if (pos + neg == 0) continue;
+      const int64_t cost = in_eq ? -1 : pos * neg;
+      if (best < 0 || cost < best_cost) {
+        best = v;
+        best_cost = cost;
+      }
+    }
+    if (best < 0) break;
+    Status status = FourierMotzkin::EliminateVariable(&work, best, options);
+    if (!status.ok()) return status;
+  }
+  ConstraintSystem out(static_cast<int>(keep.size()));
+  for (const Constraint& row : work.rows()) {
+    Constraint compact = row;
+    compact.coeffs.clear();
+    for (int var : keep) compact.coeffs.push_back(row.coeffs[var]);
+    out.Add(std::move(compact));
+  }
+  out.Simplify();
+  return out;
+}
+
+// A random system for the history filter: 3-7 variables and 4-80 sparse
+// rows over small coefficients, with kEq rows, scaled duplicates and
+// opposite-row pairs (a band, or a contradiction) mixed in.
+ConstraintSystem FilterTestSystem(XorShift* rng) {
+  const int num_vars = static_cast<int>(rng->Range(3, 7));
+  const int num_rows = static_cast<int>(
+      rng->Range(0, 3) == 0 ? rng->Range(56, 80) : rng->Range(4, 24));
+  ConstraintSystem sys(num_vars);
+  for (int r = 0; r < num_rows; ++r) {
+    const int64_t kind = rng->Range(0, 9);
+    if (kind <= 1 && r > 0) {  // a scaled duplicate
+      sys.Add(sys.rows()[rng->Range(0, r - 1)].Scaled(
+          Rational(rng->Range(2, 3))));
+      continue;
+    }
+    if (kind == 2 && r > 0) {  // the opposite of an earlier row, shifted
+      Constraint row = sys.rows()[rng->Range(0, r - 1)];
+      row.rel = Relation::kGe;
+      for (Rational& c : row.coeffs) c.Negate();
+      row.constant = -row.constant + Rational(rng->Range(-1, 2));
+      sys.Add(std::move(row));
+      continue;
+    }
+    Constraint row;
+    row.rel = kind == 3 ? Relation::kEq : Relation::kGe;
+    for (int v = 0; v < num_vars; ++v) {
+      row.coeffs.emplace_back(rng->Range(0, 1) == 0 ? rng->Range(-2, 2) : 0);
+    }
+    row.constant = Rational(rng->Range(-2, 6));
+    sys.Add(std::move(row));
+  }
+  return sys;
+}
+
+// Checks Project, with the default options, with lp_prune off and with
+// threshold 8, against the default SingleStepProject as sets (every one is
+// the same projection). Returns the number of comparisons made: a
+// projection past `row_limit` rows is skipped.
+int ExpectFilteredProjectionMatches(const ConstraintSystem& system,
+                                    const std::vector<int>& keep,
+                                    const std::string& label,
+                                    size_t row_limit = 50000) {
+  FmOptions defaults;
+  defaults.row_limit = row_limit;
+  Result<ConstraintSystem> reference =
+      SingleStepProject(system, keep, defaults);
+  if (!reference.ok()) return 0;
+  const Polyhedron expected =
+      Polyhedron::FromSystem(std::move(reference).value());
+  FmOptions unpruned = defaults;
+  unpruned.lp_prune = false;
+  FmOptions threshold8 = defaults;
+  threshold8.lp_prune_threshold = 8;
+  int compared = 0;
+  for (const FmOptions& options : {defaults, unpruned, threshold8}) {
+    Result<ConstraintSystem> filtered =
+        FourierMotzkin::Project(system, keep, options);
+    if (!filtered.ok()) continue;
+    ++compared;
+    Polyhedron actual = Polyhedron::FromSystem(std::move(filtered).value());
+    EXPECT_TRUE(actual.Equals(expected))
+        << label << " (lp_prune " << options.lp_prune << ", threshold "
+        << options.lp_prune_threshold << ")\n"
+        << system.ToString() << "filtered:\n"
+        << actual.ToString() << "reference:\n"
+        << expected.ToString();
+  }
+  return compared;
+}
+
+TEST(FourierMotzkinTest, FilteredProjectionEqualsSingleStepReference) {
+  // The history filter drops rows without an LP; the projection must stay
+  // the same set. First the lifted hull systems of nnf, gcd_subtract and
+  // deriv (tests/data/hull_inputs.txt), where the filter fires.
+  obs::Metrics::Global().Reset();
+  obs::Metrics::Global().Enable();
+  std::vector<NamedSystem> hulls = LoadHullInputs();
+  ASSERT_GE(hulls.size(), 50u);
+  for (const NamedSystem& hull : hulls) {
+    ASSERT_TRUE(
+        FourierMotzkin::Project(hull.system, HullKeep(hull.system)).ok());
+  }
+  std::map<std::string, int64_t> counters =
+      obs::Metrics::Global().Collect().counters;
+  obs::Metrics::Global().Disable();
+  obs::Metrics::Global().Reset();
+  if (obs::kCompiledIn) {
+    EXPECT_GT(counters["fm.rows_filtered"], 0);
+  }
+  for (const NamedSystem& hull : hulls) {
+    EXPECT_EQ(ExpectFilteredProjectionMatches(hull.system,
+                                              HullKeep(hull.system),
+                                              hull.name),
+              3);
+  }
+  // Then seeded random systems, more than 64 rows in about a quarter. A
+  // row limit of 400 skips the few whose projection blows up.
+  XorShift rng(1990);
+  int compared = 0, wide = 0;
+  for (int round = 0; round < 2200; ++round) {
+    ConstraintSystem sys = FilterTestSystem(&rng);
+    std::vector<int> keep;
+    for (int v = 0; v < sys.num_vars(); ++v) {
+      if (rng.Range(0, 2) == 0) keep.push_back(v);
+    }
+    const int made = ExpectFilteredProjectionMatches(
+        sys, keep, "round " + std::to_string(round), 400);
+    compared += made;
+    if (sys.size() > 64) wide += made;
+  }
+  EXPECT_GE(compared, 6300);
+  EXPECT_GE(wide, 900);
 }
 
 TEST(FourierMotzkinTest, CombineMultipliersAreGcdReduced) {
