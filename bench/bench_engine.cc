@@ -113,8 +113,8 @@ StoreRunResult RunWithStore(const std::vector<BatchRequest>& requests,
     FailpointRegistry::Global().EnableFromSpec(failpoint_spec);
   }
   std::vector<BatchItemResult> results = engine.Run(requests);
-  // Drain the write-behind queue while the failpoint is still armed, so
-  // a "persist.append" spec tears the appends of *this* run.
+  // Workers append as they compute, so a "persist.append" spec armed
+  // around Run tears the appends of *this* run.
   (void)engine.FlushStore();
   if (!failpoint_spec.empty()) FailpointRegistry::Global().Clear();
   for (const BatchItemResult& item : results) {

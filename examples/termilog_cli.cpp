@@ -87,9 +87,10 @@
 // the mode variants (output bytes are identical for every value), and
 // --store makes a repeat sweep mostly persisted cache hits.
 //
-// Store maintenance (--compact PATH) rewrites the persistent store's
-// append-only log to its live-entry minimum (docs/persistence.md),
-// reporting recovery and size stats on stderr. A store attached to a run
+// Store maintenance (--compact PATH) rewrites the closed persistent
+// store's append-only log to its live-entry minimum (docs/persistence.md),
+// reporting recovery and size stats on stderr; a PATH with no file is an
+// error (exit 1) and nothing is created. A store attached to a run
 // never gains a duplicate (a key it holds is served as a hit, never
 // appended again), so only quarantined frames leave anything to reclaim.
 //
@@ -101,9 +102,10 @@
 //   --store PATH           durable SCC and inference outcome store
 //                          (docs/persistence.md), in every mode: warm-starts
 //                          the caches from PATH (crash recovery
-//                          + per-record verification on load) and persists
-//                          new outcomes write-behind; flushed on exit, with
-//                          a {"store":...} stats line on stderr
+//                          + per-record verification on load), and the
+//                          worker that computes a new outcome appends it;
+//                          flushed on exit, with a {"store":...} stats
+//                          line on stderr
 //   --serve FIFO|-         serve JSONL requests from FIFO (or stdin) until
 //                          EOF instead of running a batch
 //   --conditions           termination-condition sweep instead of a
@@ -358,11 +360,12 @@ int AttachStoreOrFail(BatchEngine& engine, const std::string& store_path) {
   return 0;
 }
 
-// Shutdown path for a store-attached engine: drain the write-behind
-// queue, fsync, re-audit both caches. A flush failure is a warning (a lost
-// write degrades to a future cache miss, the printed verdicts stand); a
-// failed self-check overrides `code` with kExitSelfCheck because the
-// verdict/provenance bookkeeping itself is no longer trustworthy.
+// Shutdown path for a store-attached engine: flush and fsync the store,
+// re-audit both caches. A flush failure, which also reports an append
+// that failed during the run, is a warning (a lost write degrades to a
+// future cache miss, the printed verdicts stand); a failed self-check
+// overrides `code` with kExitSelfCheck because the verdict/provenance
+// bookkeeping itself is no longer trustworthy.
 int FinishStore(BatchEngine& engine, int code) {
   if (engine.store() == nullptr) return code;
   Status flushed = engine.FlushStore();
@@ -568,42 +571,36 @@ int RunBatch(const std::vector<BatchInput>& inputs, bool text, int jobs,
   return FinishStore(engine, code);
 }
 
-// Offline store maintenance (--compact PATH): replay the log with the
-// usual recovery rules, rewrite it to its live-entry minimum, report
+// Offline store maintenance (--compact PATH): replay the closed log with
+// the usual recovery rules, rewrite it to its live-entry minimum, report
 // what recovery found, the records written and the bytes reclaimed.
 int RunCompact(const std::string& path) {
   namespace fs = std::filesystem;
-  Result<std::unique_ptr<persist::PersistentStore>> store =
-      persist::PersistentStore::Open(path);
-  if (!store.ok()) {
-    std::fprintf(stderr, "termilog_cli: --compact: %s\n",
-                 store.status().ToString().c_str());
-    return EXIT_FAILURE;
-  }
-  for (const std::string& note : (*store)->stats().notes) {
-    std::fprintf(stderr, "termilog_cli: store recovery: %s\n", note.c_str());
-  }
   std::error_code ec;
   uintmax_t size = fs::file_size(path, ec);
   const long long bytes_before = ec ? -1 : static_cast<long long>(size);
-  // Compact replays the file itself: free what Open decoded before it
-  // decodes a second copy.
-  (*store)->TakeRecovered();
-  Result<int64_t> written = (*store)->Compact();
-  if (!written.ok()) {
-    std::fprintf(stderr, "termilog_cli: --compact failed: %s\n",
-                 written.status().ToString().c_str());
+  Result<persist::StoreStats> compacted =
+      persist::PersistentStore::Compact(path);
+  if (!compacted.ok()) {
+    std::fprintf(stderr, "termilog_cli: --compact: %s\n",
+                 compacted.status().message().c_str());
     return EXIT_FAILURE;
+  }
+  const persist::StoreStats& stats = *compacted;
+  for (const std::string& note : stats.notes) {
+    std::fprintf(stderr, "termilog_cli: store recovery: %s\n", note.c_str());
   }
   size = fs::file_size(path, ec);
   const long long bytes_after = ec ? -1 : static_cast<long long>(size);
-  persist::StoreStats stats = (*store)->stats();
+  // Every record the replay recovered is written: entries equals
+  // records_loaded.
   std::fprintf(stderr,
                "{\"compact\":{\"path\":\"%s\",\"entries\":%lld,"
                "\"records_loaded\":%lld,\"records_quarantined\":%lld,"
                "\"tail_bytes_truncated\":%lld,\"bytes_before\":%lld,"
                "\"bytes_after\":%lld}}\n",
-               JsonEscape(path).c_str(), static_cast<long long>(*written),
+               JsonEscape(path).c_str(),
+               static_cast<long long>(stats.records_loaded),
                static_cast<long long>(stats.records_loaded),
                static_cast<long long>(stats.records_quarantined),
                static_cast<long long>(stats.tail_bytes_truncated),

@@ -13,7 +13,9 @@
 #      repeated text runs must print the same bytes, plus a repeated
 #      single run on one --store that must be served cache hits; a store
 #      that gains no duplicate (a repeated --batch appends nothing, and
-#      --compact after a --conditions sweep on it reclaims no byte), and
+#      --compact after a --conditions sweep on it reclaims no byte), a
+#      second --compact that rewrites the compacted store byte for byte,
+#      --compact of a missing path exiting 1 and creating nothing, and
 #      {"store":...} and {"compact":...} stats lines that stay JSON for a
 #      path holding '"' and '\'; span counts in --trace output showing
 #      that --explain runs no second analysis and that --reorder's
@@ -246,6 +248,21 @@ run ./build/examples/termilog_cli --conditions --store "$single/log.store" \
     >/dev/null 2>&1
 run ./build/examples/termilog_cli --compact "$single/log.store" \
     2>"$single/compact.err"
+# Compaction is deterministic and idempotent: compacting the compacted
+# store rewrites the same bytes.
+cp "$single/log.store" "$single/once.store"
+run ./build/examples/termilog_cli --compact "$single/log.store" 2>/dev/null
+run cmp "$single/once.store" "$single/log.store"
+# A mistyped path is an error, and --compact creates nothing there.
+rc=0
+./build/examples/termilog_cli --compact "$single/missing.store" \
+    2>"$single/missing.err" || rc=$?
+if [[ "$rc" -ne 1 || -e "$single/missing.store" ]]; then
+  echo "check.sh: --compact of a missing path exited $rc (want 1) or" \
+       "created a file" >&2
+  cat "$single/missing.err" >&2
+  exit 1
+fi
 # The stats lines are JSON whatever the path holds.
 esc="$single/a\"b\\c.store"
 run ./build/examples/termilog_cli --corpus perm --store "$esc" >/dev/null \
@@ -473,9 +490,9 @@ if [[ "${1:-}" == "--serve" ]]; then
   ./build/examples/termilog_cli --connect "unix:$sock" \
       --batch "$manifest" --clients 4 >/dev/null 2>&1 &
   loader=$!
-  # Wait until the write-behind thread has demonstrably persisted work,
-  # then kill the server without ceremony; the loader's half-dead
-  # connections are allowed to fail.
+  # Wait until the workers have demonstrably persisted work, then kill
+  # the server without ceremony; the loader's half-dead connections are
+  # allowed to fail.
   for _ in $(seq 1 200); do
     size=$(stat -c %s "$store" 2>/dev/null || echo 0)
     [[ "$size" -gt 4096 ]] && break
@@ -703,8 +720,8 @@ if [[ "${1:-}" == "--crash" ]]; then
       --store "$store" >"$workdir/out.killed.jsonl" \
       2>"$workdir/err.killed.txt" &
   victim=$!
-  # Wait until the write-behind thread has demonstrably persisted work
-  # (the store outgrows its 16-byte header), then kill without ceremony.
+  # Wait until the workers have demonstrably persisted work (the store
+  # outgrows its 16-byte header), then kill without ceremony.
   for _ in $(seq 1 200); do
     size=$(stat -c %s "$store" 2>/dev/null || echo 0)
     [[ "$size" -gt 4096 ]] && break

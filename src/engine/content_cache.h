@@ -92,9 +92,10 @@ class ContentCache {
 
   /// Registers a callback invoked (outside the cache lock, on the
   /// computing worker's thread) for every freshly computed outcome that
-  /// the cache retains — the write-behind persistence hook. Preloaded and
-  /// non-retainable outcomes never fire it. Must be set before concurrent
-  /// GetOrCompute traffic begins; the callback must be thread-safe.
+  /// the cache retains — the hook that appends it to an attached store.
+  /// Preloaded and non-retainable outcomes never fire it. Must be set
+  /// before concurrent GetOrCompute traffic begins; the callback must be
+  /// thread-safe.
   void SetNewEntryListener(Listener listener);
 
   CacheStats stats() const;
@@ -178,8 +179,8 @@ Outcome ContentCache<Outcome>::GetOrCompute(
     listener = new_entry_listener_;
   }
   ready_cv_.notify_all();
-  // Persistence hook, outside the lock so the write-behind queue's own
-  // lock never nests inside the cache mutex. Only retained outcomes are
+  // Persistence hook, outside the lock so the store's own lock (and its
+  // write) never nests inside the cache mutex. Only retained outcomes are
   // offered: a starved outcome must not outlive the run, on disk least of
   // all.
   if (retained && listener) listener(key, outcome);

@@ -14,7 +14,6 @@
 #include "engine/canonical.h"
 #include "obs/obs.h"
 #include "persist/store.h"
-#include "persist/writer.h"
 #include "util/check.h"
 #include "util/failpoint.h"
 #include "util/string_util.h"
@@ -246,9 +245,8 @@ Status BatchEngine::AttachStore(
   Status audit = SelfCheck();
   if (!audit.ok()) return audit;
   store_ = std::move(store);
-  writer_ = std::make_unique<persist::StoreWriter>(store_.get());
   auto persist = [this](const std::string& key, const auto& outcome) {
-    writer_->Enqueue(key, outcome);
+    (void)store_->Append(key, outcome);
   };
   cache_.SetNewEntryListener(persist);
   inference_cache_.SetNewEntryListener(persist);
@@ -256,8 +254,8 @@ Status BatchEngine::AttachStore(
 }
 
 Status BatchEngine::FlushStore() {
-  if (writer_ == nullptr) return Status::Ok();
-  return writer_->Drain();
+  if (store_ == nullptr) return Status::Ok();
+  return store_->Flush();
 }
 
 void BatchEngine::Submit(const BatchRequest& request,

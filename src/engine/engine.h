@@ -20,7 +20,6 @@ namespace termilog {
 
 namespace persist {
 class PersistentStore;
-class StoreWriter;
 }  // namespace persist
 
 /// One unit of batch work: analyze `query` (with `adornment`) over
@@ -136,9 +135,8 @@ struct EngineOptions {
 class BatchEngine {
  public:
   explicit BatchEngine(EngineOptions options = EngineOptions());
-  /// Waits for every submitted request to complete, joins the workers,
-  /// then drains the write-behind queue and flushes the store, if
-  /// attached.
+  /// Waits for every submitted request to complete and joins the
+  /// workers; the store, if attached, is flushed and closed after them.
   ~BatchEngine();
 
   BatchEngine(const BatchEngine&) = delete;
@@ -148,16 +146,16 @@ class BatchEngine {
   /// entry moves into the cache of its kind, so the store keeps no copy
   /// (each already passed the store's per-record CRC and decode
   /// validation; Preload re-screens it), both caches are audited with
-  /// SelfCheck, and a write-behind thread persists newly computed
-  /// outcomes of both kinds without blocking workers. A SelfCheck failure
-  /// is returned (the CLI maps it to exit code 5) and the store stays
-  /// detached. Call before the first Submit or Run.
+  /// SelfCheck, and the worker that computes a new outcome of either kind
+  /// appends it to the store. A SelfCheck failure is returned (the CLI
+  /// maps it to exit code 5) and the store stays detached. Call before
+  /// the first Submit or Run.
   Status AttachStore(std::unique_ptr<persist::PersistentStore> store);
 
-  /// Blocks until every queued write-behind entry is on disk and the
-  /// store is fsynced; returns the first persistence error seen. OK and
-  /// a no-op when no store is attached — shutdown flushes implicitly,
-  /// this is the explicit durability point for long-running serve mode.
+  /// Flushes and fsyncs the store; non-OK once a failed append has broken
+  /// its handle. OK and a no-op when no store is attached — shutdown
+  /// flushes implicitly, this is the explicit durability point for
+  /// long-running serve mode.
   Status FlushStore();
 
   /// The attached store (null when none). The engine owns it.
@@ -213,11 +211,9 @@ class BatchEngine {
   std::condition_variable idle_cv_;
   EngineStats stats_;
   int64_t in_flight_ = 0;
-  // Declaration order matters for shutdown: the writer drains into the
-  // store on destruction, so it must die first (members are destroyed in
-  // reverse order). The destructor joins the workers before either.
+  // Workers append to the store; the destructor joins them before the
+  // store closes.
   std::unique_ptr<persist::PersistentStore> store_;
-  std::unique_ptr<persist::StoreWriter> writer_;
   std::unique_ptr<TaskQueue> queue_;
   std::vector<std::thread> workers_;
 };

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "util/failpoint.h"
@@ -326,28 +325,62 @@ Result<std::pair<std::string, CachedInferenceOutcome>> DecodeInferenceRecord(
 
 namespace {
 
+// The whole file in one read into a string of its size; empty when the
+// path is absent, not a regular file, or unreadable.
 std::string ReadFileBytes(const std::string& path) {
+  std::error_code ec;
+  const uintmax_t size = std::filesystem::file_size(path, ec);
+  if (ec || size == 0) return std::string();
+  std::string bytes(size, '\0');
   std::ifstream in(path, std::ios::binary);
-  if (!in) return std::string();
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+  if (!in.read(bytes.data(), static_cast<std::streamsize>(size))) {
+    return std::string();
+  }
+  return bytes;
 }
 
-// Magic and header CRC; the version is checked apart so Open can say which
-// one failed.
-bool HeaderIntact(std::string_view bytes) {
-  return bytes.size() >= kHeaderSize &&
-         std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) == 0 &&
-         GetU32(bytes.data() + 12) == Crc32(bytes.substr(0, 12));
+// Reads the log at `path` for replay under rule 1: a file whose header is
+// unreadable or of another format version is not ours to decode, so it is
+// set aside whole as PATH.quarantined (nothing is deleted) and reads as
+// empty, like an absent file. Fails only when the rename does.
+Result<std::string> ReadLog(const std::string& path, StoreStats* stats) {
+  std::string bytes = ReadFileBytes(path);
+  if (bytes.empty()) return bytes;
+  // Magic and header CRC; the version is checked apart so the note can
+  // say which one failed.
+  const bool header_ok =
+      bytes.size() >= kHeaderSize &&
+      std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) == 0 &&
+      GetU32(bytes.data() + 12) == Crc32(std::string_view(bytes.data(), 12));
+  const uint32_t version = header_ok ? GetU32(bytes.data() + 8) : 0;
+  if (header_ok && version == kStoreFormatVersion) return bytes;
+  const std::string aside = path + ".quarantined";
+  std::error_code ec;
+  std::filesystem::rename(path, aside, ec);
+  if (ec) {
+    return Status::Internal(StrCat("store: cannot quarantine unreadable file ",
+                                   path, ": ", ec.message()));
+  }
+  stats->file_quarantined = true;
+  stats->notes.push_back(
+      !header_ok ? StrCat("store header unreadable; file set aside as ", aside)
+                 : StrCat("store format version ", version, " != ",
+                          kStoreFormatVersion, "; file set aside as ", aside));
+  return std::string();
 }
 
-uint32_t HeaderVersion(std::string_view bytes) {
-  return bytes.size() >= kHeaderSize ? GetU32(bytes.data() + 8) : 0;
+// Dispatches on a payload's record-type byte. Each decoder validates its
+// own type byte again; anything else (including types from the future)
+// lands in DecodeRecord's "unknown record type" rejection and is
+// quarantined per record — the forward-compatibility contract that let the
+// inference record type ship without a version bump.
+bool IsInferenceRecord(std::string_view payload) {
+  return !payload.empty() &&
+         static_cast<uint8_t>(payload[0]) == kRecordTypeInference;
 }
 
 // Applies one decoded record to the live set of its kind, last write
-// winning; a decode failure passes through for the caller to quarantine.
+// winning; a decode failure passes through for the walk to quarantine.
 template <typename Outcome>
 Status Apply(Result<std::pair<std::string, Outcome>> record,
              std::map<std::string, Outcome>* live) {
@@ -357,12 +390,16 @@ Status Apply(Result<std::pair<std::string, Outcome>> record,
 }
 
 // The frame walk Open and Compact share, over a log whose header is
-// intact: applies every good record to `live`, quarantines a record whose
-// payload fails its CRC or decode (the scan continues at the next frame),
-// and stops at a torn or untrustworthy frame header, noting each event in
-// `stats`. Returns the end of the last intact frame, where appends resume.
-size_t ReplayFrames(std::string_view bytes, PersistentStore::LiveSets* live,
-                    StoreStats* stats) {
+// intact. Each frame whose payload passes its CRC goes to `apply(frame,
+// payload)`; a failed CRC, or a non-OK status from `apply` (a decode
+// failure), quarantines the record and the scan continues at the next
+// frame. A torn or untrustworthy frame header ends the walk. Each event is
+// noted in `stats`, with the bytes after the last intact frame as
+// `tail_bytes_truncated`; returns the end of that frame, where appends
+// resume.
+template <typename Visitor>
+size_t ReplayFrames(std::string_view bytes, StoreStats* stats,
+                    Visitor apply) {
   size_t valid_end = kHeaderSize;
   size_t pos = kHeaderSize;
   while (pos < bytes.size()) {
@@ -386,9 +423,10 @@ size_t ReplayFrames(std::string_view bytes, PersistentStore::LiveSets* live,
                                     "; tail truncated"));
       break;
     }
-    std::string_view payload = bytes.substr(pos + kFrameHeaderSize, len);
+    std::string_view frame = bytes.substr(pos, kFrameHeaderSize + len);
+    std::string_view payload = frame.substr(kFrameHeaderSize);
     const size_t offset = pos;
-    pos += kFrameHeaderSize + len;
+    pos += frame.size();
     valid_end = pos;  // framing is intact, whatever the payload holds
     if (Crc32(payload) != payload_crc) {
       ++stats->records_quarantined;
@@ -396,22 +434,14 @@ size_t ReplayFrames(std::string_view bytes, PersistentStore::LiveSets* live,
                                     " failed its checksum; quarantined"));
       continue;
     }
-    // Dispatch on the record-type byte. Each decoder validates its own
-    // type byte again; anything else (including types from the future)
-    // lands in DecodeRecord's "unknown record type" rejection and is
-    // quarantined per-record — the forward-compatibility contract that
-    // let the inference record type ship without a version bump.
-    Status applied =
-        !payload.empty() &&
-                static_cast<uint8_t>(payload[0]) == kRecordTypeInference
-            ? Apply(DecodeInferenceRecord(payload), &live->inferences)
-            : Apply(DecodeRecord(payload), &live->sccs);
+    Status applied = apply(frame, payload);
     if (!applied.ok()) {
       ++stats->records_quarantined;
       stats->notes.push_back(StrCat("record at offset ", offset, ": ",
                                     applied.message(), "; quarantined"));
     }
   }
+  stats->tail_bytes_truncated = static_cast<int64_t>(bytes.size() - valid_end);
   return valid_end;
 }
 
@@ -432,50 +462,15 @@ PersistentStore::~PersistentStore() {
 
 Result<std::unique_ptr<PersistentStore>> PersistentStore::Open(
     const std::string& path) {
-  namespace fs = std::filesystem;
   // Replay fills the handle's members directly; the file is attached once
   // recovery has settled where appends resume.
   std::unique_ptr<PersistentStore> store(new PersistentStore(path, nullptr));
   StoreStats& stats = store->stats_;
-  std::string bytes = ReadFileBytes(path);
-
-  bool fresh = bytes.empty();
-  if (!fresh) {
-    // Header validation: magic, version, header CRC. Anything off means
-    // the file is not ours to decode — set it aside whole and start
-    // empty (its entries degrade to cache misses; nothing is deleted).
-    bool header_ok = HeaderIntact(bytes);
-    uint32_t version = HeaderVersion(bytes);
-    if (!header_ok || version != kStoreFormatVersion) {
-      std::string aside = path + ".quarantined";
-      std::error_code ec;
-      fs::rename(path, aside, ec);
-      if (ec) {
-        return Status::Internal(
-            StrCat("store: cannot quarantine unreadable file ", path, ": ",
-                   ec.message()));
-      }
-      stats.file_quarantined = true;
-      stats.notes.push_back(
-          !header_ok
-              ? StrCat("store header unreadable; file set aside as ", aside)
-              : StrCat("store format version ", version, " != ",
-                       kStoreFormatVersion, "; file set aside as ", aside));
-      fresh = true;
-      bytes.clear();
-    }
-  }
-
-  size_t valid_end = kHeaderSize;
-  if (!fresh) {
-    valid_end = ReplayFrames(bytes, &store->recovered_, &stats);
-    stats.tail_bytes_truncated =
-        static_cast<int64_t>(bytes.size() - valid_end);
-    stats.records_loaded = store->recovered_.size();
-  }
+  Result<std::string> bytes = ReadLog(path, &stats);
+  if (!bytes.ok()) return bytes.status();
 
   std::FILE* file = nullptr;
-  if (fresh) {
+  if (bytes->empty()) {
     file = std::fopen(path.c_str(), "wb");
     if (file == nullptr) {
       return Status::Internal(StrCat("store: cannot create ", path));
@@ -487,9 +482,17 @@ Result<std::unique_ptr<PersistentStore>> PersistentStore::Open(
     }
     std::fflush(file);
   } else {
-    if (valid_end < bytes.size()) {
+    LiveSets& live = store->recovered_;
+    const size_t valid_end = ReplayFrames(
+        *bytes, &stats, [&live](std::string_view, std::string_view payload) {
+          return IsInferenceRecord(payload)
+                     ? Apply(DecodeInferenceRecord(payload), &live.inferences)
+                     : Apply(DecodeRecord(payload), &live.sccs);
+        });
+    stats.records_loaded = live.size();
+    if (valid_end < bytes->size()) {
       std::error_code ec;
-      fs::resize_file(path, valid_end, ec);
+      std::filesystem::resize_file(path, valid_end, ec);
       if (ec) {
         return Status::Internal(StrCat("store: cannot truncate torn tail of ",
                                        path, ": ", ec.message()));
@@ -504,6 +507,59 @@ Result<std::unique_ptr<PersistentStore>> PersistentStore::Open(
 
   store->file_ = file;
   return store;
+}
+
+Result<StoreStats> PersistentStore::Compact(const std::string& path) {
+  std::error_code ec;
+  if (!std::filesystem::exists(path, ec)) {
+    return Status::NotFound(StrCat("no store at ", path));
+  }
+  StoreStats stats;
+  Result<std::string> bytes = ReadLog(path, &stats);
+  if (!bytes.ok()) return bytes.status();
+  // The live frame of each key, by kind: views into `bytes`, so the replay
+  // keeps no decoded outcome. A frame that decodes is written verbatim;
+  // EncodeRecord is deterministic, so this is the frame re-encoding its
+  // record would give.
+  std::map<std::string_view, std::string_view> sccs, inferences;
+  auto keep_live_frame = [&sccs, &inferences](std::string_view frame,
+                                              std::string_view payload) {
+    const bool inference = IsInferenceRecord(payload);
+    Status decoded = inference ? DecodeInferenceRecord(payload).status()
+                               : DecodeRecord(payload).status();
+    if (!decoded.ok()) return decoded;
+    // A payload that decodes opens [type u8][key length u32][key].
+    std::string_view key = payload.substr(5, GetU32(payload.data() + 1));
+    (inference ? inferences : sccs).insert_or_assign(key, frame);
+    return Status::Ok();
+  };
+  if (!bytes->empty()) ReplayFrames(*bytes, &stats, keep_live_frame);
+  stats.records_loaded = static_cast<int64_t>(sccs.size() + inferences.size());
+
+  const std::string tmp = path + ".tmp";
+  std::FILE* out = std::fopen(tmp.c_str(), "wb");
+  if (out == nullptr) {
+    return Status::Internal(StrCat("store: cannot create ", tmp));
+  }
+  const std::string header = HeaderBytes();
+  bool ok = std::fwrite(header.data(), 1, header.size(), out) == header.size();
+  for (const auto* live : {&sccs, &inferences}) {
+    for (auto it = live->begin(); ok && it != live->end(); ++it) {
+      ok = std::fwrite(it->second.data(), 1, it->second.size(), out) ==
+           it->second.size();
+    }
+  }
+  ok = ok && std::fflush(out) == 0 && ::fsync(fileno(out)) == 0;
+  std::fclose(out);
+  if (!ok) {
+    std::remove(tmp.c_str());
+    return Status::Internal("store: compaction write failed");
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return Status::Internal("store: compaction rename failed");
+  }
+  return stats;
 }
 
 PersistentStore::LiveSets PersistentStore::TakeRecovered() {
@@ -563,57 +619,6 @@ Status PersistentStore::Flush() {
     return Status::Internal("store: flush failed; handle marked broken");
   }
   return Status::Ok();
-}
-
-Result<int64_t> PersistentStore::Compact() {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Replay what this handle has written, so flush its buffer first; what
-  // a failed flush leaves out is lost like any unflushed write.
-  if (file_ != nullptr && std::fflush(file_) != 0) broken_ = true;
-  const std::string bytes = ReadFileBytes(path_);
-  if (!HeaderIntact(bytes) || HeaderVersion(bytes) != kStoreFormatVersion) {
-    return Status::Internal(
-        StrCat("store: ", path_, " lost its header; not compacted"));
-  }
-  LiveSets live;
-  StoreStats replayed;  // Open has already reported what recovery drops
-  ReplayFrames(bytes, &live, &replayed);
-
-  const std::string tmp = path_ + ".tmp";
-  std::FILE* out = std::fopen(tmp.c_str(), "wb");
-  if (out == nullptr) {
-    return Status::Internal(StrCat("store: cannot create ", tmp));
-  }
-  std::string header = HeaderBytes();
-  bool ok = std::fwrite(header.data(), 1, header.size(), out) == header.size();
-  auto write_live_set = [&ok, out](const auto& records) {
-    for (auto it = records.begin(); ok && it != records.end(); ++it) {
-      std::string frame = FrameBytes(EncodeRecord(it->first, it->second));
-      ok = std::fwrite(frame.data(), 1, frame.size(), out) == frame.size();
-    }
-  };
-  write_live_set(live.sccs);
-  write_live_set(live.inferences);
-  ok = ok && std::fflush(out) == 0 && ::fsync(fileno(out)) == 0;
-  std::fclose(out);
-  if (!ok) {
-    std::remove(tmp.c_str());
-    return Status::Internal("store: compaction write failed");
-  }
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("store: compaction rename failed");
-  }
-  // The old append handle now points at the unlinked pre-compaction
-  // inode; swap it for the new file, which holds only whole frames.
-  if (file_ != nullptr) std::fclose(file_);
-  file_ = std::fopen(path_.c_str(), "ab");
-  if (file_ == nullptr) {
-    broken_ = true;
-    return Status::Internal("store: cannot reopen after compaction");
-  }
-  broken_ = false;
-  return live.size();
 }
 
 StoreStats PersistentStore::stats() const {

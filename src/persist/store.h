@@ -99,11 +99,11 @@ struct StoreStats {
 ///     frame.
 /// A corrupt entry therefore degrades to a cache miss, never to a wrong
 /// verdict. Duplicate keys resolve last-write-wins, so re-appending an
-/// entry is harmless and Compact() drops shadowed records.
+/// entry is harmless and Compact drops shadowed records.
 ///
-/// Thread contract: Open returns an exclusive handle; Append/Flush/
-/// Compact are individually thread-safe (internal mutex) so a
-/// write-behind thread and a foreground Flush may overlap.
+/// Thread contract: Open returns an exclusive handle; Append and Flush
+/// are thread-safe (one internal mutex), so engine workers append the
+/// outcomes they compute directly while another thread flushes.
 class PersistentStore {
  public:
   /// The live set of each record kind: the last write per key. The two
@@ -125,6 +125,14 @@ class PersistentStore {
   static Result<std::unique_ptr<PersistentStore>> Open(
       const std::string& path);
 
+  /// Compacts the closed log at `path` offline: replays it with Open's
+  /// recovery rules, decoding each record once, and writes the last good
+  /// frame of each key (SCC keys, then inference keys, in key order) to
+  /// PATH.tmp, fsynced and renamed over PATH. Returns what the replay
+  /// found (`records_loaded` records are written); kNotFound, creating
+  /// nothing, when no file is at `path`.
+  static Result<StoreStats> Compact(const std::string& path);
+
   ~PersistentStore();
   PersistentStore(const PersistentStore&) = delete;
   PersistentStore& operator=(const PersistentStore&) = delete;
@@ -144,15 +152,10 @@ class PersistentStore {
   template <typename Outcome>
   Status Append(const std::string& key, const Outcome& outcome);
 
-  /// Durability point: flushes stdio buffers and fsyncs the file.
+  /// Durability point: flushes stdio buffers and fsyncs the file. Fails
+  /// once a failed write has broken the handle.
   Status Flush();
 
-  /// Rebuilds the live sets by replaying the file with Open's recovery
-  /// rules, writes them to PATH.tmp and atomically renames it over PATH,
-  /// dropping shadowed duplicates and quarantined frames. A torn tail is
-  /// not replayed, so compaction also heals a handle a torn write broke.
-  /// Returns the number of records written.
-  Result<int64_t> Compact();
 
   StoreStats stats() const;
   const std::string& path() const { return path_; }
@@ -162,7 +165,7 @@ class PersistentStore {
 
   const std::string path_;
   mutable std::mutex mu_;
-  std::FILE* file_ = nullptr;  // append handle; null once broken
+  std::FILE* file_ = nullptr;  // append handle, attached by Open
   bool broken_ = false;
   LiveSets recovered_;  // what Open replayed, until TakeRecovered
   StoreStats stats_;

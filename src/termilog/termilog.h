@@ -44,7 +44,6 @@
 #include "net/net.h"
 #include "obs/obs.h"
 #include "persist/store.h"
-#include "persist/writer.h"
 #include "program/ast.h"
 #include "program/modes.h"
 #include "program/parser.h"

@@ -15,6 +15,8 @@ const char* CodeName(StatusCode code) {
       return "INTERNAL";
     case StatusCode::kResourceExhausted:
       return "RESOURCE_EXHAUSTED";
+    case StatusCode::kNotFound:
+      return "NOT_FOUND";
   }
   return "UNKNOWN";
 }

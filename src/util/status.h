@@ -17,6 +17,7 @@ enum class StatusCode {
   kUnsupported,      // input outside the method's preconditions
   kInternal,         // invariant violation that was recoverable
   kResourceExhausted,  // configured limit (rows, iterations) exceeded
+  kNotFound,           // a named file does not exist
 };
 
 /// Lightweight status object: a code plus a human-readable message.
@@ -39,6 +40,9 @@ class Status {
   }
   static Status ResourceExhausted(std::string msg) {
     return Status(StatusCode::kResourceExhausted, std::move(msg));
+  }
+  static Status NotFound(std::string msg) {
+    return Status(StatusCode::kNotFound, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

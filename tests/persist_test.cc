@@ -7,8 +7,8 @@
 // cache miss, never to a wrong verdict.
 //
 // Lives in termilog_engine_tests so the ASan and TSan trees run it
-// (scripts/check.sh): the write-behind path is exactly where a lifetime
-// or lock-order mistake would surface.
+// (scripts/check.sh): engine workers append through one store handle,
+// exactly where a lifetime or lock-order mistake would surface.
 
 #include <gtest/gtest.h>
 
@@ -26,7 +26,6 @@
 #include "engine/report_json.h"
 #include "gen/gen.h"
 #include "persist/store.h"
-#include "persist/writer.h"
 #include "util/failpoint.h"
 
 namespace termilog {
@@ -34,7 +33,6 @@ namespace {
 
 namespace fs = std::filesystem;
 using persist::PersistentStore;
-using persist::StoreWriter;
 
 std::string TempStorePath(const char* name) {
   return (fs::path(::testing::TempDir()) / name).string();
@@ -286,21 +284,35 @@ TEST(PersistStoreTest, CompactDropsShadowedRecordsAndKeepsLiveSet) {
                         .ok());
       }
     }
-    ASSERT_TRUE((*store)->Flush().ok());
-    int64_t before = static_cast<int64_t>(fs::file_size(path));
-    Result<int64_t> written = (*store)->Compact();
-    ASSERT_TRUE(written.ok());
-    EXPECT_EQ(*written, 3);
-    EXPECT_LT(static_cast<int64_t>(fs::file_size(path)), before);
-    // Compaction replays what the handle wrote, unflushed appends too.
-    ASSERT_TRUE((*store)->Append("key3", SampleOutcome(3)).ok());
-    written = (*store)->Compact();
-    ASSERT_TRUE(written.ok());
-    EXPECT_EQ(*written, 4);
   }
+  const int64_t before = static_cast<int64_t>(fs::file_size(path));
+  Result<persist::StoreStats> compacted = PersistentStore::Compact(path);
+  ASSERT_TRUE(compacted.ok()) << compacted.status().ToString();
+  EXPECT_EQ(compacted->records_loaded, 3);
+  EXPECT_EQ(compacted->records_quarantined, 0);
+  EXPECT_LT(static_cast<int64_t>(fs::file_size(path)), before);
+  EXPECT_FALSE(fs::exists(path + ".tmp"));
+  // The live frames are written verbatim in key order, which is what
+  // appending each live record afresh in that order writes.
+  const std::string compacted_bytes = ReadFile(path);
+  const std::string fresh_path = TempStorePath("persist_compact_fresh.store");
+  RemoveStoreFiles(fresh_path);
+  {
+    auto fresh = PersistentStore::Open(fresh_path);
+    ASSERT_TRUE(fresh.ok());
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE((*fresh)
+                      ->Append("key" + std::to_string(i), SampleOutcome(i + 2))
+                      .ok());
+    }
+  }
+  EXPECT_EQ(ReadFile(fresh_path), compacted_bytes);
+  RemoveStoreFiles(fresh_path);
+  // Compacting a compacted store rewrites the same bytes.
+  ASSERT_TRUE(PersistentStore::Compact(path).ok());
+  EXPECT_EQ(ReadFile(path), compacted_bytes);
   PersistentStore::LiveSets live = Recover(path);
-  EXPECT_EQ(live.size(), 4);
-  EXPECT_TRUE(OutcomesEqual(live.sccs.at("key3"), SampleOutcome(3)));
+  EXPECT_EQ(live.size(), 3);
   for (int i = 0; i < 3; ++i) {
     // Last write wins: the round-2 values survive compaction.
     EXPECT_TRUE(OutcomesEqual(live.sccs.at("key" + std::to_string(i)),
@@ -309,30 +321,20 @@ TEST(PersistStoreTest, CompactDropsShadowedRecordsAndKeepsLiveSet) {
   RemoveStoreFiles(path);
 }
 
+TEST(PersistStoreTest, CompactOfAMissingPathCreatesNothing) {
+  std::string path = TempStorePath("persist_compact_missing.store");
+  RemoveStoreFiles(path);
+  Result<persist::StoreStats> compacted = PersistentStore::Compact(path);
+  ASSERT_FALSE(compacted.ok());
+  EXPECT_EQ(compacted.status().code(), StatusCode::kNotFound);
+  EXPECT_FALSE(fs::exists(path));
+  EXPECT_FALSE(fs::exists(path + ".tmp"));
+}
+
 TEST(PersistStoreTest, TornWriteFailpointIsRecoveredOnReopen) {
   std::string path = TempStorePath("persist_torn.store");
-  RemoveStoreFiles(path);
-  {
-    auto store = PersistentStore::Open(path);
-    ASSERT_TRUE(store.ok());
-    ASSERT_TRUE((*store)->Append("good", SampleOutcome(0)).ok());
-    FailpointRegistry::Global().EnableFromSpec("persist.append");
-    EXPECT_FALSE((*store)->Append("torn", SampleOutcome(1)).ok());
-    FailpointRegistry::Global().Clear();
-    // The handle is broken: later appends fail instead of interleaving
-    // bytes after a half-written frame.
-    EXPECT_FALSE((*store)->Append("after", SampleOutcome(2)).ok());
-    EXPECT_GE((*store)->stats().append_failures, 2);
-    // Compaction heals the handle: replay stops at the torn frame, so the
-    // rewritten log holds only whole frames.
-    Result<int64_t> written = (*store)->Compact();
-    ASSERT_TRUE(written.ok());
-    EXPECT_EQ(*written, 1);
-    EXPECT_TRUE((*store)->Append("after", SampleOutcome(2)).ok());
-  }
-  {
-    // Replay the torn tail without the healing compaction: half a frame
-    // on disk, then reopen.
+  // Leaves `path` holding one good frame and half of a second.
+  auto tear = [&path] {
     RemoveStoreFiles(path);
     auto store = PersistentStore::Open(path);
     ASSERT_TRUE(store.ok());
@@ -340,7 +342,27 @@ TEST(PersistStoreTest, TornWriteFailpointIsRecoveredOnReopen) {
     FailpointRegistry::Global().EnableFromSpec("persist.append");
     EXPECT_FALSE((*store)->Append("torn", SampleOutcome(1)).ok());
     FailpointRegistry::Global().Clear();
+    // The handle is broken: later appends fail instead of interleaving
+    // bytes after a half-written frame, and so does the flush.
+    EXPECT_FALSE((*store)->Append("after", SampleOutcome(2)).ok());
+    EXPECT_GE((*store)->stats().append_failures, 2);
+    EXPECT_FALSE((*store)->Flush().ok());
+  };
+  tear();
+  {
+    // Offline compaction replays up to the torn frame, so the rewritten
+    // log holds only whole frames.
+    Result<persist::StoreStats> compacted = PersistentStore::Compact(path);
+    ASSERT_TRUE(compacted.ok());
+    EXPECT_GT(compacted->tail_bytes_truncated, 0);
+    EXPECT_EQ(compacted->records_loaded, 1);
+    auto store = PersistentStore::Open(path);
+    ASSERT_TRUE(store.ok());
+    EXPECT_EQ((*store)->stats().tail_bytes_truncated, 0);
+    EXPECT_TRUE((*store)->Append("after", SampleOutcome(2)).ok());
   }
+  // Reopening the torn log truncates the half frame.
+  tear();
   auto reopened = PersistentStore::Open(path);
   ASSERT_TRUE(reopened.ok());
   EXPECT_GT((*reopened)->stats().tail_bytes_truncated, 0);
@@ -495,14 +517,14 @@ TEST(PersistInferenceTest, MixedRecordKindsRecoverIntoDisjointMaps) {
                              SampleInference(2)));
   EXPECT_TRUE(InferenceEqual(live.inferences.at("inference-scc:b"),
                              SampleInference(1)));
-  // Compaction replays the file, not memory (the handle has handed its
-  // records over): it keeps both kinds and drops the shadowed frame.
-  const int64_t before = static_cast<int64_t>(fs::file_size(path));
-  Result<int64_t> written = (*store)->Compact();
-  ASSERT_TRUE(written.ok());
-  EXPECT_EQ(*written, 4);
-  EXPECT_LT(static_cast<int64_t>(fs::file_size(path)), before);
+  // Compaction of the closed log keeps both kinds and drops the shadowed
+  // frame.
   store->reset();
+  const int64_t before = static_cast<int64_t>(fs::file_size(path));
+  Result<persist::StoreStats> written = PersistentStore::Compact(path);
+  ASSERT_TRUE(written.ok());
+  EXPECT_EQ(written->records_loaded, 4);
+  EXPECT_LT(static_cast<int64_t>(fs::file_size(path)), before);
   PersistentStore::LiveSets compacted = Recover(path);
   EXPECT_EQ(compacted.sccs.size(), 2u);
   EXPECT_EQ(compacted.inferences.size(), 2u);
@@ -574,63 +596,103 @@ TEST(PersistInferenceTest, UnknownRecordTypeIsQuarantinedPerRecord) {
   ASSERT_EQ(live.inferences.size(), 1u);
   EXPECT_TRUE(InferenceEqual(live.inferences.at("inference-scc:x"),
                              SampleInference(3)));
+  // Compaction decodes each record the same way, so the unknown record is
+  // dropped and the rewritten log holds only records Open accepts.
+  store->reset();
+  Result<persist::StoreStats> compacted = PersistentStore::Compact(path);
+  ASSERT_TRUE(compacted.ok());
+  EXPECT_EQ(compacted->records_quarantined, 1);
+  EXPECT_EQ(compacted->records_loaded, 2);
+  auto reopened = PersistentStore::Open(path);
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ((*reopened)->stats().records_quarantined, 0);
+  EXPECT_EQ((*reopened)->stats().records_loaded, 2);
   RemoveStoreFiles(path);
 }
 
-TEST(StoreWriterTest, InferenceEnqueueIsWrittenBehind) {
-  std::string path = TempStorePath("persist_inf_writer.store");
-  RemoveStoreFiles(path);
-  auto opened = PersistentStore::Open(path);
-  ASSERT_TRUE(opened.ok());
-  PersistentStore* store = opened->get();
-  {
-    StoreWriter writer(store, /*queue_capacity=*/64);
-    writer.Enqueue("scc:k", SampleOutcome(0));
-    writer.Enqueue("inference-scc:k", SampleInference(0));
-    ASSERT_TRUE(writer.Drain().ok());
-    EXPECT_EQ(writer.written(), 2);
-  }
-  EXPECT_EQ(store->stats().appends, 2);
-  opened->reset();
-  PersistentStore::LiveSets live = Recover(path);
-  EXPECT_EQ(live.sccs.size(), 1u);
-  EXPECT_EQ(live.inferences.size(), 1u);
-  RemoveStoreFiles(path);
-}
+// StoreWriterTest covers the store's write path. No thread or queue sits
+// in it: engine workers append through one handle, each from the cache
+// listener of the outcome it computed.
 
+// Concurrent appends of both record kinds must each land as one whole
+// frame, and none may be dropped.
 TEST(StoreWriterTest, ConcurrentEnqueueDrainsEverythingWritten) {
-  std::string path = TempStorePath("persist_writer.store");
+  std::string path = TempStorePath("persist_concurrent.store");
   RemoveStoreFiles(path);
-  auto opened = PersistentStore::Open(path);
-  ASSERT_TRUE(opened.ok());
-  PersistentStore* store = opened->get();
+  constexpr int kThreads = 4, kPerThread = 50;
   {
-    StoreWriter writer(store, /*queue_capacity=*/64);
-    constexpr int kThreads = 4, kPerThread = 50;
+    auto store = PersistentStore::Open(path);
+    ASSERT_TRUE(store.ok());
+    PersistentStore* handle = store->get();
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&writer, t] {
+      threads.emplace_back([handle, t] {
         for (int i = 0; i < kPerThread; ++i) {
-          writer.Enqueue("t" + std::to_string(t) + "-" + std::to_string(i),
-                         SampleOutcome(i));
+          const std::string id = std::to_string(t) + "-" + std::to_string(i);
+          EXPECT_TRUE((i % 2 == 0 ? handle->Append("scc:" + id,
+                                                   SampleOutcome(i))
+                                  : handle->Append("inference-scc:" + id,
+                                                   SampleInference(i)))
+                          .ok());
         }
       });
     }
     for (std::thread& thread : threads) thread.join();
-    ASSERT_TRUE(writer.Drain().ok());
-    // Drops are legal under overload (they degrade to future cache
-    // misses) but everything accepted must be on disk after Drain.
-    EXPECT_EQ(writer.written() + writer.dropped(), kThreads * kPerThread);
-    EXPECT_EQ(store->stats().appends, writer.written());
+    EXPECT_EQ(handle->stats().appends, kThreads * kPerThread);
+    ASSERT_TRUE(handle->Flush().ok());
   }
-  int64_t written = store->stats().appends;
-  opened->reset();
   // Every key is distinct, so replay recovers each appended record.
   auto reopened = PersistentStore::Open(path);
   ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ((*reopened)->stats().records_loaded, written);
-  EXPECT_EQ((*reopened)->TakeRecovered().size(), written);
+  EXPECT_EQ((*reopened)->stats().records_loaded, kThreads * kPerThread);
   EXPECT_EQ((*reopened)->stats().records_quarantined, 0);
+  EXPECT_EQ((*reopened)->stats().tail_bytes_truncated, 0);
+  PersistentStore::LiveSets live = (*reopened)->TakeRecovered();
+  EXPECT_EQ(live.sccs.size(), static_cast<size_t>(kThreads * kPerThread / 2));
+  EXPECT_EQ(live.inferences.size(),
+            static_cast<size_t>(kThreads * kPerThread / 2));
+  RemoveStoreFiles(path);
+}
+
+// A store-attached engine appends each new outcome of either kind while
+// the run computes it, not at FlushStore: when Run returns, the store
+// holds one record per retained cache entry, and a reopen after the
+// flush recovers every one of them.
+TEST(StoreWriterTest, InferenceEnqueueIsWrittenBehind) {
+  std::string path = TempStorePath("persist_inf_writer.store");
+  RemoveStoreFiles(path);
+  gen::GenParams params;
+  params.seed = 11;
+  params.count = 20;
+  params.mix_proved = 80;
+  params.mix_not_proved = 20;
+  params.mix_resource_limit = 0;
+  params.name_prefix = "behind";
+  std::vector<BatchRequest> requests =
+      gen::WorkloadToBatchRequests(gen::Generate(params)).value();
+  EngineStats stats;
+  {
+    BatchEngine engine(EngineOptions{/*jobs=*/4, /*use_cache=*/true});
+    auto store = PersistentStore::Open(path);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE(engine.AttachStore(std::move(*store)).ok());
+    engine.Run(requests);
+    stats = engine.stats();
+    EXPECT_GT(stats.unique_sccs, 0);
+    EXPECT_GT(stats.unique_inference_sccs, 0);
+    EXPECT_EQ(engine.store()->stats().appends,
+              stats.unique_sccs + stats.unique_inference_sccs);
+    EXPECT_EQ(engine.store()->stats().append_failures, 0);
+    ASSERT_TRUE(engine.FlushStore().ok());
+  }
+  auto reopened = PersistentStore::Open(path);
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ((*reopened)->stats().records_quarantined, 0);
+  EXPECT_EQ((*reopened)->stats().tail_bytes_truncated, 0);
+  PersistentStore::LiveSets live = (*reopened)->TakeRecovered();
+  EXPECT_EQ(static_cast<int64_t>(live.sccs.size()), stats.unique_sccs);
+  EXPECT_EQ(static_cast<int64_t>(live.inferences.size()),
+            stats.unique_inference_sccs);
   RemoveStoreFiles(path);
 }
 
@@ -664,7 +726,7 @@ TEST(PersistEngineTest, AttachStoreLeavesNoRecoveredRecordInTheStore) {
 }
 
 // The tentpole invariant, end to end: a batch run that persists through
-// the write-behind path, then a *fresh* engine warm-started from the
+// the cache listeners, then a *fresh* engine warm-started from the
 // store, must produce byte-identical report lines while serving nonzero
 // persisted-cache hits — work the first process paid for.
 TEST(PersistEngineTest, WarmStartIsByteIdenticalWithPersistedHits) {
@@ -710,6 +772,55 @@ TEST(PersistEngineTest, WarmStartIsByteIdenticalWithPersistedHits) {
   EXPECT_GT(warm_stats.inference_persisted_loaded, 0);
   EXPECT_GT(warm_stats.inference_persisted_hits, 0);
   EXPECT_EQ(warm_lines, cold_lines);
+  RemoveStoreFiles(path);
+}
+
+// A failed append has no caller waiting on it: it runs in a cache
+// listener on the worker that computed the outcome. It breaks the handle,
+// so it surfaces at FlushStore, and the run's reports are unaffected.
+TEST(PersistEngineTest, AppendFailureSurfacesAtFlushStore) {
+  std::string path = TempStorePath("persist_append_failure.store");
+  RemoveStoreFiles(path);
+  gen::GenParams params;
+  params.seed = 7;
+  params.count = 20;
+  params.mix_proved = 80;
+  params.mix_not_proved = 20;
+  params.mix_resource_limit = 0;
+  params.name_prefix = "torn";
+  std::vector<BatchRequest> requests =
+      gen::WorkloadToBatchRequests(gen::Generate(params)).value();
+  auto lines_of = [&requests](BatchEngine& engine) {
+    std::vector<std::string> lines;
+    for (const BatchItemResult& item : engine.Run(requests)) {
+      lines.push_back(
+          ReportToJsonLine(item.name, "", item.status, item.report));
+    }
+    return lines;
+  };
+  std::vector<std::string> storeless;
+  {
+    BatchEngine engine(EngineOptions{/*jobs=*/2, /*use_cache=*/true});
+    storeless = lines_of(engine);
+  }
+  {
+    BatchEngine engine(EngineOptions{/*jobs=*/2, /*use_cache=*/true});
+    auto store = PersistentStore::Open(path);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE(engine.AttachStore(std::move(*store)).ok());
+    FailpointRegistry::Global().EnableFromSpec("persist.append=1");
+    std::vector<std::string> lines = lines_of(engine);
+    FailpointRegistry::Global().Clear();
+    EXPECT_EQ(lines, storeless);
+    EXPECT_FALSE(engine.FlushStore().ok());
+    EXPECT_GE(engine.store()->stats().append_failures, 1);
+  }
+  // The first append tore: a reopen truncates its half frame and finds no
+  // damaged record.
+  auto reopened = PersistentStore::Open(path);
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_GT((*reopened)->stats().tail_bytes_truncated, 0);
+  EXPECT_EQ((*reopened)->stats().records_quarantined, 0);
   RemoveStoreFiles(path);
 }
 

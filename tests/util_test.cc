@@ -26,6 +26,7 @@ TEST(StatusTest, FactoryCodes) {
   EXPECT_EQ(Status::Internal("x").code(), StatusCode::kInternal);
   EXPECT_EQ(Status::ResourceExhausted("x").code(),
             StatusCode::kResourceExhausted);
+  EXPECT_EQ(Status::NotFound("x").ToString(), "NOT_FOUND: x");
 }
 
 TEST(ResultTest, ValueAccess) {
