@@ -20,8 +20,13 @@
 #      path holding '"' and '\'; span counts in --trace output showing
 #      that --explain runs no second analysis and that --reorder's
 #      attempts hit the run's caches; corpus_report rejecting a
-#      malformed JOBS (exit 1); and --corpus nnf metrics showing that the
-#      FM history filter fires and keeps the prune LPs at or below 450
+#      malformed JOBS (exit 1); --corpus nnf metrics showing that the
+#      FM history filter fires and keeps the prune LPs at or below 450;
+#      and a warm --batch of the 47 corpus entries and a warm corpus
+#      --conditions --batch, each on the store its cold run filled, that
+#      print the cold run's stdout and exit code, append no record and
+#      record no simplex.solves in --metrics (cache keys decide no
+#      emptiness)
 #   2. UBSan pass of the unit and engine suites in build-ubsan/ (the
 #      arithmetic kernel lives in the unit suite; docs/arithmetic.md)
 #   3. ASan+UBSan pass of the unit, engine, obs and condinf suites in
@@ -349,6 +354,55 @@ if filtered <= 0 or prune > 450:
              "simplex.solves.prune %d (want <= 450)" % (filtered, prune))
 PY
 rm -f "$fm_metrics"
+
+# Warm hits cost a key, not an LP: canonical keys render callee polyhedra
+# as stored and decide no emptiness (docs/engine.md, Cache key
+# derivation). A warm --batch of the 47 corpus entries (a text manifest of
+# corpus:NAME lines) and a warm corpus --conditions --batch, each on the
+# store its cold run filled, must print the cold run's bytes and exit
+# code, append no record and solve no LP (keys that decided emptiness
+# solved 147 and 1,448 emptiness LPs here).
+warm="$(mktemp -d)"
+trap 'rm -rf "$warm"' EXIT
+./build/examples/termilog_cli --conditions --jobs 2 2>/dev/null |
+    grep -o '^{"name":"corpus:[^"]*"' | cut -d'"' -f4 >"$warm/corpus.txt"
+if [[ "$(wc -l <"$warm/corpus.txt")" -ne 47 ]]; then
+  echo "check.sh: the corpus manifest lists" \
+       "$(wc -l <"$warm/corpus.txt") entries, want 47" >&2
+  exit 1
+fi
+warm_run() {  # warm_run NAME ARGS...: a cold and a warm run on one store
+  local name="$1" pass rc
+  shift
+  for pass in cold warm; do
+    echo "== termilog_cli $* --store $name.store ($pass)" >&2
+    rc=0
+    ./build/examples/termilog_cli "$@" --store "$warm/$name.store" \
+        --metrics "$warm/$name.$pass.metrics" >"$warm/$name.$pass.out" \
+        2>"$warm/$name.$pass.err" || rc=$?
+    echo "$rc" >"$warm/$name.$pass.rc"
+  done
+  run cmp "$warm/$name.cold.out" "$warm/$name.warm.out"
+  run cmp "$warm/$name.cold.rc" "$warm/$name.warm.rc"
+  if ! grep -q '^{"store":{.*"appends":0,' "$warm/$name.warm.err"; then
+    echo "check.sh: the warm $name run appended records" >&2
+    grep '^{"store"' "$warm/$name.warm.err" >&2
+    exit 1
+  fi
+  run python3 - "$warm/$name.warm.metrics" <<'PY'
+import json
+import sys
+
+counters = json.load(open(sys.argv[1]))["counters"]
+solves = {k: v for k, v in counters.items() if k.startswith("simplex.solves")}
+if solves:
+    sys.exit("check.sh: a warm run served from its store solved LPs: %s"
+             % solves)
+PY
+}
+warm_run batch --batch "$warm/corpus.txt"
+warm_run conditions --conditions --batch "$warm/corpus.txt" --jobs 2
+rm -rf "$warm"
 
 if [[ "${1:-}" == "--tier1-only" ]]; then
   echo "check.sh: tier-1 OK (sanitizer passes skipped)" >&2

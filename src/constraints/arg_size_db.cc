@@ -151,14 +151,18 @@ Result<Polyhedron> ArgSizeDb::ParseSpec(int arity, std::string_view spec) {
   return out;
 }
 
+const std::function<std::string(int)>& ArgSizeDb::ArgNamer() {
+  static const std::function<std::string(int)> namer = [](int column) {
+    return StrCat('a', column + 1);
+  };
+  return namer;
+}
+
 std::string ArgSizeDb::ToString(const Program& program) const {
   std::string out;
   for (const auto& [pred, polyhedron] : entries_) {
-    std::function<std::string(int)> namer = [](int v) {
-      return StrCat("a", v + 1);
-    };
     out += StrCat(program.PredName(pred), ":\n");
-    std::string body = polyhedron.ToString(&namer);
+    std::string body = polyhedron.ToString(&ArgNamer());
     for (const std::string& line : Split(body, '\n')) {
       if (!line.empty()) out += StrCat("  ", line, "\n");
     }

@@ -1,6 +1,7 @@
 #ifndef TERMILOG_CONSTRAINTS_ARG_SIZE_DB_H_
 #define TERMILOG_CONSTRAINTS_ARG_SIZE_DB_H_
 
+#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
@@ -40,6 +41,10 @@ class ArgSizeDb {
 
   /// Multi-line report of every entry, with a1..an placeholders.
   std::string ToString(const Program& program) const;
+
+  /// Names argument column k "a<k+1>": the placeholders ParseSpec reads,
+  /// and the names every rendering of an entry (reports, cache keys) uses.
+  static const std::function<std::string(int)>& ArgNamer();
 
  private:
   std::map<PredId, Polyhedron> entries_;

@@ -8,22 +8,49 @@
 namespace termilog {
 namespace {
 
-// Canonical display names V0, V1, ... for the rule-local variables. Rule
-// variable indices are deterministic for a given source text, so renaming
-// by index makes the rendering independent of the variable names the
-// author chose while staying a pure function of the parsed rule.
-std::vector<std::string> CanonicalVarNames(const Rule& rule) {
-  std::vector<std::string> names(rule.num_vars());
-  for (int v = 0; v < rule.num_vars(); ++v) names[v] = StrCat("V", v);
-  return names;
+// Rule-local variables render as V0, V1, ...: rule variable indices are
+// deterministic for a given source text, so naming by index makes the
+// rendering independent of the names the author chose while staying a
+// pure function of the parsed rule.
+constexpr VarNamer kCanonicalVars{nullptr, "V"};
+
+// A key text is a few hundred bytes to a few KiB; one reservation covers
+// most keys, and the cache stores its own copy of the text.
+constexpr size_t kKeyReserve = 1024;
+
+// Appends the SCC's rules in program order, "  <rule>\n" each.
+void AppendSccRules(const Program& program, const std::set<PredId>& scc_set,
+                    std::string* out) {
+  *out += "rules:\n";
+  for (const Rule& rule : program.rules()) {
+    if (scc_set.count(rule.head.pred_id()) == 0) continue;
+    *out += "  ";
+    rule.AppendTo(out, program.symbols(), kCanonicalVars);
+    out->push_back('\n');
+  }
 }
 
+// Appends a callee polyhedron as stored, over a1..an (Polyhedron::AppendTo:
+// no emptiness is decided, so no LP runs and the shared db is only read).
 void AppendPolyhedron(const Polyhedron& polyhedron, std::string* out) {
-  std::function<std::string(int)> namer = [](int column) {
-    return StrCat("a", column + 1);
-  };
-  *out += polyhedron.ToString(&namer);
-  if (out->empty() || out->back() != '\n') *out += '\n';
+  polyhedron.AppendTo(out, &ArgSizeDb::ArgNamer());
+}
+
+// The stored polyhedron of `pred` in `db`, or null; read in place, with no
+// copy.
+const Polyhedron* FindPolyhedron(const ArgSizeDb& db, const PredId& pred) {
+  auto it = db.entries().find(pred);
+  return it == db.entries().end() ? nullptr : &it->second;
+}
+
+void AppendMode(const std::map<PredId, Adornment>& modes, const PredId& pred,
+                std::string* out) {
+  auto mode = modes.find(pred);
+  if (mode == modes.end()) {
+    out->push_back('-');
+  } else {
+    AppendAdornment(mode->second, out);
+  }
 }
 
 }  // namespace
@@ -70,6 +97,7 @@ SccCacheKey CanonicalInferenceKey(const Program& program,
                                   const ArgSizeDb& db,
                                   const AnalysisOptions& options) {
   std::string text;
+  text.reserve(kKeyReserve);
   std::set<PredId> scc_set(scc_preds.begin(), scc_preds.end());
 
   // The SCC's predicates, in the canonical order entries are emitted in.
@@ -77,24 +105,15 @@ SccCacheKey CanonicalInferenceKey(const Program& program,
   // not depend on the query direction (CanonicalInferenceKey doc comment).
   text += "inference-scc:";
   for (const PredId& pred : scc_preds) {
-    text += StrCat(" ", program.PredName(pred));
+    text.push_back(' ');
+    program.AppendPredName(pred, &text);
   }
-  text += '\n';
+  text.push_back('\n');
 
   // The SCC's rules in program order (RunScc iterates rule indices in
   // ascending order, and hull/widen results depend on iteration order),
   // with canonical variable names.
-  text += "rules:\n";
-  for (const Rule& rule : program.rules()) {
-    if (scc_set.count(rule.head.pred_id()) == 0) continue;
-    std::vector<std::string> vars = CanonicalVarNames(rule);
-    text += StrCat("  ", rule.head.ToString(program.symbols(), vars));
-    for (size_t k = 0; k < rule.body.size(); ++k) {
-      text += k == 0 ? " :- " : ", ";
-      text += rule.body[k].ToString(program.symbols(), vars);
-    }
-    text += ".\n";
-  }
+  AppendSccRules(program, scc_set, &text);
 
   // The polyhedra RuleTransfer instantiates for out-of-SCC positive
   // subgoals. A predicate with no db entry renders as "-" (RuleTransfer
@@ -102,9 +121,11 @@ SccCacheKey CanonicalInferenceKey(const Program& program,
   // identity, distinct from an explicitly supplied orthant.
   text += "callees:\n";
   for (const PredId& pred : InferenceCalleePreds(program, scc_preds)) {
-    text += StrCat("  ", program.PredName(pred), "\n");
-    if (db.Has(pred)) {
-      AppendPolyhedron(db.Get(pred), &text);
+    text += "  ";
+    program.AppendPredName(pred, &text);
+    text.push_back('\n');
+    if (const Polyhedron* stored = FindPolyhedron(db, pred)) {
+      AppendPolyhedron(*stored, &text);
     } else {
       text += "-\n";
     }
@@ -115,14 +136,14 @@ SccCacheKey CanonicalInferenceKey(const Program& program,
   // pruning early — without tripping).
   const InferenceOptions& inference = options.inference;
   const GovernorLimits& limits = options.limits;
-  text += StrCat("inference-options: widen_delay=", inference.widen_delay,
-                 " max_sweeps=", inference.max_sweeps,
-                 " fm_row_limit=", inference.fm.row_limit,
-                 " lp_prune=", inference.fm.lp_prune ? 1 : 0,
-                 " lp_prune_threshold=", inference.fm.lp_prune_threshold,
-                 " deadline_ms=", limits.deadline_ms,
-                 " work_budget=", limits.work_budget,
-                 " limb_limit=", limits.bigint_limb_limit, "\n");
+  StrAppend(&text, "inference-options: widen_delay=", inference.widen_delay,
+            " max_sweeps=", inference.max_sweeps,
+            " fm_row_limit=", inference.fm.row_limit,
+            " lp_prune=", inference.fm.lp_prune,
+            " lp_prune_threshold=", inference.fm.lp_prune_threshold,
+            " deadline_ms=", limits.deadline_ms,
+            " work_budget=", limits.work_budget,
+            " limb_limit=", limits.bigint_limb_limit, "\n");
 
   SccCacheKey key;
   key.digest = Fnv1a64(text);
@@ -136,68 +157,63 @@ SccCacheKey CanonicalSccKey(const Program& program,
                             const ArgSizeDb& db,
                             const AnalysisOptions& options) {
   std::string text;
+  text.reserve(kKeyReserve);
   std::set<PredId> scc_set(scc_preds.begin(), scc_preds.end());
 
   // The SCC's predicates, in the canonical order the analysis will use
   // (this fixes the theta column layout).
   text += "scc:";
   for (const PredId& pred : scc_preds) {
-    text += StrCat(" ", program.PredName(pred));
-    auto mode = modes.find(pred);
-    text += StrCat(":", mode == modes.end()
-                            ? std::string("-")
-                            : AdornmentToString(mode->second));
+    text.push_back(' ');
+    program.AppendPredName(pred, &text);
+    text.push_back(':');
+    AppendMode(modes, pred, &text);
   }
-  text += '\n';
+  text.push_back('\n');
 
   // The SCC's rules, in program order (RuleSystemBuilder::BuildForScc walks
   // rules in program order, so the order is part of the task's identity),
-  // with canonical variable names. Every predicate mentioned is collected
-  // for the callee section below.
+  // with canonical variable names.
+  AppendSccRules(program, scc_set, &text);
+
+  // Adornment and inter-argument constraints of every predicate the rules
+  // mention (callees contribute their imported feasibility constraints to
+  // Eq. 1; predicates without a db entry render as the nonnegative orthant,
+  // so "no knowledge" is part of the identity too). Sorted by name for
+  // program-order independence.
   std::set<PredId> mentioned;
-  text += "rules:\n";
   for (const Rule& rule : program.rules()) {
     if (scc_set.count(rule.head.pred_id()) == 0) continue;
-    std::vector<std::string> vars = CanonicalVarNames(rule);
-    text += StrCat("  ", rule.head.ToString(program.symbols(), vars));
     mentioned.insert(rule.head.pred_id());
-    for (size_t k = 0; k < rule.body.size(); ++k) {
-      text += k == 0 ? " :- " : ", ";
-      text += rule.body[k].ToString(program.symbols(), vars);
-      mentioned.insert(rule.body[k].atom.pred_id());
-    }
-    text += ".\n";
+    for (const Literal& lit : rule.body) mentioned.insert(lit.atom.pred_id());
   }
-
-  // Adornment and inter-argument constraints of every mentioned predicate
-  // (callees contribute their imported feasibility constraints to Eq. 1;
-  // predicates without a db entry render as the nonnegative orthant, so
-  // "no knowledge" is part of the identity too). Sorted by name for
-  // program-order independence.
-  std::vector<PredId> callees =
-      CanonicalSccOrder(program, {mentioned.begin(), mentioned.end()});
   text += "callees:\n";
-  for (const PredId& pred : callees) {
-    auto mode = modes.find(pred);
-    text += StrCat("  ", program.PredName(pred), ":",
-                   mode == modes.end() ? std::string("-")
-                                       : AdornmentToString(mode->second),
-                   "\n");
-    AppendPolyhedron(db.Get(pred), &text);
+  for (const PredId& pred :
+       CanonicalSccOrder(program, {mentioned.begin(), mentioned.end()})) {
+    text += "  ";
+    program.AppendPredName(pred, &text);
+    text.push_back(':');
+    AppendMode(modes, pred, &text);
+    text.push_back('\n');
+    if (const Polyhedron* stored = FindPolyhedron(db, pred)) {
+      AppendPolyhedron(*stored, &text);
+    } else {
+      AppendPolyhedron(Polyhedron::NonNegativeOrthant(pred.arity), &text);
+    }
   }
 
   // Every AnalysisOptions field the per-SCC analysis reads. Governor limits
   // are included because a partially exhausted budget can change a result
   // without tripping (e.g. LP pruning stops early, leaving more rows).
   const GovernorLimits& limits = options.limits;
-  text += StrCat("options: negdeltas=", options.allow_negative_deltas ? 1 : 0,
-                 " validate=", options.validate_certificates ? 1 : 0,
-                 " fm_row_limit=", options.fm.row_limit,
-                 " lp_prune=", options.fm.lp_prune ? 1 : 0,
-                 " lp_prune_threshold=", options.fm.lp_prune_threshold,
-                 " deadline_ms=", limits.deadline_ms,
-                 " work_budget=", limits.work_budget,
-                 " limb_limit=", limits.bigint_limb_limit, "\n");
+  StrAppend(&text, "options: negdeltas=", options.allow_negative_deltas,
+            " validate=", options.validate_certificates,
+            " fm_row_limit=", options.fm.row_limit,
+            " lp_prune=", options.fm.lp_prune,
+            " lp_prune_threshold=", options.fm.lp_prune_threshold,
+            " deadline_ms=", limits.deadline_ms,
+            " work_budget=", limits.work_budget,
+            " limb_limit=", limits.bigint_limb_limit, "\n");
 
   SccCacheKey key;
   key.digest = Fnv1a64(text);

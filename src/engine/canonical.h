@@ -35,7 +35,9 @@ std::vector<PredId> CanonicalSccOrder(const Program& program,
 
 /// Derives the cache key for analyzing the SCC `scc_preds` (already in
 /// canonical order) of `program` under `modes`, the callee constraint store
-/// `db`, and `options`.
+/// `db`, and `options`. Callee polyhedra are read in place and rendered as
+/// stored (Polyhedron::AppendTo): building a key decides no emptiness, so it
+/// runs no LP and only reads `db`, which other workers may read at once.
 SccCacheKey CanonicalSccKey(const Program& program,
                             const std::vector<PredId>& scc_preds,
                             const std::map<PredId, Adornment>& modes,
@@ -54,10 +56,11 @@ std::vector<PredId> InferenceCalleePreds(const Program& program,
 
 /// Derives the cache key for the [VG90] inference fixpoint of the SCC
 /// `scc_preds` (already in canonical order) given the callee constraint
-/// store `db` and `options`. Adornments are deliberately absent: inference
-/// reads no modes (argument sizes are a property of the derivable facts,
-/// not of the query direction), and adornment-conflict cloning renames
-/// predicates, so clones already differ in the rules section.
+/// store `db` and `options`, rendering callee polyhedra as CanonicalSccKey
+/// does. Adornments are deliberately absent: inference reads no modes
+/// (argument sizes are a property of the derivable facts, not of the query
+/// direction), and adornment-conflict cloning renames predicates, so clones
+/// already differ in the rules section.
 SccCacheKey CanonicalInferenceKey(const Program& program,
                                   const std::vector<PredId>& scc_preds,
                                   const ArgSizeDb& db,

@@ -245,11 +245,26 @@ void Polyhedron::Minimize() {
   FourierMotzkin::LpPruneRedundant(&system_);
 }
 
+void Polyhedron::AppendTo(
+    std::string* out, const std::function<std::string(int)>* namer) const {
+  if (known_empty_) {
+    *out += "false\n";
+  } else if (system_.empty()) {
+    *out += "true\n";
+  } else {
+    system_.AppendTo(out, namer);
+  }
+}
+
 std::string Polyhedron::ToString(
     const std::function<std::string(int)>* namer) const {
-  if (IsEmpty()) return "false\n";
-  if (system_.rows().empty()) return "true\n";
-  return system_.ToString(namer);
+  std::string out;
+  if (IsEmpty()) {
+    Empty(num_vars()).AppendTo(&out);
+  } else {
+    AppendTo(&out, namer);
+  }
+  return out;
 }
 
 }  // namespace termilog

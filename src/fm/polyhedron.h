@@ -44,14 +44,19 @@ class Polyhedron {
   /// results of ConvexHull, Widen and Project are nonempty by construction
   /// when their operands are known to be, and record it, as do copies of
   /// them: asking those needs no LP (docs/arithmetic.md, section 4).
+  /// This decides emptiness and writes the mutable cache, so a value other
+  /// threads read must be copied first (RuleTransfer and
+  /// RuleSystemBuilder::BuildOne ask their copies of callee polyhedra).
   bool IsEmpty() const;
 
   /// True when this value is the hard bottom (built by Empty(), or by
   /// Minimize() collapsing a syntactic contradiction): emptiness known
-  /// without any LP work, and `constraints()` holds no rows. Exposed so
-  /// serializers (src/persist/) can reproduce the exact value state —
-  /// IsEmpty() would instead *decide* emptiness, turning a lazily-unknown
-  /// system of rows into a rowless bottom on round trip.
+  /// without any LP work, and `constraints()` holds no rows. Reading it
+  /// decides nothing, so the paths that must render or store a value
+  /// exactly as it is read only this marker: the serializers (src/persist/)
+  /// and AppendTo, and through AppendTo the canonical cache keys. IsEmpty()
+  /// would instead *decide* emptiness, turning a system of rows that is
+  /// empty by LP into a rowless bottom.
   bool known_empty() const { return known_empty_; }
 
   /// True iff every point of the polyhedron satisfies `row`. The empty
@@ -100,8 +105,16 @@ class Polyhedron {
   /// Normalizes rows and removes LP-redundant ones.
   void Minimize();
 
-  /// One row per line; "false" for the empty polyhedron, "true" for the
-  /// universe.
+  /// Appends the value as stored, one line each: "false" for the hard
+  /// bottom (known_empty()), "true" for no rows, the rows otherwise. It
+  /// decides no emptiness (no LP, no cache write), so a system of rows that
+  /// is empty by LP prints its rows; canonical cache keys render callee
+  /// polyhedra through this.
+  void AppendTo(std::string* out,
+                const std::function<std::string(int)>* namer = nullptr) const;
+
+  /// The report rendering: decides emptiness first (IsEmpty(), an LP when
+  /// unknown), so every empty value prints "false"; otherwise AppendTo.
   std::string ToString(
       const std::function<std::string(int)>* namer = nullptr) const;
 

@@ -197,13 +197,26 @@ bool Constraint::operator<(const Constraint& other) const {
   return constant < other.constant;
 }
 
+void Constraint::AppendTo(
+    std::string* out, const std::function<std::string(int)>* namer) const {
+  bool first = true;
+  if (!constant.is_zero() || IsConstantRow()) {
+    constant.AppendTo(out);
+    first = false;
+  }
+  for (size_t i = 0; i < coeffs.size(); ++i) {
+    if (coeffs[i].is_zero()) continue;
+    AppendSumTerm(out, coeffs[i], static_cast<int>(i), first, namer);
+    first = false;
+  }
+  *out += rel == Relation::kEq ? " = 0" : " >= 0";
+}
+
 std::string Constraint::ToString(
     const std::function<std::string(int)>* namer) const {
-  LinearExpr expr(constant);
-  for (size_t i = 0; i < coeffs.size(); ++i) {
-    if (!coeffs[i].is_zero()) expr.SetCoeff(static_cast<int>(i), coeffs[i]);
-  }
-  return StrCat(expr.ToString(namer), rel == Relation::kEq ? " = 0" : " >= 0");
+  std::string out;
+  AppendTo(&out, namer);
+  return out;
 }
 
 void ConstraintSystem::Add(Constraint row) {
@@ -317,13 +330,18 @@ void ConstraintSystem::Resize(int new_num_vars) {
   num_vars_ = new_num_vars;
 }
 
+void ConstraintSystem::AppendTo(
+    std::string* out, const std::function<std::string(int)>* namer) const {
+  for (const Constraint& row : rows_) {
+    row.AppendTo(out, namer);
+    out->push_back('\n');
+  }
+}
+
 std::string ConstraintSystem::ToString(
     const std::function<std::string(int)>* namer) const {
   std::string out;
-  for (const Constraint& row : rows_) {
-    out += row.ToString(namer);
-    out += "\n";
-  }
+  AppendTo(&out, namer);
   return out;
 }
 

@@ -74,7 +74,12 @@ struct Constraint {
   bool operator==(const Constraint& other) const;
   bool operator<(const Constraint& other) const;
 
-  /// Renders e.g. "x0 - 2*x1 + 3 >= 0".
+  /// Appends e.g. "3 + x0 - 2*x1 >= 0" straight from the dense row, in
+  /// LinearExpr::AppendTo's form (the constant first when it is nonzero or
+  /// every coefficient is zero).
+  void AppendTo(std::string* out,
+                const std::function<std::string(int)>* namer = nullptr) const;
+  /// The AppendTo rendering as a string.
   std::string ToString(
       const std::function<std::string(int)>* namer = nullptr) const;
 };
@@ -121,7 +126,10 @@ class ConstraintSystem {
   /// with zero coefficients.
   void Resize(int new_num_vars);
 
-  /// Multi-line rendering, one row per line.
+  /// Appends one row per line, each ending in '\n'.
+  void AppendTo(std::string* out,
+                const std::function<std::string(int)>* namer = nullptr) const;
+  /// The AppendTo rendering as a string.
   std::string ToString(
       const std::function<std::string(int)>* namer = nullptr) const;
 

@@ -92,36 +92,47 @@ int LinearExpr::MaxVar() const {
   return coeffs_.empty() ? -1 : coeffs_.rbegin()->first;
 }
 
-std::string LinearExpr::ToString(
-    const std::function<std::string(int)>* namer) const {
-  std::string out;
+void AppendSumTerm(std::string* out, const Rational& coeff, int var,
+                   bool first, const std::function<std::string(int)>* namer) {
+  const Rational one(1);
+  if (first) {
+    if (coeff == Rational(-1)) {
+      out->push_back('-');
+    } else if (coeff != one) {
+      StrAppend(out, coeff, '*');
+    }
+  } else if (coeff.sign() >= 0) {
+    *out += " + ";
+    if (coeff != one) StrAppend(out, coeff, '*');
+  } else {
+    *out += " - ";
+    Rational mag = coeff.Abs();
+    if (mag != one) StrAppend(out, mag, '*');
+  }
+  if (namer != nullptr) {
+    *out += (*namer)(var);
+  } else {
+    StrAppend(out, 'x', var);
+  }
+}
+
+void LinearExpr::AppendTo(
+    std::string* out, const std::function<std::string(int)>* namer) const {
   bool first = true;
   if (!constant_.is_zero() || coeffs_.empty()) {
-    out += constant_.ToString();
+    constant_.AppendTo(out);
     first = false;
   }
   for (const auto& [var, coeff] : coeffs_) {
-    std::string name = namer ? (*namer)(var) : StrCat("x", var);
-    if (first) {
-      if (coeff == Rational(1)) {
-        out += name;
-      } else if (coeff == Rational(-1)) {
-        out += StrCat("-", name);
-      } else {
-        out += StrCat(coeff.ToString(), "*", name);
-      }
-      first = false;
-      continue;
-    }
-    if (coeff.sign() >= 0) {
-      out += " + ";
-      out += coeff == Rational(1) ? name : StrCat(coeff.ToString(), "*", name);
-    } else {
-      out += " - ";
-      Rational mag = coeff.Abs();
-      out += mag == Rational(1) ? name : StrCat(mag.ToString(), "*", name);
-    }
+    AppendSumTerm(out, coeff, var, first, namer);
+    first = false;
   }
+}
+
+std::string LinearExpr::ToString(
+    const std::function<std::string(int)>* namer) const {
+  std::string out;
+  AppendTo(&out, namer);
   return out;
 }
 

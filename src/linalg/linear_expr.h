@@ -62,8 +62,12 @@ class LinearExpr {
   /// Largest variable index used, or -1 for constant expressions.
   int MaxVar() const;
 
-  /// Renders e.g. "3 + x0 + 2*x4" using `namer` for variable names; a null
-  /// namer falls back to "x<k>".
+  /// Appends e.g. "3 + x0 + 2*x4", using `namer` for variable names; a
+  /// null namer prints "x<k>". The constant comes first when it is nonzero
+  /// or no coefficient is, then each term through AppendSumTerm.
+  void AppendTo(std::string* out,
+                const std::function<std::string(int)>* namer = nullptr) const;
+  /// The AppendTo rendering as a string.
   std::string ToString(
       const std::function<std::string(int)>* namer = nullptr) const;
 
@@ -71,6 +75,14 @@ class LinearExpr {
   Rational constant_;
   std::map<int, Rational> coeffs_;
 };
+
+/// Appends the nonzero term `coeff` * x_`var` of a rendered sum: "x", "-x"
+/// or "c*x" when it comes first, " + x", " + c*x", " - x" or " - c*x" after
+/// an earlier term. `namer` names the variable as in LinearExpr::AppendTo.
+/// LinearExpr and Constraint both render their terms through this, so a
+/// sum has one printed form whether it is held sparse or dense.
+void AppendSumTerm(std::string* out, const Rational& coeff, int var,
+                   bool first, const std::function<std::string(int)>* namer);
 
 }  // namespace termilog
 

@@ -9,30 +9,15 @@ void Atom::CollectVariables(std::set<int>* out) const {
   for (const TermPtr& arg : args) arg->CollectVariables(out);
 }
 
-namespace {
-
-std::function<std::string(int)> MakeNamer(
-    const std::vector<std::string>& var_names) {
-  return [&var_names](int v) {
-    if (v >= 0 && v < static_cast<int>(var_names.size())) return var_names[v];
-    return StrCat("_G", v);
-  };
+void Atom::AppendTo(std::string* out, const SymbolTable& symbols,
+                    const VarNamer& namer) const {
+  AppendApplication(out, symbols.Name(predicate), args, symbols, namer);
 }
-
-}  // namespace
 
 std::string Atom::ToString(const SymbolTable& symbols,
                            const std::vector<std::string>& var_names) const {
-  auto namer = MakeNamer(var_names);
-  const std::string& name = symbols.Name(predicate);
-  if (args.empty()) return name;
-  std::string out = name;
-  out += "(";
-  for (size_t i = 0; i < args.size(); ++i) {
-    if (i > 0) out += ",";
-    out += args[i]->ToString(symbols, namer);
-  }
-  out += ")";
+  std::string out;
+  AppendTo(&out, symbols, VarNamer{&var_names});
   return out;
 }
 
@@ -48,41 +33,55 @@ bool IsInfixOperator(const std::string& name) {
 
 }  // namespace
 
-std::string Literal::ToString(const SymbolTable& symbols,
-                              const std::vector<std::string>& var_names) const {
-  std::string rendered;
+void Literal::AppendTo(std::string* out, const SymbolTable& symbols,
+                       const VarNamer& namer) const {
+  if (!positive) *out += "\\+ ";
   const std::string& name = symbols.Name(atom.predicate);
   if (atom.args.size() == 2 && IsInfixOperator(name)) {
-    auto namer = MakeNamer(var_names);
-    rendered = StrCat(atom.args[0]->ToString(symbols, namer), " ", name, " ",
-                      atom.args[1]->ToString(symbols, namer));
+    atom.args[0]->AppendTo(out, symbols, namer);
+    StrAppend(out, ' ', name, ' ');
+    atom.args[1]->AppendTo(out, symbols, namer);
   } else {
-    rendered = atom.ToString(symbols, var_names);
+    atom.AppendTo(out, symbols, namer);
   }
-  return positive ? rendered : StrCat("\\+ ", rendered);
+}
+
+std::string Literal::ToString(const SymbolTable& symbols,
+                              const std::vector<std::string>& var_names) const {
+  std::string out;
+  AppendTo(&out, symbols, VarNamer{&var_names});
+  return out;
 }
 
 std::string Rule::VarName(int v) const {
-  if (v >= 0 && v < static_cast<int>(var_names.size())) return var_names[v];
-  return StrCat("_G", v);
+  std::string out;
+  VarNamer{&var_names}.AppendName(v, &out);
+  return out;
+}
+
+void Rule::AppendTo(std::string* out, const SymbolTable& symbols,
+                    const VarNamer& namer) const {
+  head.AppendTo(out, symbols, namer);
+  for (size_t i = 0; i < body.size(); ++i) {
+    *out += i == 0 ? " :- " : ", ";
+    body[i].AppendTo(out, symbols, namer);
+  }
+  out->push_back('.');
 }
 
 std::string Rule::ToString(const SymbolTable& symbols) const {
-  std::string out = head.ToString(symbols, var_names);
-  if (!body.empty()) {
-    out += " :- ";
-    for (size_t i = 0; i < body.size(); ++i) {
-      if (i > 0) out += ", ";
-      out += body[i].ToString(symbols, var_names);
-    }
-  }
-  out += ".";
+  std::string out;
+  AppendTo(&out, symbols, VarNamer{&var_names});
   return out;
+}
+
+void AppendAdornment(const Adornment& adornment, std::string* out) {
+  for (Mode m : adornment) out->push_back(m == Mode::kBound ? 'b' : 'f');
 }
 
 std::string AdornmentToString(const Adornment& adornment) {
   std::string out;
-  for (Mode m : adornment) out += (m == Mode::kBound ? 'b' : 'f');
+  AppendAdornment(adornment, &out);
   return out;
 }
 
@@ -115,8 +114,14 @@ bool Program::IsDefined(const PredId& pred) const {
   return false;
 }
 
+void Program::AppendPredName(const PredId& pred, std::string* out) const {
+  StrAppend(out, symbols_->Name(pred.symbol), '/', pred.arity);
+}
+
 std::string Program::PredName(const PredId& pred) const {
-  return StrCat(symbols_->Name(pred.symbol), "/", pred.arity);
+  std::string out;
+  AppendPredName(pred, &out);
+  return out;
 }
 
 std::string Program::ToString() const {

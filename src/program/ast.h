@@ -35,6 +35,10 @@ struct Atom {
   }
   /// Inserts the indices of all variables of all arguments.
   void CollectVariables(std::set<int>* out) const;
+  /// Appends "p(t1,...,tn)" ("p" when n is 0).
+  void AppendTo(std::string* out, const SymbolTable& symbols,
+                const VarNamer& namer) const;
+  /// The AppendTo rendering with the rule's variable names.
   std::string ToString(const SymbolTable& symbols,
                        const std::vector<std::string>& var_names) const;
 };
@@ -44,6 +48,11 @@ struct Literal {
   Atom atom;
   bool positive = true;
 
+  /// Appends the atom, infix for a binary comparison ("X =< Y"), after
+  /// "\+ " when negative.
+  void AppendTo(std::string* out, const SymbolTable& symbols,
+                const VarNamer& namer) const;
+  /// The AppendTo rendering with the rule's variable names.
   std::string ToString(const SymbolTable& symbols,
                        const std::vector<std::string>& var_names) const;
 };
@@ -56,7 +65,12 @@ struct Rule {
   std::vector<std::string> var_names;
 
   int num_vars() const { return static_cast<int>(var_names.size()); }
-  /// Pretty form "h :- b1, b2." / "h." used in reports and tests.
+  /// Appends the form "h :- b1, b2." / "h.", naming variables through
+  /// `namer`.
+  void AppendTo(std::string* out, const SymbolTable& symbols,
+                const VarNamer& namer) const;
+  /// The AppendTo rendering with the source variable names, used in
+  /// reports and tests.
   std::string ToString(const SymbolTable& symbols) const;
   /// Display name for the rule-local variable `v` ("_Gk" past the end,
   /// which happens for variables invented by transformations).
@@ -70,7 +84,9 @@ enum class Mode { kBound, kFree };
 /// Bound/free pattern of a predicate, e.g. append(b, b, f).
 using Adornment = std::vector<Mode>;
 
-/// Parses/prints adornment strings like "bbf".
+/// Appends the adornment string, like "bbf".
+void AppendAdornment(const Adornment& adornment, std::string* out);
+/// The AppendAdornment rendering as a string.
 std::string AdornmentToString(const Adornment& adornment);
 
 /// A `:- mode(p(b, f)).` declaration from program text or the API.
@@ -107,7 +123,9 @@ class Program {
   std::set<PredId> AllPredicates() const;
   bool IsDefined(const PredId& pred) const;
 
-  /// "p/2" display form.
+  /// Appends the "p/2" display form.
+  void AppendPredName(const PredId& pred, std::string* out) const;
+  /// The AppendPredName form as a string.
   std::string PredName(const PredId& pred) const;
 
   /// Full listing (rules then mode declarations).

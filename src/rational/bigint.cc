@@ -402,9 +402,13 @@ int64_t BigInt::ToInt64() const {
   return static_cast<int64_t>(mag);
 }
 
-std::string BigInt::ToString() const {
-  if (is_zero()) return "0";
-  // Repeated short division by 1e9 produces 9 decimal digits per step.
+void BigInt::AppendTo(std::string* out) const {
+  if (is_zero()) {
+    out->push_back('0');
+    return;
+  }
+  // Repeated short division by 1e9 produces 9 decimal digits per step,
+  // least significant first.
   LimbVector mag = limbs_;
   std::string digits;
   while (!mag.empty()) {
@@ -421,9 +425,14 @@ std::string BigInt::ToString() const {
     }
   }
   while (digits.size() > 1 && digits.back() == '0') digits.pop_back();
-  if (negative_) digits.push_back('-');
-  std::reverse(digits.begin(), digits.end());
-  return digits;
+  if (negative_) out->push_back('-');
+  out->append(digits.rbegin(), digits.rend());
+}
+
+std::string BigInt::ToString() const {
+  std::string out;
+  AppendTo(&out);
+  return out;
 }
 
 size_t BigInt::Hash() const {

@@ -210,7 +210,9 @@ class BigInt {
   /// Converts to int64_t; checked failure if out of range.
   int64_t ToInt64() const;
 
-  /// Decimal rendering with leading '-' when negative.
+  /// Appends the decimal rendering, with a leading '-' when negative.
+  void AppendTo(std::string* out) const;
+  /// The AppendTo rendering as a string.
   std::string ToString() const;
 
   /// Hash suitable for unordered containers.

@@ -197,9 +197,22 @@ Rational Rational::Inverse() const {
   return Rational(den(), num());
 }
 
+void Rational::AppendTo(std::string* out) const {
+  if (big_) {
+    big_->num.AppendTo(out);
+    if (big_->den.is_one()) return;
+    out->push_back('/');
+    big_->den.AppendTo(out);
+    return;
+  }
+  StrAppend(out, num_);
+  if (den_ != 1) StrAppend(out, '/', den_);
+}
+
 std::string Rational::ToString() const {
-  if (is_integer()) return num().ToString();
-  return StrCat(num().ToString(), "/", den().ToString());
+  std::string out;
+  AppendTo(&out);
+  return out;
 }
 
 size_t Rational::Hash() const {

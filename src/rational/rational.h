@@ -130,7 +130,10 @@ class Rational {
   /// Multiplicative inverse; checked failure on zero.
   Rational Inverse() const;
 
-  /// Renders "a" for integers, "a/b" otherwise.
+  /// Appends "a" for an integer, "a/b" otherwise; an inline value is
+  /// rendered from its fields, with no temporary BigInt.
+  void AppendTo(std::string* out) const;
+  /// The AppendTo rendering as a string.
   std::string ToString() const;
 
   size_t Hash() const;

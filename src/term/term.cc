@@ -64,48 +64,65 @@ bool Term::Equal(const TermPtr& a, const TermPtr& b) {
   return true;
 }
 
-std::string Term::ToString(
-    const SymbolTable& symbols,
-    const std::function<std::string(int)>& var_namer) const {
+void VarNamer::AppendName(int v, std::string* out) const {
+  if (names != nullptr && v >= 0 && v < static_cast<int>(names->size())) {
+    *out += (*names)[v];
+  } else {
+    StrAppend(out, prefix, v);
+  }
+}
+
+void Term::AppendTo(std::string* out, const SymbolTable& symbols,
+                    const VarNamer& namer) const {
   if (IsVariable()) {
-    if (var_namer) return var_namer(id_);
-    return StrCat("_G", id_);
+    namer.AppendName(id_, out);
+    return;
   }
   const std::string& name = symbols.Name(id_);
-  if (args_.empty()) return name;
   // List sugar for cons cells.
   if (name == kConsName && args_.size() == 2) {
-    std::string out = "[";
+    out->push_back('[');
     const Term* node = this;
-    bool first = true;
     while (true) {
-      if (!first) out += ",";
-      out += node->args_[0]->ToString(symbols, var_namer);
-      first = false;
+      node->args_[0]->AppendTo(out, symbols, namer);
       const TermPtr& tail = node->args_[1];
       if (tail->IsCompound() && tail->args().size() == 2 &&
           symbols.Name(tail->functor()) == kConsName) {
+        out->push_back(',');
         node = tail.get();
         continue;
       }
       if (tail->IsConstant() && symbols.Name(tail->functor()) == kNilName) {
-        out += "]";
-        return out;
+        out->push_back(']');
+        return;
       }
-      out += "|";
-      out += tail->ToString(symbols, var_namer);
-      out += "]";
-      return out;
+      out->push_back('|');
+      tail->AppendTo(out, symbols, namer);
+      out->push_back(']');
+      return;
     }
   }
-  std::string out = name;
-  out += "(";
-  for (size_t i = 0; i < args_.size(); ++i) {
-    if (i > 0) out += ",";
-    out += args_[i]->ToString(symbols, var_namer);
-  }
-  out += ")";
+  AppendApplication(out, name, args_, symbols, namer);
+}
+
+std::string Term::ToString(const SymbolTable& symbols,
+                           const VarNamer& namer) const {
+  std::string out;
+  AppendTo(&out, symbols, namer);
   return out;
+}
+
+void AppendApplication(std::string* out, const std::string& name,
+                       const std::vector<TermPtr>& args,
+                       const SymbolTable& symbols, const VarNamer& namer) {
+  *out += name;
+  if (args.empty()) return;
+  out->push_back('(');
+  for (size_t i = 0; i < args.size(); ++i) {
+    if (i > 0) out->push_back(',');
+    args[i]->AppendTo(out, symbols, namer);
+  }
+  out->push_back(')');
 }
 
 TermPtr MakeList(SymbolTable* symbols, const std::vector<TermPtr>& items,

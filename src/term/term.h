@@ -1,10 +1,10 @@
 #ifndef TERMILOG_TERM_TERM_H_
 #define TERMILOG_TERM_TERM_H_
 
-#include <functional>
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "term/symbol_table.h"
@@ -12,6 +12,19 @@
 namespace termilog {
 
 class Term;
+
+/// Names the variables of a rendered term, rule or literal without
+/// building a string per variable: variable v prints as `(*names)[v]` when
+/// `names` has that entry and as `prefix` followed by v otherwise. The
+/// default prints "_G<v>"; a rule's report form passes its source names,
+/// and canonical cache keys pass prefix "V" and no names.
+struct VarNamer {
+  const std::vector<std::string>* names = nullptr;
+  std::string_view prefix = "_G";
+
+  void AppendName(int v, std::string* out) const;
+};
+
 /// Terms are immutable and shared; substitution application builds new
 /// trees without mutating originals.
 using TermPtr = std::shared_ptr<const Term>;
@@ -52,11 +65,13 @@ class Term {
   /// Structural equality (same shape, same symbols, same variable ids).
   static bool Equal(const TermPtr& a, const TermPtr& b);
 
-  /// Renders with list sugar ([a,b|T]); `var_namer` maps variable indices
-  /// to display names (falls back to "_Gk").
-  std::string ToString(
-      const SymbolTable& symbols,
-      const std::function<std::string(int)>& var_namer = nullptr) const;
+  /// Appends the term with list sugar ([a,b|T]), naming variables through
+  /// `namer`.
+  void AppendTo(std::string* out, const SymbolTable& symbols,
+                const VarNamer& namer = {}) const;
+  /// The AppendTo rendering as a string.
+  std::string ToString(const SymbolTable& symbols,
+                       const VarNamer& namer = {}) const;
 
  private:
   Term(Kind kind, int id, std::vector<TermPtr> args)
@@ -66,6 +81,12 @@ class Term {
   int id_;  // var_id for variables, functor symbol id for compounds
   std::vector<TermPtr> args_;
 };
+
+/// Appends `name` applied to `args`, "f(t1,...,tn)", or `name` alone when
+/// `args` is empty: the printed form of a compound term and of an atom.
+void AppendApplication(std::string* out, const std::string& name,
+                       const std::vector<TermPtr>& args,
+                       const SymbolTable& symbols, const VarNamer& namer);
 
 /// Names of the built-in structural symbols.
 inline constexpr char kConsName[] = ".";

@@ -35,8 +35,7 @@ TEST(ParserTest, ListsDesugarToCons) {
   const TermPtr& arg = p.rules()[0].head.args[0];
   ASSERT_TRUE(arg->IsCompound());
   EXPECT_EQ(p.symbols().Name(arg->functor()), kConsName);
-  EXPECT_EQ(arg->ToString(p.symbols(),
-                          [](int) { return std::string("T"); }),
+  EXPECT_EQ(arg->ToString(p.symbols(), VarNamer{&p.rules()[0].var_names}),
             "[a,b|T]");
 }
 

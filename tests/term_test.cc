@@ -62,8 +62,13 @@ TEST_F(TermTest, ListSugarPrinting) {
 TEST_F(TermTest, ToStringWithNamer) {
   TermPtr t = Term::MakeCompound(symbols_.Intern("f"),
                                  {Term::MakeVariable(0)});
-  std::function<std::string(int)> namer = [](int) { return "X"; };
-  EXPECT_EQ(t->ToString(symbols_, namer), "f(X)");
+  std::vector<std::string> names = {"X"};
+  EXPECT_EQ(t->ToString(symbols_, VarNamer{&names}), "f(X)");
+  // Past the names, and with no names, the prefix and the index.
+  TermPtr g = Term::MakeCompound(
+      symbols_.Intern("g"), {Term::MakeVariable(0), Term::MakeVariable(3)});
+  EXPECT_EQ(g->ToString(symbols_, VarNamer{&names}), "g(X,_G3)");
+  EXPECT_EQ(g->ToString(symbols_, VarNamer{nullptr, "V"}), "g(V0,V3)");
 }
 
 }  // namespace

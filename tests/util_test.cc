@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <sstream>
+#include <string>
+#include <string_view>
+
+#include "rational/rational.h"
 #include "util/status.h"
 #include "util/string_util.h"
 
@@ -73,9 +80,75 @@ TEST(StringUtilTest, StripWhitespace) {
   EXPECT_EQ(StripWhitespace("\t\na b\n"), "a b");
 }
 
+// What `std::ostream <<` prints for the arguments. StrCat must print the
+// same bytes: report bytes and cache keys are built with it.
+template <typename... Args>
+std::string Streamed(const Args&... args) {
+  std::ostringstream os;
+  (os << ... << args);
+  return os.str();
+}
+
+template <typename T>
+void ExpectIntegerExtremesMatchStream() {
+  using limits = std::numeric_limits<T>;
+  for (T value :
+       {limits::min(), limits::max(), T(0), T(1), T(limits::max() / 3)}) {
+    EXPECT_EQ(StrCat(value), Streamed(value)) << Streamed(value);
+  }
+}
+
 TEST(StringUtilTest, StrCat) {
   EXPECT_EQ(StrCat("x", 1, "/", 2), "x1/2");
   EXPECT_EQ(StrCat(), "");
+
+  // A stream prints bool as 1/0 and every char type as a character.
+  EXPECT_EQ(StrCat(true, false), Streamed(true, false));
+  EXPECT_EQ(StrCat('a', static_cast<signed char>('b'),
+                   static_cast<unsigned char>('c')),
+            Streamed('a', static_cast<signed char>('b'),
+                     static_cast<unsigned char>('c')));
+  EXPECT_EQ(StrCat(int8_t{65}, uint8_t{66}), "AB");
+
+  ExpectIntegerExtremesMatchStream<short>();
+  ExpectIntegerExtremesMatchStream<unsigned short>();
+  ExpectIntegerExtremesMatchStream<int>();
+  ExpectIntegerExtremesMatchStream<unsigned>();
+  ExpectIntegerExtremesMatchStream<long>();
+  ExpectIntegerExtremesMatchStream<unsigned long>();
+  ExpectIntegerExtremesMatchStream<long long>();
+  ExpectIntegerExtremesMatchStream<unsigned long long>();
+  ExpectIntegerExtremesMatchStream<int64_t>();
+  ExpectIntegerExtremesMatchStream<uint64_t>();
+  ExpectIntegerExtremesMatchStream<size_t>();
+  EXPECT_EQ(StrCat(INT64_MIN), "-9223372036854775808");
+  EXPECT_EQ(StrCat(UINT64_MAX), "18446744073709551615");
+
+  const char* c_string = "cs";
+  std::string text = "str";
+  std::string_view view = "view";
+  EXPECT_EQ(StrCat(c_string, text, view, "lit"),
+            Streamed(c_string, text, view, "lit"));
+
+  // A Rational renders through its appender, inline and heap forms alike,
+  // as the BigInt renderings of its numerator and denominator.
+  auto reference = [](const Rational& value) {
+    if (value.is_integer()) return value.num().ToString();
+    return Streamed(value.num().ToString(), '/', value.den().ToString());
+  };
+  const Rational big = Rational(INT64_MAX) * Rational(INT64_MAX);
+  for (const Rational& value :
+       {Rational(-7, 3), Rational(INT64_MIN), Rational(0), big,
+        -big / Rational(INT64_MAX - 1)}) {
+    EXPECT_EQ(StrCat(value), reference(value));
+    EXPECT_EQ(StrCat('<', value, '>'), Streamed('<', value, '>'));
+  }
+  EXPECT_EQ(StrCat(Rational(-7, 3)), "-7/3");
+  EXPECT_EQ(StrCat(big), "85070591730234615847396907784232501249");
+
+  std::string appended = "a";
+  StrAppend(&appended, 1, '/', Rational(1, 2), true);
+  EXPECT_EQ(appended, "a1/1/21");
 }
 
 }  // namespace
